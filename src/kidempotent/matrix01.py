@@ -16,6 +16,7 @@ everything can be shared freely across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -296,19 +297,90 @@ def _sat_mul_rows(
     return tuple(c1), tuple(c2)
 
 
-def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Repeated squaring in the saturating semiring; m must be >= 1."""
-    zero = (0,) * len(rows)
-    base = (rows, zero)
+def _power(base, m: int, mul):
+    """``base`` to the power m under the associative product ``mul``; m must be >= 1."""
     result = None
     while m:
         if m & 1:
-            result = base if result is None else _sat_mul_rows(*result, *base)
+            result = base if result is None else mul(result, base)
         m >>= 1
         if m:
-            base = _sat_mul_rows(*base, *base)
+            base = mul(base, base)
     assert result is not None
     return result
+
+
+def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Repeated squaring in the saturating semiring; m must be >= 1."""
+    return _power((rows, (0,) * len(rows)), m, lambda a, b: _sat_mul_rows(*a, *b))
+
+
+@lru_cache(maxsize=None)
+def _lane_patterns(width: int) -> tuple[int, ...]:
+    """Lane x of pattern b is bit b of x, for 2**width lanes and b < width.
+
+    Each pattern is one period (2**b zeros, then 2**b ones) doubled until
+    it spans every lane; that is far cheaper than dividing the all-ones
+    word by 2**(2**(b+1)) - 1.
+    """
+    lanes = 1 << width
+    patterns = []
+    for b in range(width):
+        run = 1 << b
+        pattern = ((1 << run) - 1) << run
+        span = run << 1
+        while span < lanes:
+            pattern |= pattern << span
+            span <<= 1
+        patterns.append(pattern)
+    return tuple(patterns)
+
+
+def _lane_mul(a, b, n: int):
+    """Saturating product of two bit-sliced matrices.
+
+    A bit-sliced matrix is a (ge1, ge2) pair of flat row-major lists of
+    n*n entry planes; lane x of every plane belongs to the same matrix.
+    The combination rule is that of :func:`_sat_mul_rows`, applied to all
+    lanes at once.
+    """
+    a1, a2 = a
+    b1, b2 = b
+    cols = [(b1[j::n], b2[j::n]) for j in range(n)]
+    c1 = []
+    c2 = []
+    for i in range(n):
+        row1 = a1[i * n : i * n + n]
+        row2 = a2[i * n : i * n + n]
+        for col1, col2 in cols:
+            acc1 = acc2 = 0
+            for x1, x2, y1, y2 in zip(row1, row2, col1, col2):
+                term = x1 & y1
+                acc2 |= (acc1 & term) | (x2 & y1) | (x1 & y2)
+                acc1 |= term
+            c1.append(acc1)
+            c2.append(acc2)
+    return c1, c2
+
+
+def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
+    """Decide A^k = A for the 2**width matrices with indices base + x at once.
+
+    Bit e of an index is entry (e div n, e mod n) and ``base`` is a
+    multiple of 2**width. Entry e becomes one int whose lane x holds that
+    entry of matrix base + x: a fixed lane pattern when e < width, and
+    all-ones or zero by bit e of ``base`` otherwise. The power follows
+    the repeated-squaring schedule of :func:`_sat_power_rows`. Bit x of
+    the result is set when matrix base + x is k-idempotent.
+    """
+    full = (1 << (1 << width)) - 1
+    patterns = _lane_patterns(width)
+    a = [patterns[e] if e < width else full if (base >> e) & 1 else 0 for e in range(n * n)]
+    p1, p2 = _power((a, [0] * len(a)), k, lambda x, y: _lane_mul(x, y, n))
+    bad = 0
+    for entry, q1, q2 in zip(a, p1, p2):
+        bad |= (q1 ^ entry) | q2
+    return full & ~bad
 
 
 def sat_power(a: Matrix01, m: int) -> SatMatrix:

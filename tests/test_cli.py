@@ -1,5 +1,11 @@
+import io
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kidempotent.cli import main
 from kidempotent.matrix01 import Matrix01, from_text, to_text
@@ -186,3 +192,91 @@ class TestInstalledEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+def run_cli_bytes(args, data):
+    """Invoke main() in-process with ``data`` as the raw bytes of stdin."""
+    old_stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+# Subcommands that read a matrix or a decomposition, and those that read nothing.
+READERS = [["check", "--k", "2"], ["decompose", "--k", "3"], ["compose"], ["index"]]
+NON_READERS = [["gamma", "--n", "3"], ["extremal", "--n", "3", "--k", "2"], ["census", "--n", "2", "--k", "2"]]
+
+VALID_INPUTS = [C3_TEXT, ONES2_TEXT, WORKED_TEXT, WORKED_DECOMPOSITION, "0\n"]
+
+
+@st.composite
+def input_bytes(draw):
+    """Arbitrary bytes, or a valid input with a few bytes overwritten, inserted or cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    data = bytearray(draw(st.sampled_from(VALID_INPUTS)).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["put", "insert", "cut"]))
+        if edit == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=3))
+        elif edit == "put" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        else:
+            del data[pos : pos + 1]
+    return bytes(data)
+
+
+def assert_contract(code, out, err, data, reads_input=True):
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err
+    else:
+        # A mathematical answer: printed, and only ever for ASCII input.
+        assert out
+        assert data.isascii() or not reads_input
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(input_bytes(), st.sampled_from(READERS))
+    def test_readers_by_stdin_and_file(self, tmp_path_factory, data, command):
+        code, out, err = run_cli_bytes(command, data)
+        assert_contract(code, out, err, data)
+        path = tmp_path_factory.mktemp("input") / "in.txt"
+        path.write_bytes(data)
+        assert run_cli_bytes([*command, str(path)], b"") == (code, out, err)
+
+    @settings(max_examples=20, deadline=None)
+    @given(input_bytes(), st.sampled_from(NON_READERS))
+    def test_non_readers_ignore_stdin(self, data, command):
+        code, out, err = run_cli_bytes(command, data)
+        assert_contract(code, out, err, data, reads_input=False)
+        assert code == 0
+
+    def test_non_ascii_file_is_format_error(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"2\n0\xe9\n00\n")
+        code, out, err = run_cli_bytes(["check", "--k", "2", str(path)], b"")
+        assert (code, out) == (2, "")
+        assert err == "format error: non-ASCII byte at offset 3\n"
+
+    def test_non_ascii_stdin_in_a_fresh_process(self):
+        # strict UTF-8 stdin, as under a UTF-8 locale, where a text read raises
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        for data in (b"2\n0\xe9\n00\n", b"\xff\xfe"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kidempotent", "check", "--k", "2"],
+                input=data,
+                capture_output=True,
+                env=env,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            assert b"Traceback" not in proc.stderr

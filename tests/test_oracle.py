@@ -1,8 +1,20 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kidempotent.matrix01 import Matrix01, exact_power, nnz, sat_power
+from kidempotent.matrix01 import (
+    Matrix01,
+    _lane_mul,
+    _lane_patterns,
+    _sat_member_lanes,
+    _sat_mul_rows,
+    exact_power,
+    nnz,
+    sat_power,
+)
 from kidempotent.oracle import (
     census,
     enumerate_k_idempotent,
@@ -12,6 +24,11 @@ from kidempotent.oracle import (
     upper_triangular_check,
     verify_characterization,
 )
+from kidempotent.structure import _rows_k_idempotent
+
+GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
+
+LANE_KS = [2, 3, 4, 5, 6, 7, 13, 720721]
 
 
 def exact_members(n, k):
@@ -65,6 +82,107 @@ class TestEnumeration:
             list(enumerate_k_idempotent(2, 1))
         with pytest.raises(ValueError):
             list(enumerate_k_idempotent(2, 2, index_range=(3, 100_000)))
+
+
+def scalar_members(n, k, start, stop):
+    """Single-matrix power route over an index range."""
+    matrices = (matrix_from_index(n, index) for index in range(start, stop))
+    return [a for a in matrices if _rows_k_idempotent(a.rows, k)]
+
+
+class TestLaneKernel:
+    def test_lane_patterns(self):
+        for width in range(7):
+            patterns = _lane_patterns(width)
+            assert len(patterns) == width
+            for b, pattern in enumerate(patterns):
+                assert pattern == sum(1 << x for x in range(1 << width) if (x >> b) & 1)
+
+    def test_product_equals_row_product_per_lane(self):
+        # lanes hold unrelated saturating matrices, 2+ entries included
+        rng = random.Random(11)
+        for n in range(6):
+            lanes = 64
+            pairs = []
+            for _ in range(lanes):
+                pair = []
+                for _ in range(2):
+                    ge1 = tuple(rng.getrandbits(n) for _ in range(n))
+                    pair.append((ge1, tuple(row & rng.getrandbits(n) for row in ge1)))
+                pairs.append(pair)
+
+            def planes(side, level):
+                return [
+                    sum(((pairs[x][side][level][e // n] >> (e % n)) & 1) << x for x in range(lanes))
+                    for e in range(n * n)
+                ]
+
+            c1, c2 = _lane_mul((planes(0, 0), planes(0, 1)), (planes(1, 0), planes(1, 1)), n)
+            for x, ((a1, a2), (b1, b2)) in enumerate(pairs):
+                r1, r2 = _sat_mul_rows(a1, a2, b1, b2)
+                for e in range(n * n):
+                    assert (c1[e] >> x) & 1 == (r1[e // n] >> (e % n)) & 1
+                    assert (c2[e] >> x) & 1 == (r2[e // n] >> (e % n)) & 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_mask_equals_scalar_route(self, data):
+        n = data.draw(st.integers(0, 5), label="n")
+        k = data.draw(st.sampled_from(LANE_KS), label="k")
+        width = data.draw(st.integers(0, min(n * n, 8)), label="width")
+        base = data.draw(st.integers(0, (1 << (n * n - width)) - 1), label="block") << width
+        mask = _sat_member_lanes(n, k, base, width)
+        assert 0 <= mask < 1 << (1 << width)
+        for x in range(1 << width):
+            rows = matrix_from_index(n, base + x).rows
+            assert (mask >> x) & 1 == _rows_k_idempotent(rows, k), (n, k, base + x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_unaligned_ranges_equal_scalar_filter(self, data):
+        n = data.draw(st.integers(0, 5), label="n")
+        k = data.draw(st.sampled_from(LANE_KS), label="k")
+        size = 1 << (n * n)
+        start = data.draw(st.integers(0, size), label="start")
+        stop = data.draw(st.integers(start, min(size, start + 3000)), label="stop")
+        found = list(enumerate_k_idempotent(n, k, allow_order_5=True, index_range=(start, stop)))
+        assert found == scalar_members(n, k, start, stop)
+
+    def test_edges(self):
+        assert list(enumerate_k_idempotent(0, 2)) == [Matrix01(0, ())]
+        assert list(enumerate_k_idempotent(0, 2, index_range=(0, 0))) == []
+        assert list(enumerate_k_idempotent(0, 2, index_range=(1, 1))) == []
+        assert list(enumerate_k_idempotent(3, 2, index_range=(200, 200))) == []
+        # one-index ranges: the order-4 identity is a member; the all-ones
+        # matrices of order 2 and 5 are not
+        identity = sum(1 << (i * 4 + i) for i in range(4))
+        assert list(enumerate_k_idempotent(4, 7, index_range=(identity, identity + 1))) == [Matrix01.identity(4)]
+        assert list(enumerate_k_idempotent(2, 2, index_range=(15, 16))) == []
+        last = (1 << 25) - 1
+        assert list(enumerate_k_idempotent(5, 2, allow_order_5=True, index_range=(last, last + 1))) == []
+
+
+class TestOrderFive:
+    def test_golden_counts(self):
+        for line in GOLDEN_N5.read_text().splitlines():
+            n, k, expected = (int(v) for v in line.split())
+            assert sum(1 for _ in enumerate_k_idempotent(n, k, allow_order_5=True)) == expected, (n, k)
+
+    def test_census_k2(self):
+        assert serialize_census(census(5, 2, allow_order_5=True)) == (
+            "n=5\n"
+            "k=2\n"
+            "total_k_idempotent=5682\n"
+            "gamma=9\n"
+            "max_nnz=9\n"
+            "argmax_count=170\n"
+            "max_density_ok=true\n"
+            "characterization_ok=true\n"
+            "upper_triangular_ok=true\n"
+            "seed=0\n"
+            "non_member_sample=19996\n"
+            "mismatches=0\n"
+        )
 
 
 class TestCharacterization:
