@@ -33,21 +33,11 @@ from .structure import (
 __all__ = ["entrypoint", "main"]
 
 
-class InputEncodingError(ValueError):
-    """Input bytes that are not ASCII, from a file or from stdin."""
-
-
 def _read_input(path: str | None) -> str:
     if path is None or path == "-":
-        stdin = sys.stdin
-        data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode("utf-8", "surrogateescape")
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise InputEncodingError(f"non-ASCII byte at offset {exc.start}") from None
+        return sys.stdin.read()
+    with open(path, "r", encoding="ascii") as handle:
+        return handle.read()
 
 
 def _load_matrix(path: str | None) -> Matrix01:
@@ -210,8 +200,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, DecompositionFormatError, InputEncodingError) as exc:
+    except (MatrixFormatError, DecompositionFormatError) as exc:
         return _usage_error(f"format error: {exc}")
+    except UnicodeDecodeError as exc:
+        return _usage_error(f"format error: non-ASCII byte at offset {exc.start}")
     except OSError as exc:
         return _usage_error(f"cannot read input: {exc}")
 

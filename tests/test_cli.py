@@ -4,7 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kidempotent.cli import main
@@ -246,12 +246,17 @@ def assert_contract(code, out, err, data, reads_input=True):
 class TestArbitraryBytes:
     @settings(max_examples=150, deadline=None)
     @given(input_bytes(), st.sampled_from(READERS))
+    @example(b"2\n0\xc3\xa9\n00\n", ["check", "--k", "2"])
     def test_readers_by_stdin_and_file(self, tmp_path_factory, data, command):
         code, out, err = run_cli_bytes(command, data)
         assert_contract(code, out, err, data)
         path = tmp_path_factory.mktemp("input") / "in.txt"
         path.write_bytes(data)
-        assert run_cli_bytes([*command, str(path)], b"") == (code, out, err)
+        # Valid UTF-8 that is not ASCII decodes from stdin and fails in the
+        # parser instead, so only the exit code and stdout must agree.
+        file_code, file_out, file_err = run_cli_bytes([*command, str(path)], b"")
+        assert (file_code, file_out) == (code, out)
+        assert_contract(file_code, file_out, file_err, data)
 
     @settings(max_examples=20, deadline=None)
     @given(input_bytes(), st.sampled_from(NON_READERS))
@@ -266,6 +271,17 @@ class TestArbitraryBytes:
         code, out, err = run_cli_bytes(["check", "--k", "2", str(path)], b"")
         assert (code, out) == (2, "")
         assert err == "format error: non-ASCII byte at offset 3\n"
+
+    def test_crlf_file_parses(self, tmp_path):
+        for text, command, expected in (
+            (C3_TEXT, ["check", "--k", "4"], 0),
+            (WORKED_DECOMPOSITION, ["compose"], 0),
+        ):
+            path = tmp_path / "crlf.txt"
+            path.write_bytes(text.replace("\n", "\r\n").encode())
+            code, out, err = run_cli_bytes([*command, str(path)], b"")
+            assert (code, err) == (expected, "")
+            assert out == run_cli_bytes(command, text.encode())[1]
 
     def test_non_ascii_stdin_in_a_fresh_process(self):
         # strict UTF-8 stdin, as under a UTF-8 locale, where a text read raises
