@@ -32,7 +32,6 @@ from .matrix01 import (
     from_text,
     nnz,
     permute,
-    row_sum_bounds,
     row_sums,
     sat_add,
     sat_mul,
@@ -61,7 +60,6 @@ from .structure import (
     compose,
     decompose,
     idempotency_index,
-    idempotent_decompose,
     is_k_idempotent,
     parse_decomposition,
     power_failure,

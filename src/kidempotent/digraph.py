@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .matrix01 import INT64_MAX, Matrix01
 
@@ -162,29 +162,36 @@ def _normalize_order(succ: tuple[int, ...], n: int, comps: list[list[int]]) -> l
     return [comps[ci] for ci in order]
 
 
-def _classify(succ: tuple[int, ...], comp: list[int]) -> tuple[ComponentKind, int | None]:
+def _orbit(succ: Sequence[int], comp: Sequence[int]) -> tuple[int, ...] | None:
+    """The component's cycle orbit from its smallest vertex, or None.
+
+    A component is a cycle when every vertex has exactly one arc inside
+    it and following those arcs from the smallest vertex visits every
+    vertex once before returning. A single vertex is a cycle only if it
+    carries a self-loop.
+    """
     if len(comp) == 1:
         v = comp[0]
-        if (succ[v] >> v) & 1:
-            return ComponentKind.CYCLE, 1
-        return ComponentKind.TRIVIAL_ACYCLIC, None
+        return (v,) if (succ[v] >> v) & 1 else None
     mask = 0
     for v in comp:
         mask |= 1 << v
     for v in comp:
         if (succ[v] & mask).bit_count() != 1:
-            return ComponentKind.NON_CYCLE, None
+            return None
     # Out-degree 1 everywhere plus strong connectivity forces one orbit;
     # the traversal below is a defensive confirmation.
     start = min(comp)
+    orbit = [start]
     cur = start
     for _ in range(len(comp) - 1):
         cur = (succ[cur] & mask).bit_length() - 1
         if cur == start:
-            return ComponentKind.NON_CYCLE, None
+            return None
+        orbit.append(cur)
     if (succ[cur] & mask) != 1 << start:
-        return ComponentKind.NON_CYCLE, None
-    return ComponentKind.CYCLE, len(comp)
+        return None
+    return tuple(orbit)
 
 
 def sccs(d: Digraph) -> SccReport:
@@ -192,7 +199,13 @@ def sccs(d: Digraph) -> SccReport:
     comps = _normalize_order(d.succ, d.n, _tarjan(d.succ, d.n))
     out = []
     for comp in comps:
-        kind, length = _classify(d.succ, comp)
+        orbit = _orbit(d.succ, comp)
+        if orbit is not None:
+            kind, length = ComponentKind.CYCLE, len(orbit)
+        elif len(comp) == 1:
+            kind, length = ComponentKind.TRIVIAL_ACYCLIC, None
+        else:
+            kind, length = ComponentKind.NON_CYCLE, None
         out.append(SccComponent(tuple(sorted(comp)), kind, length))
     return SccReport(tuple(out))
 

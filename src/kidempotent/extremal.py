@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .matrix01 import Matrix01, nnz, row_string
-from .structure import CanonicalDecomposition, _compose_rows, is_k_idempotent
+from .structure import CanonicalDecomposition, _compose_rows, _require_k, is_k_idempotent
 
 __all__ = [
     "ExtremalParams",
@@ -121,8 +121,7 @@ def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
     """
     if n < 1:
         raise InvalidParams("order must be positive")
-    if k < 2:
-        raise ValueError("k must be an integer >= 2")
+    _require_k(k)
     r = params.source_count
     s = params.sink_count
     m = sum(params.cycle_lengths)
@@ -151,8 +150,7 @@ def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
 
 def is_extremal(a: Matrix01, k: int) -> bool:
     """Whether the matrix is k-idempotent with gamma(n) ones."""
-    if k < 2:
-        raise ValueError("k must be an integer >= 2")
+    _require_k(k)
     if a.n < 1:
         return False
     return is_k_idempotent(a, k) and nnz(a) == gamma(a.n)
@@ -227,8 +225,7 @@ def extremal_families(n: int, k: int) -> list[ExtremalParams]:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if k < 2:
-        raise ValueError("k must be an integer >= 2")
+    _require_k(k)
     seen: set[tuple[int, ...]] = set()
     families: list[ExtremalParams] = []
     for variant in ("A", "B"):

@@ -32,7 +32,6 @@ __all__ = [
     "pack_row",
     "permute",
     "row_string",
-    "row_sum_bounds",
     "row_sums",
     "sat_add",
     "sat_mul",
@@ -78,7 +77,16 @@ def unpack_row(row: int, width: int) -> list[int]:
 
 def row_string(row: int, width: int) -> str:
     """Render a row bitset as its text-format string of '0'/'1' characters."""
-    return "".join("1" if (row >> j) & 1 else "0" for j in range(width))
+    # The slice drops the lone "0" that format gives at width 0.
+    return format(row, f"0{width}b")[::-1][:width]
+
+
+def _parse_row(text: str, width: int) -> int | None:
+    """Row bitset of a text-format row string, or None when it is malformed."""
+    # int() alone would also accept "_", "+" and surrounding spaces.
+    if len(text) != width or set(text) - {"0", "1"}:
+        return None
+    return int(text[::-1] or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -228,17 +236,6 @@ def nnz(a: Matrix01) -> int:
 def row_sums(a: Matrix01) -> list[int]:
     """Per-row counts of nonzero entries."""
     return [row.bit_count() for row in a.rows]
-
-
-def row_sum_bounds(a: Matrix01) -> tuple[int, int]:
-    """(min, max) row sum; these bracket the spectral radius.
-
-    The order-0 matrix reports (0, 0).
-    """
-    if a.n == 0:
-        return (0, 0)
-    sums = row_sums(a)
-    return (min(sums), max(sums))
 
 
 def permute(a: Matrix01, sigma: Permutation) -> Matrix01:
@@ -453,7 +450,8 @@ def from_text(text: str) -> Matrix01:
         raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
     rows = []
     for i, line in enumerate(lines[1:]):
-        if len(line) != n or set(line) - {"0", "1"}:
+        row = _parse_row(line, n)
+        if row is None:
             raise MatrixFormatError(f"bad row on line {i + 2}")
-        rows.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
+        rows.append(row)
     return Matrix01(n, tuple(rows))

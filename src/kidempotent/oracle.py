@@ -27,13 +27,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .extremal import gamma, matches_maximum_form
-from .matrix01 import Matrix01, _sat_member_lanes, permute, to_text
-from .structure import (
-    CanonicalDecomposition,
-    _accepts_rows,
-    _rows_k_idempotent,
-    decompose,
-)
+from .matrix01 import Matrix01, _sat_member_lanes, to_text
+from .structure import _decompose_rows, _require_k, _rows_k_idempotent
 
 __all__ = [
     "CensusReport",
@@ -62,8 +57,7 @@ _LANE_BITS = 16
 
 
 def _check_args(n: int, k: int, allow_order_5: bool) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ValueError("k must be an integer >= 2")
+    _require_k(k)
     if not 0 <= n <= ORDER_LIMIT:
         raise ValueError(f"order must be between 0 and {ORDER_LIMIT}")
     if n > FREE_ORDER_LIMIT and not allow_order_5:
@@ -203,20 +197,16 @@ def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
             lanes = sorted(picked)
         for x in lanes:
             rows = _index_rows(n, base + x)
-            member = flags[x] == "1"
-            accepted = _accepts_rows(rows, n, k)
-            if accepted != member:
-                mismatches.append(Matrix01(n, rows))
-            if not member:
+            d = _decompose_rows(rows, n, k)
+            if flags[x] != "1":
+                if d is not None:
+                    mismatches.append(Matrix01(n, rows))
                 if not exhaustive:
                     sampled += 1
                 continue
             total += 1
             matrix = Matrix01(n, rows)
-            d = decompose(matrix, k)
-            if not isinstance(d, CanonicalDecomposition):
-                mismatches.append(matrix)
-            elif permute(d.canonical_matrix(), d.sigma) != matrix:
+            if d is None or d.original_matrix() != matrix:
                 mismatches.append(matrix)
             count = sum(row.bit_count() for row in rows)
             if count > best:
@@ -249,10 +239,7 @@ def max_nnz_census(
 
 def upper_triangular_check(n: int, k: int) -> bool:
     """True when the only strictly upper triangular k-idempotent matrix is zero."""
-    if not isinstance(k, int) or k < 2:
-        raise ValueError("k must be an integer >= 2")
-    if not 0 <= n <= ORDER_LIMIT:
-        raise ValueError(f"order must be between 0 and {ORDER_LIMIT}")
+    _check_args(n, k, allow_order_5=True)
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for bits in range(1, 1 << len(positions)):
         rows = [0] * n
@@ -280,8 +267,8 @@ def census(n: int, k: int, *, allow_order_5: bool = False, seed: int = 0) -> Cen
     density_ok = best == gamma_value
     if density_ok:
         for matrix in argmax:
-            d = decompose(matrix, k)
-            if not isinstance(d, CanonicalDecomposition) or not matches_maximum_form(d):
+            d = _decompose_rows(matrix.rows, n, k)
+            if d is None or not matches_maximum_form(d):
                 density_ok = False
                 break
     return CensusReport(

@@ -22,10 +22,11 @@ from enum import Enum
 from math import lcm
 from typing import Sequence
 
-from .digraph import _tarjan
+from .digraph import _orbit, _tarjan
 from .matrix01 import (
     Matrix01,
     Permutation,
+    _parse_row,
     _sat_power_rows,
     pack_row,
     permute,
@@ -43,7 +44,6 @@ __all__ = [
     "compose",
     "decompose",
     "idempotency_index",
-    "idempotent_decompose",
     "is_k_idempotent",
     "parse_decomposition",
     "power_failure",
@@ -130,16 +130,46 @@ def power_failure(a: Matrix01, k: int) -> StructureError | None:
     return None
 
 
-def _cycle_predecessors(cycle_lengths: Sequence[int]) -> list[int]:
-    """pred[c] is the canonical position whose cycle successor is c."""
-    m = sum(cycle_lengths)
-    pred = [0] * m
+def _corner_rows(
+    cycle_lengths: Sequence[int], x_rows: Sequence[int], y_rows: Sequence[int]
+) -> list[int]:
+    """Rows of the corner block X P^T Y, which must be 0-1.
+
+    Column c of X meets the Y row at the canonical position whose cycle
+    successor is c. Raises :class:`ProductNotZeroOne` at the first entry
+    of 2 or more, in coordinates of the composed matrix.
+    """
+    # pred[c] is the canonical position whose cycle successor is c.
+    pred: list[int] = []
     offset = 0
     for length in cycle_lengths:
-        for t in range(length):
-            pred[offset + (t + 1) % length] = offset + t
+        pred.append(offset + length - 1)
+        pred.extend(range(offset, offset + length - 1))
         offset += length
-    return pred
+    corner = []
+    for i, bits in enumerate(x_rows):
+        acc1 = 0
+        acc2 = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            y_row = y_rows[pred[low.bit_length() - 1]]
+            acc2 |= acc1 & y_row
+            acc1 |= y_row
+        if acc2:
+            j = (acc2 & -acc2).bit_length() - 1
+            raise ProductNotZeroOne((i, len(x_rows) + offset + j))
+        corner.append(acc1)
+    return corner
+
+
+def _gather(row: int, positions: Sequence[int]) -> int:
+    """Bit j of the result is bit ``positions[j]`` of ``row``."""
+    acc = 0
+    for j, p in enumerate(positions):
+        if (row >> p) & 1:
+            acc |= 1 << j
+    return acc
 
 
 def _analyze_rows(rows: tuple[int, ...], n: int):
@@ -162,30 +192,13 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     orbits: list[tuple[int, ...]] = []
     trivial: list[int] = []
     for comp in _tarjan(rows, n):
-        if len(comp) == 1:
-            v = comp[0]
-            if (rows[v] >> v) & 1:
-                orbits.append((v,))
-            else:
-                trivial.append(v)
-            continue
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        for v in comp:
-            if (rows[v] & mask).bit_count() != 1:
-                return None
-        start = min(comp)
-        orbit = [start]
-        cur = start
-        for _ in range(len(comp) - 1):
-            cur = (rows[cur] & mask).bit_length() - 1
-            if cur == start:
-                return None
-            orbit.append(cur)
-        if (rows[cur] & mask) != 1 << start:
+        orbit = _orbit(rows, comp)
+        if orbit is not None:
+            orbits.append(orbit)
+        elif len(comp) == 1:
+            trivial.append(comp[0])
+        else:
             return None
-        orbits.append(tuple(orbit))
 
     has_in = 0
     for row in rows:
@@ -220,52 +233,16 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     sinks.sort()
     orbits.sort(key=lambda o: (len(o), o[0]))
     cycle_order = [v for orbit in orbits for v in orbit]
-    m = len(cycle_order)
-
-    x_rows = []
-    for u in sources:
-        row = rows[u]
-        acc = 0
-        for j, w in enumerate(cycle_order):
-            if (row >> w) & 1:
-                acc |= 1 << j
-        x_rows.append(acc)
-    y_rows = []
-    for w in cycle_order:
-        row = rows[w]
-        acc = 0
-        for j, t in enumerate(sinks):
-            if (row >> t) & 1:
-                acc |= 1 << j
-        y_rows.append(acc)
-
-    pred = _cycle_predecessors([len(o) for o in orbits])
-    for i, u in enumerate(sources):
-        acc1 = 0
-        acc2 = 0
-        bits = x_rows[i]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            y_row = y_rows[pred[low.bit_length() - 1]]
-            acc2 |= acc1 & y_row
-            acc1 |= y_row
-        if acc2:
-            return None
-        row = rows[u]
-        actual = 0
-        for j, t in enumerate(sinks):
-            if (row >> t) & 1:
-                actual |= 1 << j
-        if acc1 != actual:
+    x_rows = [_gather(rows[u], cycle_order) for u in sources]
+    y_rows = [_gather(rows[w], sinks) for w in cycle_order]
+    try:
+        corner = _corner_rows([len(o) for o in orbits], x_rows, y_rows)
+    except ProductNotZeroOne:
+        return None
+    for u, row in zip(sources, corner):
+        if _gather(rows[u], sinks) != row:
             return None
     return sources, orbits, sinks, x_rows, y_rows
-
-
-def _accepts_rows(rows: tuple[int, ...], n: int, k: int) -> bool:
-    """Structural-route acceptance decision, shared with the oracle."""
-    st = _analyze_rows(rows, n)
-    return st is not None and all((k - 1) % len(orbit) == 0 for orbit in st[1])
 
 
 @dataclass(frozen=True)
@@ -295,23 +272,7 @@ class CanonicalDecomposition:
 
     def source_to_sink(self) -> tuple[int, ...]:
         """Derived corner block rows, width ``sink_count``."""
-        pred = _cycle_predecessors(self.cycle_lengths)
-        out = []
-        for i in range(self.source_count):
-            acc1 = 0
-            acc2 = 0
-            bits = self.source_to_cycle[i]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                y_row = self.cycle_to_sink[pred[low.bit_length() - 1]]
-                acc2 |= acc1 & y_row
-                acc1 |= y_row
-            if acc2:
-                j = (acc2 & -acc2).bit_length() - 1
-                raise ProductNotZeroOne((i, self.source_count + self.cycle_total + j))
-            out.append(acc1)
-        return tuple(out)
+        return tuple(_corner_rows(self.cycle_lengths, self.source_to_cycle, self.cycle_to_sink))
 
     def canonical_matrix(self) -> Matrix01:
         """The composed block matrix, in canonical layout."""
@@ -329,6 +290,29 @@ class CanonicalDecomposition:
         return permute(self.canonical_matrix(), self.sigma)
 
 
+def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposition | None:
+    """Block data from the structural route, or None when it rejects at k."""
+    st = _analyze_rows(rows, n)
+    if st is None:
+        return None
+    sources, orbits, sinks, x_rows, y_rows = st
+    if any((k - 1) % len(orbit) for orbit in orbits):
+        return None
+    to_canonical = [0] * n
+    for pos, v in enumerate([*sources, *(v for orbit in orbits for v in orbit), *sinks]):
+        to_canonical[v] = pos
+    return CanonicalDecomposition(
+        n=n,
+        k=k,
+        source_count=len(sources),
+        cycle_lengths=tuple(len(orbit) for orbit in orbits),
+        sink_count=len(sinks),
+        source_to_cycle=tuple(x_rows),
+        cycle_to_sink=tuple(y_rows),
+        sigma=Permutation(tuple(to_canonical)),
+    )
+
+
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     """Recover the canonical block data, or explain why none exists.
 
@@ -339,33 +323,13 @@ def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     returned :class:`StructureError` with an honest witness.
     """
     _require_k(k)
-    st = _analyze_rows(a.rows, a.n)
-    if st is not None:
-        sources, orbits, sinks, x_rows, y_rows = st
-        if all((k - 1) % len(orbit) == 0 for orbit in orbits):
-            canonical = [*sources, *(v for orbit in orbits for v in orbit), *sinks]
-            to_canonical = [0] * a.n
-            for pos, v in enumerate(canonical):
-                to_canonical[v] = pos
-            return CanonicalDecomposition(
-                n=a.n,
-                k=k,
-                source_count=len(sources),
-                cycle_lengths=tuple(len(orbit) for orbit in orbits),
-                sink_count=len(sinks),
-                source_to_cycle=tuple(x_rows),
-                cycle_to_sink=tuple(y_rows),
-                sigma=Permutation(tuple(to_canonical)),
-            )
+    d = _decompose_rows(a.rows, a.n, k)
+    if d is not None:
+        return d
     failure = power_failure(a, k)
     if failure is None:
         raise RuntimeError("structural rejection of a matrix whose power matches")
     return failure
-
-
-def idempotent_decompose(a: Matrix01) -> CanonicalDecomposition | StructureError:
-    """Decomposition for plain idempotency (k = 2); all cycles have length 1."""
-    return decompose(a, 2)
 
 
 def idempotency_index(a: Matrix01) -> int | None:
@@ -414,35 +378,17 @@ def _compose_rows(
             raise ValueError("cycle block row exceeds sink width")
 
     n = source_count + m + sink_count
-    pred = _cycle_predecessors(cycle_lengths)
-    z_rows = []
-    for i in range(source_count):
-        acc1 = 0
-        acc2 = 0
-        bits = x_rows[i]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            y_row = y_rows[pred[low.bit_length() - 1]]
-            acc2 |= acc1 & y_row
-            acc1 |= y_row
-        if acc2:
-            j = (acc2 & -acc2).bit_length() - 1
-            raise ProductNotZeroOne((i, source_count + m + j))
-        z_rows.append(acc1)
-
-    succ = [0] * m
-    offset = 0
-    for length in cycle_lengths:
-        for t in range(length):
-            succ[offset + t] = offset + (t + 1) % length
-        offset += length
+    z_rows = _corner_rows(cycle_lengths, x_rows, y_rows)
 
     rows = []
     for i in range(source_count):
         rows.append((x_rows[i] << source_count) | (z_rows[i] << (source_count + m)))
-    for pos in range(m):
-        rows.append((1 << (source_count + succ[pos])) | (y_rows[pos] << (source_count + m)))
+    offset = 0
+    for length in cycle_lengths:
+        for t in range(length):
+            succ = offset + (t + 1) % length
+            rows.append((1 << (source_count + succ)) | (y_rows[offset + t] << (source_count + m)))
+        offset += length
     rows.extend([0] * sink_count)
     return Matrix01(n, tuple(rows))
 
@@ -549,10 +495,10 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
         raise DecompositionFormatError(str(exc)) from None
 
     def take_row(key: str, width: int) -> int:
-        raw = take(key)
-        if len(raw) != width or set(raw) - {"0", "1"}:
+        row = _parse_row(take(key), width)
+        if row is None:
             raise DecompositionFormatError(f"bad {key} row on line {pos}")
-        return sum(1 << j for j, ch in enumerate(raw) if ch == "1")
+        return row
 
     x_rows = tuple(take_row("X", m) for _ in range(r))
     y_rows = tuple(take_row("Y", s) for _ in range(m))

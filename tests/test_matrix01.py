@@ -12,9 +12,10 @@ from kidempotent.matrix01 import (
     exact_power,
     from_text,
     nnz,
+    _parse_row,
     pack_row,
     permute,
-    row_sum_bounds,
+    row_string,
     row_sums,
     sat_add,
     sat_mul,
@@ -44,10 +45,6 @@ class TestBasics:
         assert row_sums(Matrix01.cycle(5)) == [1, 1, 1, 1, 1]
         assert row_sums(Matrix01.zero(2)) == [0, 0]
         assert row_sums(Matrix01.from_lists([[1, 1], [0, 1]])) == [2, 1]
-
-    def test_row_sum_bounds(self):
-        assert row_sum_bounds(Matrix01.from_lists([[1, 1], [0, 1]])) == (1, 2)
-        assert row_sum_bounds(Matrix01(0, ())) == (0, 0)
 
     def test_entry_and_lists(self):
         a = Matrix01.from_lists([[0, 1], [1, 0]])
@@ -185,6 +182,22 @@ class TestTextFormat:
     def test_round_trip(self):
         for a in [Matrix01(0, ()), Matrix01.identity(3), Matrix01.cycle(4), Matrix01.ones(2)]:
             assert from_text(to_text(a)) == a
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_all_widths(self, data):
+        width = data.draw(st.integers(0, 70))
+        row = data.draw(st.integers(0, (1 << width) - 1))
+        text = row_string(row, width)
+        assert text == "".join(str((row >> j) & 1) for j in range(width))
+        assert _parse_row(text, width) == row
+        rows = tuple(data.draw(st.integers(0, (1 << width) - 1)) for _ in range(width))
+        a = Matrix01(width, rows)
+        assert from_text(to_text(a)) == a
+
+    @pytest.mark.parametrize("text", ["", "0", "01", "0_1", "+01", " 01", "01 ", "0２1"])
+    def test_parse_row_rejects(self, text):
+        assert _parse_row(text, 3) is None
 
     def test_exact_text(self):
         assert to_text(Matrix01.from_lists([[0, 1], [0, 0]])) == "2\n01\n00\n"

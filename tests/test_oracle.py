@@ -24,6 +24,7 @@ from kidempotent.oracle import (
     upper_triangular_check,
     verify_characterization,
 )
+from kidempotent import cli, structure
 from kidempotent.structure import _rows_k_idempotent
 
 GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
@@ -195,6 +196,34 @@ class TestCharacterization:
     def test_total_matches_enumeration(self):
         result = verify_characterization(3, 3)
         assert result.total_k_idempotent == sum(1 for _ in enumerate_k_idempotent(3, 3))
+
+
+class TestStructuralRejection:
+    """A member the structural route rejects is reported, not raised."""
+
+    @staticmethod
+    def reject(monkeypatch, rejected):
+        analyze = structure._analyze_rows
+        monkeypatch.setattr(
+            structure, "_analyze_rows", lambda rows, n: None if rows == rejected else analyze(rows, n)
+        )
+
+    def test_member_is_one_mismatch(self, monkeypatch):
+        self.reject(monkeypatch, (0, 0))
+        report = census(2, 2)
+        assert not report.characterization_ok
+        assert report.mismatches.count(Matrix01(2, (0, 0))) == 1
+
+    def test_argmax_member_fails_density(self, monkeypatch):
+        self.reject(monkeypatch, (3, 0))
+        report = census(2, 2)
+        assert Matrix01(2, (3, 0)) in report.argmax
+        assert not report.max_density_ok
+
+    def test_cli_exits_one(self, monkeypatch, capsys):
+        self.reject(monkeypatch, (0, 0))
+        assert cli.main(["census", "--n", "2", "--k", "2"]) == 1
+        assert "characterization_ok=false\n" in capsys.readouterr().out
 
 
 class TestMaxNnzCensus:

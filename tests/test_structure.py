@@ -2,9 +2,11 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_power, random_decomposition
-from kidempotent.matrix01 import Matrix01, exact_power, nnz, permute
+from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute, unpack_row
 from kidempotent.structure import (
     CanonicalDecomposition,
     CycleLengthInvalid,
@@ -15,7 +17,6 @@ from kidempotent.structure import (
     compose,
     decompose,
     idempotency_index,
-    idempotent_decompose,
     is_k_idempotent,
     parse_decomposition,
     power_failure,
@@ -157,19 +158,19 @@ class TestDecompose:
                         again = decompose(d.original_matrix(), k)
                         assert serialize_decomposition(again) == serialize_decomposition(d)
 
-    def test_idempotent_decompose(self):
-        d = idempotent_decompose(Matrix01.identity(2))
+    def test_idempotent_case(self):
+        d = decompose(Matrix01.identity(2), 2)
         assert (d.source_count, d.cycle_lengths, d.sink_count) == (0, (1, 1), 0)
-        d = idempotent_decompose(Matrix01.from_lists([[1, 1], [0, 0]]))
+        d = decompose(Matrix01.from_lists([[1, 1], [0, 0]]), 2)
         assert (d.source_count, d.cycle_lengths, d.sink_count) == (0, (1,), 1)
         assert d.cycle_to_sink == (1,)
-        failure = idempotent_decompose(Matrix01.cycle(2))
+        failure = decompose(Matrix01.cycle(2), 2)
         assert isinstance(failure, StructureError)
         assert failure.kind is StructureErrorKind.POWER_MISMATCH
 
-    def test_idempotent_decompose_cycles_all_unit(self):
+    def test_idempotent_cycles_all_unit(self):
         for a in all_matrices(3):
-            d = idempotent_decompose(a)
+            d = decompose(a, 2)
             if isinstance(d, CanonicalDecomposition):
                 assert all(length == 1 for length in d.cycle_lengths)
 
@@ -215,6 +216,49 @@ class TestCompose:
             h = d.canonical_matrix()
             for m in range(2, 7):
                 assert exact_power(h, m) == block_power(d, m)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corner_product_agrees(self, data):
+        lengths = data.draw(st.lists(st.integers(1, 4), max_size=3))
+        r = data.draw(st.integers(0, 3))
+        s = data.draw(st.integers(0, 3))
+        m = sum(lengths)
+        x_rows = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in range(r))
+        y_rows = tuple(data.draw(st.integers(0, (1 << s) - 1)) for _ in range(m))
+        k = lcm(*lengths) + 1
+        # Independent reference: column c of X meets the Y row of c's cycle predecessor.
+        pred = []
+        offset = 0
+        for length in lengths:
+            pred.extend(offset + (t - 1) % length for t in range(length))
+            offset += length
+        corner = [
+            [sum((x_rows[i] >> c) & (y_rows[pred[c]] >> j) & 1 for c in range(m)) for j in range(s)]
+            for i in range(r)
+        ]
+        big = [(i, r + m + j) for i in range(r) for j in range(s) if corner[i][j] >= 2]
+        d = CanonicalDecomposition(
+            n=r + m + s,
+            k=k,
+            source_count=r,
+            cycle_lengths=tuple(lengths),
+            sink_count=s,
+            source_to_cycle=x_rows,
+            cycle_to_sink=y_rows,
+            sigma=Permutation.identity(r + m + s),
+        )
+        args = (r, lengths, s, [unpack_row(v, m) for v in x_rows], [unpack_row(v, s) for v in y_rows], k)
+        if big:
+            with pytest.raises(ProductNotZeroOne) as composed:
+                compose(*args)
+            with pytest.raises(ProductNotZeroOne) as derived:
+                d.source_to_sink()
+            assert composed.value.witness == derived.value.witness == big[0]
+        else:
+            h = compose(*args)
+            assert d.source_to_sink() == tuple(sum(v << j for j, v in enumerate(row)) for row in corner)
+            assert [h.rows[i] >> (r + m) for i in range(r)] == list(d.source_to_sink())
 
     def test_intermediate_power_may_exceed_one(self):
         # corner product is 0-1 here, yet H^2 contains an exact 2
@@ -268,6 +312,28 @@ class TestSerialization:
             d = decompose(random_decomposition(rng, n, k).original_matrix(), k)
             assert isinstance(d, CanonicalDecomposition)
             assert parse_decomposition(serialize_decomposition(d)) == d
+
+    @pytest.mark.parametrize(
+        "r, lengths, s", [(0, (1, 2), 3), (2, (1, 2), 0), (0, (3,), 0), (2, (), 0), (0, (), 3)]
+    )
+    def test_round_trip_empty_blocks(self, r, lengths, s):
+        rng = random.Random(29)
+        n = r + sum(lengths) + s
+        mapping = list(range(n))
+        rng.shuffle(mapping)
+        d = CanonicalDecomposition(
+            n=n,
+            k=lcm(*lengths) + 1,
+            source_count=r,
+            cycle_lengths=lengths,
+            sink_count=s,
+            source_to_cycle=tuple(rng.getrandbits(sum(lengths)) for _ in range(r)),
+            cycle_to_sink=tuple(rng.getrandbits(s) for _ in range(sum(lengths))),
+            sigma=Permutation(tuple(mapping)),
+        )
+        text = serialize_decomposition(d)
+        assert text.count("X=") == r and text.count("Y=") == sum(lengths)
+        assert parse_decomposition(text) == d
 
     def test_exact_text(self):
         d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
