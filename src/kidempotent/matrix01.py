@@ -249,13 +249,17 @@ def permute(a: Matrix01, sigma: Permutation) -> Matrix01:
     if len(sigma) != a.n:
         raise ValueError("permutation order differs from matrix order")
     mp = sigma.mapping
+    inv = [0] * a.n
+    for j, t in enumerate(mp):
+        inv[t] = j
     out = []
     for i in range(a.n):
-        src = a.rows[mp[i]]
+        bits = a.rows[mp[i]]
         acc = 0
-        for j in range(a.n):
-            if (src >> mp[j]) & 1:
-                acc |= 1 << j
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            acc |= 1 << inv[low.bit_length() - 1]
         out.append(acc)
     return Matrix01(a.n, tuple(out))
 
@@ -308,8 +312,28 @@ def _power(base, m: int, mul):
 
 
 def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Repeated squaring in the saturating semiring; m must be >= 1."""
-    return _power((rows, (0,) * len(rows)), m, lambda a, b: _sat_mul_rows(*a, *b))
+    """Repeated squaring in the saturating semiring; m must be >= 1.
+
+    Only the core, the vertices with both an in-arc and an out-arc, is
+    squared: every inner vertex of a walk of length m lies in the core,
+    so A^m = A M^(m-2) A for m >= 3, where M is A cut to core x core.
+    The identity is exact over the integers, so both planes match plain
+    squaring; it needs no SCC or cycle test of the structural route.
+    """
+    zeros = (0,) * len(rows)
+    mul = lambda a, b: _sat_mul_rows(*a, *b)
+    if m >= 3:
+        has_in = has_out = 0
+        for i, row in enumerate(rows):
+            if row:
+                has_out |= 1 << i
+                has_in |= row
+        core = has_out & has_in
+        if core != has_out | has_in:
+            inner = tuple(row & core if (core >> i) & 1 else 0 for i, row in enumerate(rows))
+            middle = _power((inner, zeros), m - 2, mul)
+            return mul(mul((rows, zeros), middle), (rows, zeros))
+    return _power((rows, zeros), m, mul)
 
 
 @lru_cache(maxsize=None)
@@ -366,8 +390,9 @@ def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
     Bit e of an index is entry (e div n, e mod n) and ``base`` is a
     multiple of 2**width. Entry e becomes one int whose lane x holds that
     entry of matrix base + x: a fixed lane pattern when e < width, and
-    all-ones or zero by bit e of ``base`` otherwise. The power follows
-    the repeated-squaring schedule of :func:`_sat_power_rows`. Bit x of
+    all-ones or zero by bit e of ``base`` otherwise. The power is plain
+    repeated squaring by :func:`_power`, without the core peel of
+    :func:`_sat_power_rows`, since each lane has its own core. Bit x of
     the result is set when matrix base + x is k-idempotent.
     """
     full = (1 << (1 << width)) - 1
@@ -385,7 +410,11 @@ def sat_power(a: Matrix01, m: int) -> SatMatrix:
 
     Each entry equals min(2, exact A^m entry). Computed by repeated
     squaring, which is valid because capping at 2 is a semiring
-    homomorphism from the non-negative integers.
+    homomorphism from the non-negative integers. For m >= 3 only the
+    core M (vertices with both in- and out-arcs) is squared and the
+    result is A M^(m-2) A: the inner vertices of every walk lie in the
+    core. That is plain algebra on zero rows and columns, so this power
+    stays independent of the structural route.
     """
     if m < 1:
         raise ValueError("power must be at least 1")

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .extremal import gamma, matches_maximum_form
 from .matrix01 import Matrix01, _sat_member_lanes, to_text
-from .structure import _decompose_rows, _require_k, _rows_k_idempotent
+from .structure import CanonicalDecomposition, _decompose_rows, _require_k, _rows_k_idempotent
 
 __all__ = [
     "CensusReport",
@@ -168,10 +168,12 @@ class CensusReport:
 def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
     """One pass over all matrices of order n.
 
-    Returns (total, max_nnz, argmax, mismatches, sampled_non_members).
-    The power route decides every index; the structural route checks its
-    verdict on every index up to order 4, and on the members plus a
-    seeded sample of indices at order 5. Members are additionally
+    Returns (total, max_nnz, argmax, argmax_forms, mismatches,
+    sampled_non_members), where argmax_forms[i] is the decomposition of
+    argmax[i] or None, so the density check reuses each member's
+    analysis. The power route decides every index; the structural route
+    checks its verdict on every index up to order 4, and on the members
+    plus a seeded sample of indices at order 5. Members are additionally
     required to reconstruct exactly from their decomposition; any failure
     lands in the mismatch list.
     """
@@ -185,6 +187,7 @@ def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
     total = 0
     best = -1
     argmax: list[Matrix01] = []
+    forms: list[CanonicalDecomposition | None] = []
     mismatches: list[Matrix01] = []
     for base, flags in _member_blocks(n, k, 0, size):
         if exhaustive:
@@ -212,9 +215,11 @@ def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
             if count > best:
                 best = count
                 argmax = [matrix]
+                forms = [d]
             elif count == best:
                 argmax.append(matrix)
-    return total, best, argmax, mismatches, sampled
+                forms.append(d)
+    return total, best, argmax, forms, mismatches, sampled
 
 
 def verify_characterization(
@@ -222,7 +227,7 @@ def verify_characterization(
 ) -> CharacterizationResult:
     """Check that the structural route accepts exactly the true members."""
     _check_args(n, k, allow_order_5)
-    total, _, _, mismatches, _ = _sweep(n, k, allow_order_5, seed)
+    total, _, _, _, mismatches, _ = _sweep(n, k, allow_order_5, seed)
     return CharacterizationResult(n, k, total, not mismatches, tuple(mismatches))
 
 
@@ -233,7 +238,7 @@ def max_nnz_census(
     if n < 1:
         raise ValueError("density census requires order >= 1")
     _check_args(n, k, allow_order_5)
-    _, best, argmax, _, _ = _sweep(n, k, allow_order_5, seed)
+    _, best, argmax, _, _, _ = _sweep(n, k, allow_order_5, seed)
     return best, tuple(argmax)
 
 
@@ -262,15 +267,11 @@ def census(n: int, k: int, *, allow_order_5: bool = False, seed: int = 0) -> Cen
     if n < 1:
         raise ValueError("census requires order >= 1")
     _check_args(n, k, allow_order_5)
-    total, best, argmax, mismatches, sampled = _sweep(n, k, allow_order_5, seed)
+    total, best, argmax, forms, mismatches, sampled = _sweep(n, k, allow_order_5, seed)
     gamma_value = gamma(n)
-    density_ok = best == gamma_value
-    if density_ok:
-        for matrix in argmax:
-            d = _decompose_rows(matrix.rows, n, k)
-            if d is None or not matches_maximum_form(d):
-                density_ok = False
-                break
+    density_ok = best == gamma_value and all(
+        d is not None and matches_maximum_form(d) for d in forms
+    )
     return CensusReport(
         n=n,
         k=k,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_decomposition
 from kidempotent.matrix01 import (
     Matrix01,
     MatrixFormatError,
@@ -13,6 +14,9 @@ from kidempotent.matrix01 import (
     from_text,
     nnz,
     _parse_row,
+    _power,
+    _sat_mul_rows,
+    _sat_power_rows,
     pack_row,
     permute,
     row_string,
@@ -106,6 +110,79 @@ class TestPermutation:
         assert lhs == rhs
         assert nnz(permute(a, sigma)) == nnz(a)
         assert sorted(row_sums(permute(a, sigma))) == sorted(row_sums(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_permute_matches_entry_definition(self, data):
+        n = data.draw(st.integers(0, 70))
+        rows = tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+        sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
+        a = Matrix01(n, rows)
+        b = permute(a, sigma)
+        for i in range(n):
+            for j in range(n):
+                assert b.entry(i, j) == a.entry(sigma(i), sigma(j))
+
+
+def plain_power(rows, m):
+    """A^m by repeated squaring of the whole matrix, without the core peel."""
+    return _power((rows, (0,) * len(rows)), m, lambda a, b: _sat_mul_rows(*a, *b))
+
+
+PEEL_EXPONENTS = [*range(1, 9), 13, 720721]
+
+
+class TestCorePeel:
+    """``_sat_power_rows`` squares only the core; both planes must match plain squaring."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_plain_power(self, data):
+        n = data.draw(st.integers(0, 9))
+        rows = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+        zero_rows = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+        zero_cols = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+        column_mask = ~sum(1 << j for j in zero_cols)
+        rows = tuple(0 if i in zero_rows else row & column_mask for i, row in enumerate(rows))
+        m = data.draw(st.sampled_from(PEEL_EXPONENTS))
+        assert _sat_power_rows(rows, m) == plain_power(rows, m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            (0,),
+            (1,),
+            (0b110, 0b100, 0),  # nilpotent: empty core
+            (0b1110, 0b1100, 0b1000, 0),
+            Matrix01.cycle(5).rows,  # all core: no peel
+            Matrix01.ones(4).rows,
+            (0b0110, 0b1010, 0b1100, 0),  # source 0, sink 3, core {1, 2} with loops
+        ],
+    )
+    def test_fixed_shapes(self, rows):
+        for m in PEEL_EXPONENTS:
+            assert _sat_power_rows(rows, m) == plain_power(rows, m)
+
+    def test_member_and_near_miss(self):
+        rng = random.Random(4)
+        k = 720721
+        d = random_decomposition(rng, 60, k)
+        while not (d.source_count and d.sink_count and d.cycle_total):
+            d = random_decomposition(rng, 60, k)
+        rows = d.original_matrix().rows
+        p1, p2 = _sat_power_rows(rows, k)
+        assert (p1, p2) == plain_power(rows, k)
+        assert p1 == rows and not any(p2)
+        pos = d.sigma.mapping
+        u = next(v for v in range(60) if pos[v] < d.source_count)
+        t = next(v for v in range(60) if pos[v] >= 60 - d.sink_count)
+        flipped = list(rows)
+        flipped[u] ^= 1 << t
+        flipped = tuple(flipped)
+        q1, q2 = _sat_power_rows(flipped, k)
+        assert (q1, q2) == plain_power(flipped, k)
+        assert q1 != flipped or any(q2)
 
 
 class TestSaturating:
