@@ -14,9 +14,10 @@ up to 2**16 consecutive indices, one per bit lane (see
 :func:`kidempotent.matrix01._sat_member_lanes`). Deciding all 2**25
 order-5 matrices takes 0.23 s at k = 2 and 1.5 s at k = 7 on a 2-core
 Xeon VM with Python 3.11, against 183 s and 726 s one matrix at a time.
-The structural route still runs per matrix, so its checks set the cost
-of a census: every matrix up to order 4, and the members plus a seeded
-sample at order 5. ``census(5, 2)`` takes about a second.
+The structural route still runs per matrix: on every matrix up to order
+4, and on the members plus a seeded sample at order 5. ``census(4, 2)``
+takes 0.16 s, ``census(4, 7)`` 0.18 s, ``census(5, 2)`` 0.43 s and
+``census(5, 7)`` 1.9 s on the same machine.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ square zero blocks may be empty. This module decides k-idempotency two
 independent ways (a saturating power computation and a structural
 certification), recovers the block data from a matrix, rebuilds matrices
 from block data, and computes the minimal index k for which A^k = A.
+The certification checks that A cut to its core (the vertices with both
+an in-arc and an out-arc) is a permutation matrix, which is P, and that
+the source-to-sink arcs equal X P^T Y.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from enum import Enum
 from math import lcm
 from typing import Sequence
 
-from .digraph import _orbit, _tarjan
 from .matrix01 import (
     Matrix01,
     Permutation,
@@ -176,61 +178,50 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     """k-independent structural certification.
 
     Returns (sources, orbits, sinks, x_rows, y_rows) in canonical order,
-    or None when the matrix cannot be k-idempotent for any k:
+    or None when the matrix cannot be k-idempotent for any k. The core
+    is the set of vertices with both an in-arc and an out-arc; the other
+    vertices are sources (out-arcs only) and sinks (isolated ones too),
+    so the core-to-core arcs are exactly P. Two rules remain:
 
-    - every strongly connected component must be a bare vertex or a
-      plain cycle;
-    - every non-cycle vertex must have only out-arcs (a source) or only
-      in-arcs (a sink); isolated vertices count as sinks;
-    - no arcs may join two distinct cycles;
+    - A cut to the core is a permutation matrix: every core vertex has
+      exactly one out-arc into the core, and those arcs reach all of it;
     - the source-to-sink arcs must equal the product X P^T Y exactly.
 
     Canonical order: sources ascending, then cycles sorted by (length,
     smallest vertex) with each orbit starting at its smallest vertex and
     following arcs, then sinks ascending.
     """
-    orbits: list[tuple[int, ...]] = []
-    trivial: list[int] = []
-    for comp in _tarjan(rows, n):
-        orbit = _orbit(rows, comp)
-        if orbit is not None:
-            orbits.append(orbit)
-        elif len(comp) == 1:
-            trivial.append(comp[0])
-        else:
-            return None
-
     has_in = 0
-    for row in rows:
+    has_out = 0
+    for v, row in enumerate(rows):
         has_in |= row
+        if row:
+            has_out |= 1 << v
+    core = has_in & has_out
+    image = 0
     sources: list[int] = []
     sinks: list[int] = []
-    for v in trivial:
-        v_in = (has_in >> v) & 1
-        v_out = rows[v] != 0
-        if v_in and v_out:
-            return None
-        if v_out:
-            sources.append(v)
-        else:
-            sinks.append(v)
-
-    cycle_mask_all = 0
-    masks = []
-    for orbit in orbits:
-        mask = 0
-        for v in orbit:
-            mask |= 1 << v
-        masks.append(mask)
-        cycle_mask_all |= mask
-    for orbit, mask in zip(orbits, masks):
-        other = cycle_mask_all ^ mask
-        for v in orbit:
-            if rows[v] & other:
+    for v, row in enumerate(rows):
+        if (core >> v) & 1:
+            succ = row & core
+            if succ.bit_count() != 1:
                 return None
+            image |= succ
+        else:
+            (sources if row else sinks).append(v)
+    if image != core:
+        return None
 
-    sources.sort()
-    sinks.sort()
+    orbits: list[tuple[int, ...]] = []
+    unvisited = core
+    while unvisited:
+        cur = (unvisited & -unvisited).bit_length() - 1
+        orbit = []
+        while (unvisited >> cur) & 1:
+            unvisited ^= 1 << cur
+            orbit.append(cur)
+            cur = (rows[cur] & core).bit_length() - 1
+        orbits.append(tuple(orbit))
     orbits.sort(key=lambda o: (len(o), o[0]))
     cycle_order = [v for orbit in orbits for v in orbit]
     x_rows = [_gather(rows[u], cycle_order) for u in sources]
@@ -316,9 +307,9 @@ def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposi
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     """Recover the canonical block data, or explain why none exists.
 
-    The acceptance decision is purely structural (components, degree
-    classification, cross-cycle arcs, corner-block equality, cycle
-    lengths dividing k-1); A^k is never consulted for it. Only when the
+    The acceptance decision is purely structural (the core is a
+    permutation, the corner block equals X P^T Y, cycle lengths divide
+    k-1); A^k is never consulted for it. Only when the
     structure is rejected is one saturating power taken, to label the
     returned :class:`StructureError` with an honest witness.
     """

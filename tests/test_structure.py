@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_power, random_decomposition
+from kidempotent.digraph import ComponentKind, Digraph, sccs
 from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute, unpack_row
 from kidempotent.structure import (
+    _analyze_rows,
     CanonicalDecomposition,
     CycleLengthInvalid,
     DecompositionFormatError,
@@ -173,6 +175,125 @@ class TestDecompose:
             d = decompose(a, 2)
             if isinstance(d, CanonicalDecomposition):
                 assert all(length == 1 for length in d.cycle_lengths)
+
+
+def digraph_certification(a):
+    """The digraph statement of the canonical form, rule by rule.
+
+    A transcription through the public :func:`sccs`, independent of
+    ``_analyze_rows``. Returns (sources, cycle vertex sets, sinks), or
+    None when a rule fails:
+
+    - every strongly connected component is a bare vertex or a plain cycle;
+    - every non-cycle vertex has only out-arcs (a source) or only in-arcs
+      (a sink); isolated vertices count as sinks;
+    - no arc joins two distinct cycles;
+    - for every source u and sink w, the number of cycle vertices c with
+      arcs u -> c and pred(c) -> w (entry (u, w) of X P^T Y) equals the
+      arc bit (u, w).
+    """
+    n = a.n
+
+    def arc(i, j):
+        return (a.rows[i] >> j) & 1
+
+    cycles, trivial = [], []
+    for comp in sccs(Digraph.from_matrix(a)).components:
+        if comp.kind is ComponentKind.NON_CYCLE:
+            return None
+        (cycles if comp.kind is ComponentKind.CYCLE else trivial).append(comp.vertices)
+    sources, sinks = [], []
+    for (v,) in trivial:
+        has_in = any(arc(u, v) for u in range(n))
+        has_out = any(arc(v, w) for w in range(n))
+        if has_in and has_out:
+            return None
+        (sources if has_out else sinks).append(v)
+    cycle_of = {v: i for i, cycle in enumerate(cycles) for v in cycle}
+    if any(arc(v, w) for v in cycle_of for w in cycle_of if cycle_of[v] != cycle_of[w]):
+        return None
+    pred = {c: next(p for p in cycles[cycle_of[c]] if arc(p, c)) for c in cycle_of}
+    for u in sources:
+        for w in sinks:
+            if sum(arc(u, c) & arc(pred[c], w) for c in cycle_of) != arc(u, w):
+                return None
+    return sorted(sources), {frozenset(cycle) for cycle in cycles}, sorted(sinks)
+
+
+def certification(a):
+    """``_analyze_rows`` in the shape of :func:`digraph_certification`."""
+    result = _analyze_rows(a.rows, a.n)
+    if result is None:
+        return None
+    sources, orbits, sinks, _, _ = result
+    return sources, {frozenset(orbit) for orbit in orbits}, sinks
+
+
+@st.composite
+def planted_matrices(draw):
+    """A permutation planted on a random core, with sources, sinks, X, Y,
+    a corner that is exact half the time, and up to three flipped entries."""
+    n = draw(st.integers(0, 10))
+    order = draw(st.permutations(range(n)))
+    c = draw(st.integers(0, n))
+    r = draw(st.integers(0, n - c))
+    core, sources, sinks = order[:c], order[c : c + r], order[c + r :]
+    core_mask = sum(1 << v for v in core)
+    sink_mask = sum(1 << v for v in sinks)
+    rows = [0] * n
+    pred = {}
+    for v, w in zip(core, draw(st.permutations(core))):
+        rows[v] = (1 << w) | (draw(st.integers(0, (1 << n) - 1)) & sink_mask)
+        pred[w] = v
+    for u in sources:
+        x = draw(st.integers(0, (1 << n) - 1)) & core_mask
+        corner = 0
+        for v in core:
+            if (x >> v) & 1:
+                corner |= rows[pred[v]] & sink_mask
+        if not draw(st.booleans()):
+            corner = draw(st.integers(0, (1 << n) - 1)) & sink_mask
+        rows[u] = x | corner
+    if n:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            rows[i] ^= 1 << j
+    return Matrix01(n, tuple(rows))
+
+
+class TestDigraphReference:
+    """The permutation-core certification against the digraph statement."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(planted_matrices())
+    def test_planted(self, a):
+        assert certification(a) == digraph_certification(a)
+
+    def test_exhaustive_small(self):
+        for n in (0, 1, 2, 3):
+            for a in all_matrices(n):
+                assert certification(a) == digraph_certification(a)
+
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            # loops at 0 and 1 joined by the arc 0 -> 1
+            [[1, 1], [0, 1]],
+            # 0 -> 1 -> 2: core vertex 1 has no out-arc into the core
+            [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            # 3 -> 0 -> 1 with a loop at 1: 0 and 1 share their core successor
+            [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+            # source 0 reaches sink 3 through the loops at 1 and 2: corner entry 2
+            [[0, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]],
+            # source 0 -> loop 1 -> sink 2, but no arc 0 -> 2: corner mismatch
+            [[0, 1, 0], [0, 1, 1], [0, 0, 0]],
+        ],
+        ids=["cross-cycle-arc", "core-exit-only", "shared-successor", "corner-two", "corner-mismatch"],
+    )
+    def test_rejection_paths(self, lists):
+        a = Matrix01.from_lists(lists)
+        assert _analyze_rows(a.rows, a.n) is None
+        assert digraph_certification(a) is None
+        assert not any(is_k_idempotent(a, k) for k in range(2, 8))
 
 
 class TestCompose:
