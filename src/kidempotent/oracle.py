@@ -11,13 +11,16 @@ and the merged result equals the serial stream.
 
 The power route is bit-sliced: one saturating power decides a block of
 up to 2**16 consecutive indices, one per bit lane (see
-:func:`kidempotent.matrix01._sat_member_lanes`). Deciding all 2**25
-order-5 matrices takes 0.23 s at k = 2 and 1.5 s at k = 7 on a 2-core
-Xeon VM with Python 3.11, against 183 s and 726 s one matrix at a time.
-The structural route still runs per matrix: on every matrix up to order
-4, and on the members plus a seeded sample at order 5. ``census(4, 2)``
-takes 0.16 s, ``census(4, 7)`` 0.18 s, ``census(5, 2)`` 0.43 s and
-``census(5, 7)`` 1.9 s on the same machine.
+:func:`kidempotent.matrix01._sat_member_lanes`), and a depth-first
+search skips every block whose fixed index bits already force A^k != A
+(see :func:`_member_blocks`). Deciding all 2**25 order-5 matrices takes
+0.12 s at k = 2 and 0.8-0.9 s at k = 7 on a 2-core Xeon VM with Python
+3.11, against 0.32 s and 1.6 s without the search (measured side by
+side) and 183 s and 726 s one matrix at a time. The structural route
+still runs per matrix: on every matrix up to order 4, and on the members
+plus a seeded sample at order 5. ``census(4, 2)`` and ``census(4, 7)``
+take 0.27-0.30 s, ``census(5, 2)`` 0.52 s and ``census(5, 7)`` 1.8-2.1 s
+on the same machine.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .extremal import gamma, matches_maximum_form
-from .matrix01 import Matrix01, _sat_member_lanes, to_text
+from .matrix01 import Matrix01, _sat_member_lanes, _sat_power_rows, to_text
 from .structure import CanonicalDecomposition, _decompose_rows, _require_k, _rows_k_idempotent
 
 __all__ = [
@@ -50,10 +53,12 @@ ORDER_LIMIT = 5
 
 _N5_STRUCT_SAMPLE = 20_000
 
-# Lanes per block of the bit-sliced power route are 2**_LANE_BITS. A full
-# order-5 sweep took 0.23 s at k = 2 and 1.5 s at k = 7 with 2**16 lanes,
-# 0.90 s and 3.2 s with 2**12, and 0.42 s and 1.95 s with 2**20, whose
-# peak memory was 40 MB against 17 MB.
+# Leaves of the pruned search hold up to 2**_LANE_BITS lanes. Full
+# order-5 sweeps took 0.09 s at k = 2 and 0.87 s at k = 7 with 2**16
+# lanes, 0.12 s and 0.85 s with 2**14, and 0.13 s and 0.83 s with 2**12
+# (fastest of 6, interleaved): narrower leaves prune more blocks but make
+# more calls, with no net gain. Before the search, 2**16 beat 2**12 and
+# 2**20, whose peak memory was 40 MB against 17 MB.
 _LANE_BITS = 16
 
 
@@ -77,22 +82,52 @@ def _index_rows(n: int, index: int) -> tuple[int, ...]:
     return tuple((index >> (i * n)) & mask for i in range(n))
 
 
-def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int, str]]:
-    """Power-route verdicts on [start, stop), one aligned block of lanes at a time.
+def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int, int, str]]:
+    """Power-route verdicts on [start, stop), by a depth-first pruned search.
 
-    Yields (base, flags) in ascending order of base: ``flags[x]`` is "1"
-    when index base + x lies in the range and its matrix is k-idempotent,
-    "0" otherwise. A range shorter than the full block width gets the
-    narrowest blocks that hold it.
+    Yields (base, size, flags) for aligned blocks [base, base + size) in
+    ascending order: ``flags[x]`` is "1" when index base + x lies in the
+    range and its matrix is k-idempotent, "0" otherwise. A pruned node
+    yields ``flags == ""``: none of its indices is a member.
+
+    The search starts at the smallest aligned node that holds the range.
+    A node of 2**d indices has its index bits at or above d decided; its
+    partial matrix B keeps those bits and sets every undecided entry to
+    0. Each matrix A in the node satisfies A >= B entrywise, and
+    saturating powers are entrywise monotone, so A^k >= B^k. Hence when
+    B^k has an entry of 2 or more, or a 1 where B has a decided 0, no A
+    in the node satisfies A^k = A, and the node is pruned unsplit. The
+    test is one :func:`_sat_power_rows` call, so it uses the power route
+    only and the structural route stays an independent check. A node
+    that survives is split, down to blocks of up to 2**_LANE_BITS lanes
+    (narrower when the range is shorter), each decided by one lane power.
     """
     if start >= stop:
         return
     width = min(_LANE_BITS, (stop - start - 1).bit_length())
-    lanes = 1 << width
-    for base in range(start >> width << width, stop, lanes):
-        members = _sat_member_lanes(n, k, base, width)
-        members &= (1 << min(stop - base, lanes)) - (1 << max(start - base, 0))
-        yield base, format(members, f"0{lanes}b")[::-1]
+    d = (start ^ (stop - 1)).bit_length()
+    nodes = [(start >> d << d, d)]
+    while nodes:
+        base, d = nodes.pop()
+        size = 1 << d
+        if base >= stop or base + size <= start:
+            continue
+        # B = 0 never prunes: 0^k = 0.
+        if base and _excluded(n, k, base, d):
+            yield base, size, ""
+        elif d > width:
+            nodes += [(base + size // 2, d - 1), (base, d - 1)]
+        else:
+            members = _sat_member_lanes(n, k, base, d)
+            members &= (1 << min(stop - base, size)) - (1 << max(start - base, 0))
+            yield base, size, format(members, f"0{size}b")[::-1]
+
+
+def _excluded(n: int, k: int, base: int, d: int) -> bool:
+    """True when B^k rules out every index in [base, base + 2**d); see _member_blocks."""
+    p1, p2 = _sat_power_rows(_index_rows(n, base), k)
+    reached = sum(row << (i * n) for i, row in enumerate(p1))
+    return any(p2) or (reached & ~base) >> d != 0
 
 
 def _ones(flags: str) -> Iterator[int]:
@@ -117,14 +152,15 @@ def enumerate_k_idempotent(
     range order without changing the stream.
 
     Membership is decided bit-sliced, up to 2**16 indices per saturating
-    power: all 2**25 order-5 matrices take 0.23 s at k = 2 and 1.5 s at
-    k = 7, where one matrix at a time took 183 s and 726 s.
+    power, and blocks whose fixed index bits already rule out A^k = A are
+    skipped: all 2**25 order-5 matrices take 0.12 s at k = 2 and 0.8-0.9 s
+    at k = 7, where one matrix at a time took 183 s and 726 s.
     """
     _check_args(n, k, allow_order_5)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
     if not 0 <= start <= stop <= 1 << (n * n):
         raise ValueError("bad index range")
-    for base, flags in _member_blocks(n, k, start, stop):
+    for base, _, flags in _member_blocks(n, k, start, stop):
         for x in _ones(flags):
             yield Matrix01(n, _index_rows(n, base + x))
 
@@ -190,11 +226,11 @@ def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
     argmax: list[Matrix01] = []
     forms: list[CanonicalDecomposition | None] = []
     mismatches: list[Matrix01] = []
-    for base, flags in _member_blocks(n, k, 0, size):
+    for base, span, flags in _member_blocks(n, k, 0, size):
         if exhaustive:
-            lanes = range(len(flags))
+            lanes = range(span)
         else:
-            end = bisect_left(sample, base + len(flags), next_sample)
+            end = bisect_left(sample, base + span, next_sample)
             picked = {index - base for index in sample[next_sample:end]}
             picked.update(_ones(flags))
             next_sample = end
@@ -202,7 +238,7 @@ def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
         for x in lanes:
             rows = _index_rows(n, base + x)
             d = _decompose_rows(rows, n, k)
-            if flags[x] != "1":
+            if not flags or flags[x] != "1":
                 if d is not None:
                     mismatches.append(Matrix01(n, rows))
                 if not exhaustive:

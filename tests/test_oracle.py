@@ -24,7 +24,7 @@ from kidempotent.oracle import (
     upper_triangular_check,
     verify_characterization,
 )
-from kidempotent import cli, structure
+from kidempotent import cli, oracle, structure
 from kidempotent.structure import _rows_k_idempotent
 
 GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
@@ -161,6 +161,37 @@ class TestLaneKernel:
         assert list(enumerate_k_idempotent(2, 2, index_range=(15, 16))) == []
         last = (1 << 25) - 1
         assert list(enumerate_k_idempotent(5, 2, allow_order_5=True, index_range=(last, last + 1))) == []
+
+
+def unpruned_members(n, k):
+    """All 2**(n*n) indices decided by one lane power, with no node test."""
+    mask = _sat_member_lanes(n, k, 0, n * n)
+    return [matrix_from_index(n, x) for x in range(1 << (n * n)) if (mask >> x) & 1]
+
+
+class TestPrunedSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pruned_node_has_no_member(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        k = data.draw(st.sampled_from(LANE_KS), label="k")
+        d = data.draw(st.integers(0, min(n * n - 1, 8)), label="d")
+        base = data.draw(st.integers(1, (1 << (n * n - d)) - 1), label="node") << d
+        if oracle._excluded(n, k, base, d):
+            assert _sat_member_lanes(n, k, base, d) == 0, (n, k, base, d)
+
+    def test_prunes_two_cycle(self):
+        # B has the arcs 0->1 and 1->0 decided and (0, 0) open: B^2 = I
+        # puts a 1 on the decided 0 at (1, 1)
+        assert oracle._excluded(2, 2, 0b0110, 1)
+        assert not oracle._excluded(2, 3, 0b0110, 1)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_full_range_equals_unpruned_route(self, monkeypatch, k):
+        # 16-lane leaves make the search test and prune nodes at n = 3, 4
+        monkeypatch.setattr(oracle, "_LANE_BITS", 4)
+        for n in range(5):
+            assert list(enumerate_k_idempotent(n, k)) == unpruned_members(n, k), (n, k)
 
 
 class TestOrderFive:
