@@ -299,15 +299,19 @@ def _sat_mul_rows(
 
 
 def _power(base, m: int, mul):
-    """``base`` to the power m under the associative product ``mul``; m must be >= 1."""
-    result = None
-    while m:
-        if m & 1:
-            result = base if result is None else mul(result, base)
-        m >>= 1
-        if m:
-            base = mul(base, base)
-    assert result is not None
+    """``base`` to the power m under the associative product ``mul``; m must be >= 1.
+
+    Left-to-right binary powering: one squaring per bit of m after the
+    leading one, and one product by ``base`` per set bit among them. The
+    right factor of every product that is not a squaring is then ``base``
+    itself, the sparsest factor on offer; :func:`_lane_mul` skips the
+    terms of its zero entries.
+    """
+    result = base
+    for bit in bin(m)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
     return result
 
 
@@ -363,22 +367,36 @@ def _lane_mul(a, b, n: int):
     A bit-sliced matrix is a (ge1, ge2) pair of flat row-major lists of
     n*n entry planes; lane x of every plane belongs to the same matrix.
     The combination rule is that of :func:`_sat_mul_rows`, applied to all
-    lanes at once.
+    lanes at once. A middle index t adds nothing where either factor's
+    ge1 plane is zero (a ge2 plane lies inside its ge1 plane), so such
+    terms are skipped; when neither factor has a ge2 plane, as in the
+    square of a 0/1 matrix, the ge2 terms are left out of the loop.
     """
     a1, a2 = a
     b1, b2 = b
-    cols = [(b1[j::n], b2[j::n]) for j in range(n)]
+    cols = [[(t, b1[t * n + j], b2[t * n + j]) for t in range(n) if b1[t * n + j]] for j in range(n)]
+    plain = not any(a2) and not any(b2)
     c1 = []
     c2 = []
     for i in range(n):
         row1 = a1[i * n : i * n + n]
         row2 = a2[i * n : i * n + n]
-        for col1, col2 in cols:
+        for col in cols:
             acc1 = acc2 = 0
-            for x1, x2, y1, y2 in zip(row1, row2, col1, col2):
-                term = x1 & y1
-                acc2 |= (acc1 & term) | (x2 & y1) | (x1 & y2)
-                acc1 |= term
+            if plain:
+                for t, y1, _ in col:
+                    x1 = row1[t]
+                    if x1:
+                        term = x1 & y1
+                        acc2 |= acc1 & term
+                        acc1 |= term
+            else:
+                for t, y1, y2 in col:
+                    x1 = row1[t]
+                    if x1:
+                        term = x1 & y1
+                        acc2 |= (acc1 & term) | (row2[t] & y1) | (x1 & y2)
+                        acc1 |= term
             c1.append(acc1)
             c2.append(acc2)
     return c1, c2

@@ -14,13 +14,13 @@ up to 2**16 consecutive indices, one per bit lane (see
 :func:`kidempotent.matrix01._sat_member_lanes`), and a depth-first
 search skips every block whose fixed index bits already force A^k != A
 (see :func:`_member_blocks`). Deciding all 2**25 order-5 matrices takes
-0.12 s at k = 2 and 0.8-0.9 s at k = 7 on a 2-core Xeon VM with Python
-3.11, against 0.32 s and 1.6 s without the search (measured side by
-side) and 183 s and 726 s one matrix at a time. The structural route
-still runs per matrix: on every matrix up to order 4, and on the members
-plus a seeded sample at order 5. ``census(4, 2)`` and ``census(4, 7)``
-take 0.27-0.30 s, ``census(5, 2)`` 0.52 s and ``census(5, 7)`` 1.8-2.1 s
-on the same machine.
+0.09 s at k = 2 and 0.53 s at k = 7 on a 2-core Xeon VM with Python
+3.11, against 0.25 s and 1.33 s without the search and the sparse lane
+product (measured side by side) and 183 s and 726 s one matrix at a
+time. The structural route still runs per matrix: on every matrix up to
+order 4, and on the members plus a seeded sample at order 5.
+``census(4, 2)`` and ``census(4, 7)`` take 0.19-0.24 s, ``census(5, 2)``
+0.49-0.53 s and ``census(5, 7)`` 1.8-2.0 s on the same machine.
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ ORDER_LIMIT = 5
 
 _N5_STRUCT_SAMPLE = 20_000
 
-# Leaves of the pruned search hold up to 2**_LANE_BITS lanes. Full
-# order-5 sweeps took 0.09 s at k = 2 and 0.87 s at k = 7 with 2**16
-# lanes, 0.12 s and 0.85 s with 2**14, and 0.13 s and 0.83 s with 2**12
-# (fastest of 6, interleaved): narrower leaves prune more blocks but make
+# Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
+# narrower than a leaf are not tested. Full order-5 sweeps took 0.11 s at
+# k = 2 and 0.82 s at k = 7 with 2**16 lanes, 0.11 s and 0.87 s with
+# 2**14, and 0.14 s and 0.89 s with 2**12 (fastest of 6, interleaved, on
+# a slow stretch of the host): narrower leaves prune more blocks but make
 # more calls, with no net gain. Before the search, 2**16 beat 2**12 and
 # 2**20, whose peak memory was 40 MB against 17 MB.
 _LANE_BITS = 16
@@ -101,6 +102,14 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int,
     only and the structural route stays an independent check. A node
     that survives is split, down to blocks of up to 2**_LANE_BITS lanes
     (narrower when the range is shorter), each decided by one lane power.
+
+    Nodes of fewer than 2**_LANE_BITS indices are not tested. A short
+    range is then one lane power whatever its bits, so short ranges of
+    one width cost the same wherever they lie. Tested, a 2**10-index
+    order-5 range costs 6-26 microseconds when pruned and that plus a
+    50-320 microsecond lane power when not; seeded passes of 32 such
+    ranges pruned 23 to 31 of them, and their cost varied 2.4-fold from
+    seed to seed.
     """
     if start >= stop:
         return
@@ -113,7 +122,7 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int,
         if base >= stop or base + size <= start:
             continue
         # B = 0 never prunes: 0^k = 0.
-        if base and _excluded(n, k, base, d):
+        if base and d >= _LANE_BITS and _excluded(n, k, base, d):
             yield base, size, ""
         elif d > width:
             nodes += [(base + size // 2, d - 1), (base, d - 1)]
@@ -152,9 +161,10 @@ def enumerate_k_idempotent(
     range order without changing the stream.
 
     Membership is decided bit-sliced, up to 2**16 indices per saturating
-    power, and blocks whose fixed index bits already rule out A^k = A are
-    skipped: all 2**25 order-5 matrices take 0.12 s at k = 2 and 0.8-0.9 s
-    at k = 7, where one matrix at a time took 183 s and 726 s.
+    power, and blocks of 2**16 or more indices whose fixed index bits
+    already rule out A^k = A are skipped: all 2**25 order-5 matrices take
+    0.09 s at k = 2 and 0.53 s at k = 7, where one matrix at a time took
+    183 s and 726 s.
     """
     _check_args(n, k, allow_order_5)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))

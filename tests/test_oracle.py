@@ -100,30 +100,36 @@ class TestLaneKernel:
                 assert pattern == sum(1 << x for x in range(1 << width) if (x >> b) & 1)
 
     def test_product_equals_row_product_per_lane(self):
-        # lanes hold unrelated saturating matrices, 2+ entries included
+        # lanes hold unrelated saturating matrices; a side without twos
+        # has zero ge2 planes, and entries zero in every lane make whole
+        # planes zero, which the product skips
         rng = random.Random(11)
-        for n in range(6):
-            lanes = 64
-            pairs = []
-            for _ in range(lanes):
-                pair = []
-                for _ in range(2):
-                    ge1 = tuple(rng.getrandbits(n) for _ in range(n))
-                    pair.append((ge1, tuple(row & rng.getrandbits(n) for row in ge1)))
-                pairs.append(pair)
+        for twos in [(True, True), (True, False), (False, True), (False, False)]:
+            for n in range(6):
+                lanes = 64
+                zero = [{e for e in range(n * n) if rng.random() < 0.3} for _ in range(2)]
+                pairs = []
+                for _ in range(lanes):
+                    pair = []
+                    for side in range(2):
+                        keep = [sum(1 << j for j in range(n) if i * n + j not in zero[side]) for i in range(n)]
+                        ge1 = tuple(rng.getrandbits(n) & keep[i] for i in range(n))
+                        ge2 = tuple(row & rng.getrandbits(n) if twos[side] else 0 for row in ge1)
+                        pair.append((ge1, ge2))
+                    pairs.append(pair)
 
-            def planes(side, level):
-                return [
-                    sum(((pairs[x][side][level][e // n] >> (e % n)) & 1) << x for x in range(lanes))
-                    for e in range(n * n)
-                ]
+                def planes(side, level):
+                    return [
+                        sum(((pairs[x][side][level][e // n] >> (e % n)) & 1) << x for x in range(lanes))
+                        for e in range(n * n)
+                    ]
 
-            c1, c2 = _lane_mul((planes(0, 0), planes(0, 1)), (planes(1, 0), planes(1, 1)), n)
-            for x, ((a1, a2), (b1, b2)) in enumerate(pairs):
-                r1, r2 = _sat_mul_rows(a1, a2, b1, b2)
-                for e in range(n * n):
-                    assert (c1[e] >> x) & 1 == (r1[e // n] >> (e % n)) & 1
-                    assert (c2[e] >> x) & 1 == (r2[e // n] >> (e % n)) & 1
+                c1, c2 = _lane_mul((planes(0, 0), planes(0, 1)), (planes(1, 0), planes(1, 1)), n)
+                for x, ((a1, a2), (b1, b2)) in enumerate(pairs):
+                    r1, r2 = _sat_mul_rows(a1, a2, b1, b2)
+                    for e in range(n * n):
+                        assert (c1[e] >> x) & 1 == (r1[e // n] >> (e % n)) & 1
+                        assert (c2[e] >> x) & 1 == (r2[e // n] >> (e % n)) & 1
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
