@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
-from .extremal import construct_extremal, extremal_families, family_line, gamma
+from .extremal import _family_matrices, family_line, gamma
 from .matrix01 import Matrix01, MatrixFormatError, from_text, permute, to_text
 from .oracle import FREE_ORDER_LIMIT, ORDER_LIMIT, census, serialize_census
 from .structure import (
@@ -119,10 +120,8 @@ def cmd_extremal(args) -> int:
         return _usage_error("--n must be at least 1")
     if not _require_k_arg(args.k):
         return _usage_error("--k must be at least 2")
-    families = extremal_families(args.n, args.k)
     blocks = []
-    for params in families:
-        matrix = construct_extremal(args.n, args.k, params)
+    for params, matrix in _family_matrices(args.n, args.k):
         blocks.append(family_line(args.n, args.k, params) + "\n" + to_text(matrix))
     print("\n".join(blocks), end="")
     return 0
@@ -153,7 +152,15 @@ def cmd_index(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged: every call gets a fresh
+    namespace filled from the defaults, so in-process calls of
+    :func:`main` can share it. The parser names the subcommand only;
+    :func:`main` looks up its ``cmd_`` function at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="kidempotent",
         description="Analyze, decompose, build and verify k-idempotent 0-1 matrices.",
@@ -163,43 +170,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test whether A^k = A")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file", nargs="?", help="matrix file (default: stdin)")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", help="recover the canonical block data")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file", nargs="?")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("compose", help="rebuild a matrix from block data")
     p.add_argument("--k", type=int, default=None, help="override the serialized k")
     p.add_argument("file", nargs="?")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("gamma", help="print the density ceiling gamma(n)")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("extremal", help="list maximum-density families")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("census", help="exhaustively verify one (n, k) pair")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-order-5", action="store_true", dest="max_order_5")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("index", help="print the minimal k with A^k = A")
     p.add_argument("file", nargs="?")
-    p.set_defaults(func=cmd_index)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (MatrixFormatError, DecompositionFormatError) as exc:
         return _usage_error(f"format error: {exc}")
     except UnicodeDecodeError as exc:

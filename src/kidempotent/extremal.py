@@ -211,23 +211,13 @@ def _cycle_multisets(m: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def extremal_families(n: int, k: int) -> list[ExtremalParams]:
-    """Every parameter family whose composed matrix attains gamma(n).
-
-    Candidates are generated over variants, allowed boundary counts,
-    cycle multisets and one-per-line patterns, then filtered through
-    :func:`construct_extremal`. Families whose composed matrices repeat
-    an earlier family's matrix entry-for-entry are dropped, so each
-    returned family owns a distinct labeled matrix in canonical layout
-    (distinctness up to relabeling is not attempted). The order is
-    deterministic: variant, then boundary count, then the cycle multiset
-    compared in descending-sorted form, then the pattern.
-    """
+def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, Matrix01]]:
+    """The families of :func:`extremal_families`, each with its composed matrix."""
     if n < 1:
         raise ValueError("order must be positive")
     _require_k(k)
     seen: set[tuple[int, ...]] = set()
-    families: list[ExtremalParams] = []
+    families: list[tuple[ExtremalParams, Matrix01]] = []
     for variant in ("A", "B"):
         for count in allowed_boundary_counts(n):
             multisets = []
@@ -250,8 +240,23 @@ def extremal_families(n: int, k: int) -> list[ExtremalParams]:
                     if matrix.rows in seen:
                         continue
                     seen.add(matrix.rows)
-                    families.append(params)
+                    families.append((params, matrix))
     return families
+
+
+def extremal_families(n: int, k: int) -> list[ExtremalParams]:
+    """Every parameter family whose composed matrix attains gamma(n).
+
+    Candidates are generated over variants, allowed boundary counts,
+    cycle multisets and one-per-line patterns, then filtered through
+    :func:`construct_extremal`. Families whose composed matrices repeat
+    an earlier family's matrix entry-for-entry are dropped, so each
+    returned family owns a distinct labeled matrix in canonical layout
+    (distinctness up to relabeling is not attempted). The order is
+    deterministic: variant, then boundary count, then the cycle multiset
+    compared in descending-sorted form, then the pattern.
+    """
+    return [params for params, _ in _family_matrices(n, k)]
 
 
 def family_line(n: int, k: int, params: ExtremalParams) -> str:

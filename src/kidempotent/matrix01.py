@@ -83,8 +83,9 @@ def row_string(row: int, width: int) -> str:
 
 def _parse_row(text: str, width: int) -> int | None:
     """Row bitset of a text-format row string, or None when it is malformed."""
-    # int() alone would also accept "_", "+" and surrounding spaces.
-    if len(text) != width or set(text) - {"0", "1"}:
+    # int() alone would also accept "_", "+", surrounding spaces and
+    # non-ASCII digits; counting the two characters rejects them all.
+    if len(text) != width or text.count("0") + text.count("1") != width:
         return None
     return int(text[::-1] or "0", 2)
 
@@ -252,16 +253,17 @@ def permute(a: Matrix01, sigma: Permutation) -> Matrix01:
     inv = [0] * a.n
     for j, t in enumerate(mp):
         inv[t] = j
-    out = []
-    for i in range(a.n):
-        bits = a.rows[mp[i]]
-        acc = 0
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            acc |= 1 << inv[low.bit_length() - 1]
-        out.append(acc)
-    return Matrix01(a.n, tuple(out))
+    return Matrix01(a.n, tuple(_relabel_row(a.rows[v], inv) for v in mp))
+
+
+def _relabel_row(bits: int, position: Sequence[int]) -> int:
+    """The row with each set bit v moved to bit ``position[v]``; O(set bits)."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        acc |= 1 << position[low.bit_length() - 1]
+    return acc
 
 
 def _sat_mul_rows(
@@ -320,9 +322,12 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
 
     Only the core, the vertices with both an in-arc and an out-arc, is
     squared: every inner vertex of a walk of length m lies in the core,
-    so A^m = A M^(m-2) A for m >= 3, where M is A cut to core x core.
-    The identity is exact over the integers, so both planes match plain
-    squaring; it needs no SCC or cycle test of the structural route.
+    so A^m = A[:, core] (M^(m-2) A[core, :]) for m >= 3, where M is A cut
+    to core x core. The right product runs over the rows of M^(m-2),
+    which are empty off the core; the left one over only the core bits
+    of A's rows, so no arc into a sink is iterated. The identity is
+    exact over the integers, so both planes match plain squaring; it
+    needs no structural fact, such as a permutation or cycle test.
     """
     zeros = (0,) * len(rows)
     mul = lambda a, b: _sat_mul_rows(*a, *b)
@@ -336,7 +341,8 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
         if core != has_out | has_in:
             inner = tuple(row & core if (core >> i) & 1 else 0 for i, row in enumerate(rows))
             middle = _power((inner, zeros), m - 2, mul)
-            return mul(mul((rows, zeros), middle), (rows, zeros))
+            to_core = tuple(row & core for row in rows)
+            return mul((to_core, zeros), mul(middle, (rows, zeros)))
     return _power((rows, zeros), m, mul)
 
 
@@ -430,9 +436,9 @@ def sat_power(a: Matrix01, m: int) -> SatMatrix:
     squaring, which is valid because capping at 2 is a semiring
     homomorphism from the non-negative integers. For m >= 3 only the
     core M (vertices with both in- and out-arcs) is squared and the
-    result is A M^(m-2) A: the inner vertices of every walk lie in the
-    core. That is plain algebra on zero rows and columns, so this power
-    stays independent of the structural route.
+    result is A[:, core] (M^(m-2) A[core, :]): the inner vertices of
+    every walk lie in the core. That is plain algebra on zero rows and
+    columns, so this power stays independent of the structural route.
     """
     if m < 1:
         raise ValueError("power must be at least 1")

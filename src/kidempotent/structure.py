@@ -13,9 +13,12 @@ square zero blocks may be empty. This module decides k-idempotency two
 independent ways (a saturating power computation and a structural
 certification), recovers the block data from a matrix, rebuilds matrices
 from block data, and computes the minimal index k for which A^k = A.
-The certification checks that A cut to its core (the vertices with both
-an in-arc and an out-arc) is a permutation matrix, which is P, and that
-the source-to-sink arcs equal X P^T Y.
+The certification checks, in the original labels, that A cut to its
+core (the vertices with both an in-arc and an out-arc) is a permutation
+matrix, which is P, and that the source-to-sink arcs equal X P^T Y:
+every arc u -> w from a source to a sink comes from exactly one core
+vertex c with u -> c and pred(c) -> w. Nothing is relabeled until a
+matrix is accepted and its block data is asked for.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .matrix01 import (
     Matrix01,
     Permutation,
     _parse_row,
+    _relabel_row,
     _sat_power_rows,
     pack_row,
     permute,
@@ -132,22 +136,30 @@ def power_failure(a: Matrix01, k: int) -> StructureError | None:
     return None
 
 
-def _corner_rows(
-    cycle_lengths: Sequence[int], x_rows: Sequence[int], y_rows: Sequence[int]
-) -> list[int]:
-    """Rows of the corner block X P^T Y, which must be 0-1.
-
-    Column c of X meets the Y row at the canonical position whose cycle
-    successor is c. Raises :class:`ProductNotZeroOne` at the first entry
-    of 2 or more, in coordinates of the composed matrix.
-    """
-    # pred[c] is the canonical position whose cycle successor is c.
+def _canonical_pred(cycle_lengths: Sequence[int]) -> list[int]:
+    """pred[c] is the canonical cycle position whose cycle successor is c."""
     pred: list[int] = []
     offset = 0
     for length in cycle_lengths:
         pred.append(offset + length - 1)
         pred.extend(range(offset, offset + length - 1))
         offset += length
+    return pred
+
+
+def _corner_rows(
+    pred: Mapping[int, int] | Sequence[int],
+    x_rows: Sequence[int],
+    y_rows: Mapping[int, int] | Sequence[int],
+) -> list[int]:
+    """Rows of the corner block X P^T Y, which must be 0-1.
+
+    Bit c of an X row meets the Y row ``y_rows[pred[c]]``, where pred[c]
+    is the vertex whose cycle successor is c. Raises
+    :class:`ProductNotZeroOne` at the first entry of 2 or more; with the
+    canonical ``pred`` of :func:`_canonical_pred` the witness is in
+    coordinates of the composed matrix.
+    """
     corner = []
     for i, bits in enumerate(x_rows):
         acc1 = 0
@@ -160,36 +172,37 @@ def _corner_rows(
             acc1 |= y_row
         if acc2:
             j = (acc2 & -acc2).bit_length() - 1
-            raise ProductNotZeroOne((i, len(x_rows) + offset + j))
+            raise ProductNotZeroOne((i, len(x_rows) + len(pred) + j))
         corner.append(acc1)
     return corner
 
 
-def _gather(row: int, positions: Sequence[int]) -> int:
-    """Bit j of the result is bit ``positions[j]`` of ``row``."""
-    acc = 0
-    for j, p in enumerate(positions):
-        if (row >> p) & 1:
-            acc |= 1 << j
-    return acc
-
-
 def _analyze_rows(rows: tuple[int, ...], n: int):
-    """k-independent structural certification.
+    """k-independent structural certification, in the original labels.
 
-    Returns (sources, orbits, sinks, x_rows, y_rows) in canonical order,
-    or None when the matrix cannot be k-idempotent for any k. The core
-    is the set of vertices with both an in-arc and an out-arc; the other
-    vertices are sources (out-arcs only) and sinks (isolated ones too),
-    so the core-to-core arcs are exactly P. Two rules remain:
+    Returns (sources, orbits, sinks), or None when the matrix cannot be
+    k-idempotent for any k. The core is the set of vertices with both an
+    in-arc and an out-arc; the other vertices are sources (out-arcs only)
+    and sinks (isolated ones too), so the core-to-core arcs are exactly
+    P. Two rules remain:
 
     - A cut to the core is a permutation matrix: every core vertex has
       exactly one out-arc into the core, and those arcs reach all of it;
-    - the source-to-sink arcs must equal the product X P^T Y exactly.
+    - the source-to-sink arcs must equal the product X P^T Y exactly: a
+      source row's sink bits are the saturating OR of the sink bits of
+      ``rows[pred[c]]`` over its core bits c, with no sink reached twice.
 
-    Canonical order: sources ascending, then cycles sorted by (length,
-    smallest vertex) with each orbit starting at its smallest vertex and
-    following arcs, then sinks ascending.
+    Both rules are checked in the original labels, the corner rule by
+    :func:`_corner_rows` with a predecessor map recorded once the core is
+    known to be a permutation. Nothing points into a source, so a core
+    row is its cycle successor plus sink bits. Core bits c whose predecessor has no sink
+    bit add nothing to the product and are masked off first, so the
+    corner check visits only the source-to-core arcs that carry a sink
+    term, and nothing is relabeled before a rejection.
+
+    Sources and sinks are ascending; the orbits are sorted by (length,
+    smallest vertex), each starting at its smallest vertex and following
+    arcs. Together that is the canonical order of :func:`_decompose_rows`.
     """
     has_in = 0
     has_out = 0
@@ -211,6 +224,26 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
             (sources if row else sinks).append(v)
     if image != core:
         return None
+    if sources:
+        # live: the core vertices c whose predecessor v has sink bits y[v];
+        # pred is recorded for those c only, the only ones the product reads.
+        live = 0
+        pred = {}
+        y = {}
+        for v, row in enumerate(rows):
+            if (core >> v) & 1:
+                succ = row & core
+                if row != succ:
+                    pred[succ.bit_length() - 1] = v
+                    y[v] = row ^ succ
+                    live |= succ
+        try:
+            corner = _corner_rows(pred, [rows[u] & live for u in sources], y)
+        except ProductNotZeroOne:
+            return None
+        for u, row in zip(sources, corner):
+            if rows[u] & ~core != row:
+                return None
 
     orbits: list[tuple[int, ...]] = []
     unvisited = core
@@ -223,17 +256,7 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
             cur = (rows[cur] & core).bit_length() - 1
         orbits.append(tuple(orbit))
     orbits.sort(key=lambda o: (len(o), o[0]))
-    cycle_order = [v for orbit in orbits for v in orbit]
-    x_rows = [_gather(rows[u], cycle_order) for u in sources]
-    y_rows = [_gather(rows[w], sinks) for w in cycle_order]
-    try:
-        corner = _corner_rows([len(o) for o in orbits], x_rows, y_rows)
-    except ProductNotZeroOne:
-        return None
-    for u, row in zip(sources, corner):
-        if _gather(rows[u], sinks) != row:
-            return None
-    return sources, orbits, sinks, x_rows, y_rows
+    return sources, orbits, sinks
 
 
 @dataclass(frozen=True)
@@ -263,7 +286,7 @@ class CanonicalDecomposition:
 
     def source_to_sink(self) -> tuple[int, ...]:
         """Derived corner block rows, width ``sink_count``."""
-        return tuple(_corner_rows(self.cycle_lengths, self.source_to_cycle, self.cycle_to_sink))
+        return tuple(_corner_rows(_canonical_pred(self.cycle_lengths), self.source_to_cycle, self.cycle_to_sink))
 
     def canonical_matrix(self) -> Matrix01:
         """The composed block matrix, in canonical layout."""
@@ -282,24 +305,37 @@ class CanonicalDecomposition:
 
 
 def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposition | None:
-    """Block data from the structural route, or None when it rejects at k."""
+    """Block data from the structural route, or None when it rejects at k.
+
+    The X and Y blocks are gathered only once the certification has
+    passed and every cycle length divides k-1: each source row's core
+    bits and each cycle row's sink bits move to their canonical
+    positions, so the corner bits are never visited.
+    """
     st = _analyze_rows(rows, n)
     if st is None:
         return None
-    sources, orbits, sinks, x_rows, y_rows = st
+    sources, orbits, sinks = st
     if any((k - 1) % len(orbit) for orbit in orbits):
         return None
+    cycle_order = [v for orbit in orbits for v in orbit]
     to_canonical = [0] * n
-    for pos, v in enumerate([*sources, *(v for orbit in orbits for v in orbit), *sinks]):
+    for pos, v in enumerate([*sources, *cycle_order, *sinks]):
         to_canonical[v] = pos
+    core = 0
+    for v in cycle_order:
+        core |= 1 << v
+    r = len(sources)
+    # A cycle row's one core bit lands below r + m and is shifted out.
+    shift = r + len(cycle_order)
     return CanonicalDecomposition(
         n=n,
         k=k,
-        source_count=len(sources),
+        source_count=r,
         cycle_lengths=tuple(len(orbit) for orbit in orbits),
         sink_count=len(sinks),
-        source_to_cycle=tuple(x_rows),
-        cycle_to_sink=tuple(y_rows),
+        source_to_cycle=tuple(_relabel_row(rows[u] & core, to_canonical) >> r for u in sources),
+        cycle_to_sink=tuple(_relabel_row(rows[w], to_canonical) >> shift for w in cycle_order),
         sigma=Permutation(tuple(to_canonical)),
     )
 
@@ -329,7 +365,8 @@ def idempotency_index(a: Matrix01) -> int | None:
     The structure fixes the answer: when the structural certification
     passes, the valid k are exactly those with every cycle length
     dividing k-1, so the minimum is lcm(cycle lengths) + 1 (empty lcm
-    is 1). When it fails, no k works.
+    is 1). When it fails, no k works. Only the certification and the
+    orbit walk run; the X and Y blocks are never gathered.
     """
     st = _analyze_rows(a.rows, a.n)
     if st is None:
@@ -369,7 +406,7 @@ def _compose_rows(
             raise ValueError("cycle block row exceeds sink width")
 
     n = source_count + m + sink_count
-    z_rows = _corner_rows(cycle_lengths, x_rows, y_rows)
+    z_rows = _corner_rows(_canonical_pred(cycle_lengths), x_rows, y_rows)
 
     rows = []
     for i in range(source_count):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +119,22 @@ class TestDecomposeCompose:
         code, rebuilt = run_cli(["compose"], stdin=serial)
         assert code == 0
         assert rebuilt == scrambled
+
+    def test_shared_parser_keeps_no_state_between_calls(self, tmp_path):
+        # The parser is built once per process; an earlier --k or usage
+        # error must not carry over into a later call.
+        path = tmp_path / "c3.dec"
+        path.write_text("n=3\nk=4\nr=0\ns=0\ncycle_lengths=3\nsigma=0,1,2\nY=\nY=\nY=\n")
+        code, out = run_cli(["compose", "--k", "5", str(path)])
+        assert code == 1
+        assert out.startswith("error=CycleLengthInvalid\n")
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as info:
+            main(["compose", "--k", "x", str(path)])
+        assert info.value.code == 2
+        code, out = run_cli(["compose", str(path)])
+        assert code == 0
+        assert out == C3_TEXT
 
 
 class TestScalarCommands:

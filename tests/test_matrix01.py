@@ -272,7 +272,7 @@ class TestTextFormat:
         a = Matrix01(width, rows)
         assert from_text(to_text(a)) == a
 
-    @pytest.mark.parametrize("text", ["", "0", "01", "0_1", "+01", " 01", "01 ", "0２1"])
+    @pytest.mark.parametrize("text", ["", "0", "01", "0_1", "+01", " 01", "01 ", "0２1", "0١1"])
     def test_parse_row_rejects(self, text):
         assert _parse_row(text, 3) is None
 

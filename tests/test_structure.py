@@ -225,7 +225,7 @@ def certification(a):
     result = _analyze_rows(a.rows, a.n)
     if result is None:
         return None
-    sources, orbits, sinks, _, _ = result
+    sources, orbits, sinks = result
     return sources, {frozenset(orbit) for orbit in orbits}, sinks
 
 
@@ -267,6 +267,24 @@ class TestDigraphReference:
     @given(planted_matrices())
     def test_planted(self, a):
         assert certification(a) == digraph_certification(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_matrices())
+    def test_planted_index(self, a):
+        reference = digraph_certification(a)
+        if reference is None:
+            assert idempotency_index(a) is None
+        else:
+            assert idempotency_index(a) == lcm(*(len(cycle) for cycle in reference[1])) + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_matrices())
+    def test_planted_decomposition_rebuilds(self, a):
+        k = idempotency_index(a)
+        if k is not None:
+            d = decompose(a, k)
+            assert isinstance(d, CanonicalDecomposition)
+            assert d.original_matrix() == a
 
     def test_exhaustive_small(self):
         for n in (0, 1, 2, 3):
