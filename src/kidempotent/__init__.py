@@ -46,6 +46,7 @@ from .oracle import (
     matrix_from_index,
     max_nnz_census,
     serialize_census,
+    structural_count,
     upper_triangular_check,
     verify_characterization,
 )

@@ -18,16 +18,17 @@ search skips every block whose fixed index bits already force A^k != A
 3.11, against 0.25 s and 1.33 s without the search and the sparse lane
 product (measured side by side) and 183 s and 726 s one matrix at a
 time. The structural route still runs per matrix: on every matrix up to
-order 4, and on the members plus a seeded sample at order 5.
-``census(4, 2)`` and ``census(4, 7)`` take 0.19-0.24 s, ``census(5, 2)``
-0.49-0.53 s and ``census(5, 7)`` 1.8-2.0 s on the same machine.
+order 4, and on the members only at order 5. There the member count must
+also equal :func:`structural_count`, the number of matrices of the
+canonical form, so the two sets are equal without visiting a non-member.
+``census(4, 2)`` and ``census(4, 7)`` take 0.19-0.25 s, ``census(5, 2)``
+0.32 s and ``census(5, 7)`` 1.47 s on the same machine (fastest of 3).
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Iterator
 
 from .extremal import gamma, matches_maximum_form
@@ -42,6 +43,7 @@ __all__ = [
     "matrix_from_index",
     "max_nnz_census",
     "serialize_census",
+    "structural_count",
     "upper_triangular_check",
     "verify_characterization",
 ]
@@ -50,8 +52,6 @@ __all__ = [
 # opt in explicitly. Orders above 5 are out of scope.
 FREE_ORDER_LIMIT = 4
 ORDER_LIMIT = 5
-
-_N5_STRUCT_SAMPLE = 20_000
 
 # Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
 # narrower than a leaf are not tested. Full order-5 sweeps took 0.11 s at
@@ -175,6 +175,49 @@ def enumerate_k_idempotent(
             yield Matrix01(n, _index_rows(n, base + x))
 
 
+def structural_count(n: int, k: int) -> int:
+    """Number of order-n matrices of the canonical form, counted without enumerating.
+
+    The sum over r + m + s = n of n!/(r! m! s!) * pi(m) * N(r, m, s).
+    The multinomial places the r sources, m core points and s sinks;
+    pi(m) counts the permutations P of the core whose cycle lengths all
+    divide k - 1; and N(r, m, s) counts the blocks X (r x m, no zero row,
+    since a source has an out-arc) and Y (m x s) with X P^T Y 0-1. P
+    drops out, as X -> X P^T is a bijection that keeps "no zero row".
+    Column j of Y is a set T of core points with X T 0-1, so N(r, m, s)
+    is the sum over X of c(X)^s, where c(X) counts the sets T that meet
+    every X row in at most one point. The matrix fixes its sources (no
+    in-arc, some out-arc), its core and its blocks, so no matrix is
+    counted twice.
+
+    Uses neither the power route nor the structural analysis, so it is a
+    third, independent route to the member count.
+    """
+    _require_k(k)
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    lengths = [d for d in range(1, n + 1) if (k - 1) % d == 0]
+    perms = [1]
+    for m in range(1, n + 1):
+        perms.append(sum(comb(m - 1, d - 1) * factorial(d - 1) * perms[m - d] for d in lengths if d <= m))
+    total = 0
+    for m in range(n + 1):
+        # bit t of meets_once[S - 1] is set when the set T = t meets the X row S at most once
+        meets_once = [sum(1 << t for t in range(1 << m) if (t & row).bit_count() <= 1) for row in range(1, 1 << m)]
+        # the sets T allowed by every row of X -> number of X with r rows
+        allowed = {(1 << (1 << m)) - 1: 1}
+        for r in range(n - m + 1):
+            s = n - m - r
+            blocks = sum(count * mask.bit_count() ** s for mask, count in allowed.items())
+            total += factorial(n) // (factorial(r) * factorial(m) * factorial(s)) * perms[m] * blocks
+            grown: dict[int, int] = {}
+            for mask, count in allowed.items():
+                for once in meets_once:
+                    grown[mask & once] = grown.get(mask & once, 0) + count
+            allowed = grown
+    return total
+
+
 @dataclass(frozen=True)
 class CharacterizationResult:
     """Two-route agreement over one exhaustive sweep."""
@@ -192,9 +235,9 @@ class CensusReport:
 
     ``mismatches`` holds every matrix on which the two routes disagreed
     or whose decomposition failed to reconstruct it; it is empty on
-    success. ``seed`` and ``non_member_sample`` are populated only for
-    order-5 runs, where the structural route is spot-checked on a seeded
-    sample of non-members instead of all of them.
+    success. At order 5, where the structural route runs on the members
+    only, ``characterization_ok`` also requires the member count to equal
+    :func:`structural_count`, so it can be false with no mismatch.
     """
 
     n: int
@@ -208,51 +251,33 @@ class CensusReport:
     upper_triangular_ok: bool
     mismatches: tuple[Matrix01, ...]
     argmax: tuple[Matrix01, ...]
-    seed: int | None = None
-    non_member_sample: int | None = None
 
 
-def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
+def _sweep(n: int, k: int):
     """One pass over all matrices of order n.
 
-    Returns (total, max_nnz, argmax, argmax_forms, mismatches,
-    sampled_non_members), where argmax_forms[i] is the decomposition of
-    argmax[i] or None, so the density check reuses each member's
-    analysis. The power route decides every index; the structural route
-    checks its verdict on every index up to order 4, and on the members
-    plus a seeded sample of indices at order 5. Members are additionally
-    required to reconstruct exactly from their decomposition; any failure
-    lands in the mismatch list.
+    Returns (total, max_nnz, argmax, argmax_forms, mismatches), where
+    argmax_forms[i] is the decomposition of argmax[i] or None, so the
+    density check reuses each member's analysis. The power route decides
+    every index; the structural route checks its verdict on every index
+    up to order 4, and on the members at order 5, where
+    :func:`_characterized` closes the check by a count. Members are
+    additionally required to reconstruct exactly from their
+    decomposition; any failure lands in the mismatch list.
     """
     exhaustive = n <= FREE_ORDER_LIMIT
-    size = 1 << (n * n)
-    sample: list[int] = []
-    if not exhaustive:
-        sample = sorted(random.Random(seed).sample(range(size), _N5_STRUCT_SAMPLE))
-    next_sample = 0
-    sampled = 0
     total = 0
     best = -1
     argmax: list[Matrix01] = []
     forms: list[CanonicalDecomposition | None] = []
     mismatches: list[Matrix01] = []
-    for base, span, flags in _member_blocks(n, k, 0, size):
-        if exhaustive:
-            lanes = range(span)
-        else:
-            end = bisect_left(sample, base + span, next_sample)
-            picked = {index - base for index in sample[next_sample:end]}
-            picked.update(_ones(flags))
-            next_sample = end
-            lanes = sorted(picked)
-        for x in lanes:
+    for base, span, flags in _member_blocks(n, k, 0, 1 << (n * n)):
+        for x in range(span) if exhaustive else _ones(flags):
             rows = _index_rows(n, base + x)
             d = _decompose_rows(rows, n, k)
             if not flags or flags[x] != "1":
                 if d is not None:
                     mismatches.append(Matrix01(n, rows))
-                if not exhaustive:
-                    sampled += 1
                 continue
             total += 1
             matrix = Matrix01(n, rows)
@@ -266,26 +291,33 @@ def _sweep(n: int, k: int, allow_order_5: bool, seed: int):
             elif count == best:
                 argmax.append(matrix)
                 forms.append(d)
-    return total, best, argmax, forms, mismatches, sampled
+    return total, best, argmax, forms, mismatches
 
 
-def verify_characterization(
-    n: int, k: int, *, allow_order_5: bool = False, seed: int = 0
-) -> CharacterizationResult:
+def _characterized(n: int, k: int, total: int, mismatches: list[Matrix01]) -> bool:
+    """Whether the sweep proved that the members are exactly the canonical-form matrices.
+
+    Every member rebuilt from its decomposition shows members within the
+    canonical set. Up to order 4 every non-member was also rejected; at
+    order 5 the non-members were not visited, and a member count equal to
+    the size of the canonical set shows the sets equal.
+    """
+    return not mismatches and (n <= FREE_ORDER_LIMIT or total == structural_count(n, k))
+
+
+def verify_characterization(n: int, k: int, *, allow_order_5: bool = False) -> CharacterizationResult:
     """Check that the structural route accepts exactly the true members."""
     _check_args(n, k, allow_order_5)
-    total, _, _, _, mismatches, _ = _sweep(n, k, allow_order_5, seed)
-    return CharacterizationResult(n, k, total, not mismatches, tuple(mismatches))
+    total, _, _, _, mismatches = _sweep(n, k)
+    return CharacterizationResult(n, k, total, _characterized(n, k, total, mismatches), tuple(mismatches))
 
 
-def max_nnz_census(
-    n: int, k: int, *, allow_order_5: bool = False, seed: int = 0
-) -> tuple[int, tuple[Matrix01, ...]]:
+def max_nnz_census(n: int, k: int, *, allow_order_5: bool = False) -> tuple[int, tuple[Matrix01, ...]]:
     """Maximum number of ones over all k-idempotent matrices, with the argmax list."""
     if n < 1:
         raise ValueError("density census requires order >= 1")
     _check_args(n, k, allow_order_5)
-    _, best, argmax, _, _, _ = _sweep(n, k, allow_order_5, seed)
+    _, best, argmax, _, _ = _sweep(n, k)
     return best, tuple(argmax)
 
 
@@ -303,18 +335,19 @@ def upper_triangular_check(n: int, k: int) -> bool:
     return True
 
 
-def census(n: int, k: int, *, allow_order_5: bool = False, seed: int = 0) -> CensusReport:
+def census(n: int, k: int, *, allow_order_5: bool = False) -> CensusReport:
     """Full census of order n under exponent k.
 
     Covers the member count, the two-route characterization check with
-    reconstruction, the density maximum against gamma(n) with the shape
-    of every argmax, and the strictly upper triangular scan. Two runs
-    with the same arguments produce bit-identical serialized reports.
+    reconstruction (closed by :func:`structural_count` at order 5), the
+    density maximum against gamma(n) with the shape of every argmax, and
+    the strictly upper triangular scan. Two runs with the same arguments
+    produce bit-identical serialized reports.
     """
     if n < 1:
         raise ValueError("census requires order >= 1")
     _check_args(n, k, allow_order_5)
-    total, best, argmax, forms, mismatches, sampled = _sweep(n, k, allow_order_5, seed)
+    total, best, argmax, forms, mismatches = _sweep(n, k)
     gamma_value = gamma(n)
     density_ok = best == gamma_value and all(
         d is not None and matches_maximum_form(d) for d in forms
@@ -327,12 +360,10 @@ def census(n: int, k: int, *, allow_order_5: bool = False, seed: int = 0) -> Cen
         max_nnz=best,
         argmax_count=len(argmax),
         max_density_ok=density_ok,
-        characterization_ok=not mismatches,
+        characterization_ok=_characterized(n, k, total, mismatches),
         upper_triangular_ok=upper_triangular_check(n, k),
         mismatches=tuple(mismatches),
         argmax=tuple(argmax),
-        seed=seed if n > FREE_ORDER_LIMIT else None,
-        non_member_sample=sampled if n > FREE_ORDER_LIMIT else None,
     )
 
 
@@ -348,11 +379,8 @@ def serialize_census(report: CensusReport) -> str:
         f"max_density_ok={str(report.max_density_ok).lower()}",
         f"characterization_ok={str(report.characterization_ok).lower()}",
         f"upper_triangular_ok={str(report.upper_triangular_ok).lower()}",
+        f"mismatches={len(report.mismatches)}",
     ]
-    if report.seed is not None:
-        lines.append(f"seed={report.seed}")
-        lines.append(f"non_member_sample={report.non_member_sample}")
-    lines.append(f"mismatches={len(report.mismatches)}")
     text = "\n".join(lines) + "\n"
     for witness in report.mismatches:
         text += "\n" + to_text(witness)

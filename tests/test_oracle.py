@@ -21,12 +21,14 @@ from kidempotent.oracle import (
     matrix_from_index,
     max_nnz_census,
     serialize_census,
+    structural_count,
     upper_triangular_check,
     verify_characterization,
 )
 from kidempotent import cli, oracle, structure
 from kidempotent.structure import _rows_k_idempotent
 
+GOLDEN = Path(__file__).parent / "golden" / "k_idempotent_counts.txt"
 GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
 
 LANE_KS = [2, 3, 4, 5, 6, 7, 13, 720721]
@@ -217,10 +219,73 @@ class TestOrderFive:
             "max_density_ok=true\n"
             "characterization_ok=true\n"
             "upper_triangular_ok=true\n"
-            "seed=0\n"
-            "non_member_sample=19996\n"
             "mismatches=0\n"
         )
+
+
+def golden_lines():
+    lines = GOLDEN.read_text().splitlines() + GOLDEN_N5.read_text().splitlines()
+    return [tuple(int(v) for v in line.split()) for line in lines]
+
+
+# n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route
+# gives 96,608 at k = 2 and 626,263 at k = 7 over all 2^36 matrices
+COUNTS_N6 = [96_608, 405_863, 309_208, 491_813, 105_824, 626_263]
+COUNTS_N7 = [2_185_738, 13_991_266, 11_545_858, 20_413_906, 3_935_626, 24_917_356]
+
+
+class TestStructuralCount:
+    @pytest.mark.parametrize(
+        "n,k,expected",
+        golden_lines()
+        + [(n, k, None) for n in range(3) for k in range(2, 8)]
+        + [(5, 721, 22_686), (5, 720721, 22_686)]
+        + [(6, k, c) for k, c in zip(range(2, 8), COUNTS_N6)]
+        + [(7, k, c) for k, c in zip(range(2, 8), COUNTS_N7)],
+    )
+    def test_count(self, n, k, expected):
+        if expected is None:
+            expected = len(exact_members(n, k))
+        assert structural_count(n, k) == expected
+
+    def test_rejects(self):
+        with pytest.raises(ValueError):
+            structural_count(3, 1)
+        with pytest.raises(ValueError):
+            structural_count(-1, 2)
+
+
+class TestCountClosesOrderFive:
+    """At order 5 only the count proves that no non-member is a canonical form."""
+
+    def test_wrong_count_fails(self, monkeypatch, capsys):
+        count = oracle.structural_count
+        monkeypatch.setattr(oracle, "structural_count", lambda n, k: count(n, k) + 1)
+        report = census(5, 2, allow_order_5=True)
+        assert not report.characterization_ok
+        assert report.mismatches == ()
+        assert not verify_characterization(5, 2, allow_order_5=True).characterization_ok
+        assert cli.main(["census", "--n", "5", "--k", "2", "--max-order-5"]) == 1
+        assert "characterization_ok=false\n" in capsys.readouterr().out
+
+    def test_order_four_does_not_count(self, monkeypatch):
+        def fail(n, k):
+            raise AssertionError("structural_count called")
+
+        monkeypatch.setattr(oracle, "structural_count", fail)
+        assert census(4, 2).characterization_ok
+
+    def test_order_four_checks_non_members(self, monkeypatch):
+        # order 4 is closed by visiting every non-member instead: one the
+        # structural route accepts is a mismatch
+        full = (15, 15, 15, 15)
+        decompose_rows = oracle._decompose_rows
+        monkeypatch.setattr(
+            oracle, "_decompose_rows", lambda rows, n, k: object() if rows == full else decompose_rows(rows, n, k)
+        )
+        report = census(4, 2)
+        assert not report.characterization_ok
+        assert report.mismatches == (Matrix01(4, full),)
 
 
 class TestCharacterization:
