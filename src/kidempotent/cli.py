@@ -7,23 +7,29 @@ piped into each other. Exit codes: 0 for success, 1 for a mathematically
 meaningful "no" (a rejected matrix, a failed theorem check, invalid
 block parameters), 2 for usage or format errors. Malformed input never
 exits 1, and identical invocations produce byte-identical output.
+
+The CLI holds no argument rules of its own: each command parses, calls
+the library and prints. The library checks the order and the exponent
+before it does any work and raises ``ArgumentRangeError``, which
+:func:`main` maps to exit 2 with the library's message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 from .extremal import _family_matrices, family_line, gamma
-from .matrix01 import Matrix01, MatrixFormatError, from_text, permute, to_text
-from .oracle import FREE_ORDER_LIMIT, ORDER_LIMIT, census, serialize_census
+from .matrix01 import Matrix01, MatrixFormatError, from_text, to_text
+from .oracle import census, serialize_census
 from .structure import (
+    ArgumentRangeError,
     CycleLengthInvalid,
     DecompositionFormatError,
     ProductNotZeroOne,
     StructureError,
-    _compose_rows,
     decompose,
     idempotency_index,
     parse_decomposition,
@@ -50,13 +56,7 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _require_k_arg(k: int) -> bool:
-    return isinstance(k, int) and k >= 2
-
-
 def cmd_check(args) -> int:
-    if not _require_k_arg(args.k):
-        return _usage_error("--k must be at least 2")
     matrix = _load_matrix(args.file)
     failure = power_failure(matrix, args.k)
     if failure is None:
@@ -68,8 +68,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if not _require_k_arg(args.k):
-        return _usage_error("--k must be at least 2")
     matrix = _load_matrix(args.file)
     result = decompose(matrix, args.k)
     if isinstance(result, StructureError):
@@ -83,18 +81,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_compose(args) -> int:
     d = parse_decomposition(_read_input(args.file))
-    k = args.k if args.k is not None else d.k
-    if not _require_k_arg(k):
-        return _usage_error("--k must be at least 2")
+    if args.k is not None:
+        d = replace(d, k=args.k)
     try:
-        canonical = _compose_rows(
-            d.source_count,
-            d.cycle_lengths,
-            d.sink_count,
-            d.source_to_cycle,
-            d.cycle_to_sink,
-            k,
-        )
+        matrix = d.original_matrix()
     except CycleLengthInvalid as exc:
         print("error=CycleLengthInvalid")
         print(f"detail={exc}")
@@ -104,22 +94,16 @@ def cmd_compose(args) -> int:
         print("error=ProductNotZeroOne")
         print(f"witness={i},{j}")
         return 1
-    print(to_text(permute(canonical, d.sigma)), end="")
+    print(to_text(matrix), end="")
     return 0
 
 
 def cmd_gamma(args) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be at least 1")
     print(gamma(args.n))
     return 0
 
 
 def cmd_extremal(args) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be at least 1")
-    if not _require_k_arg(args.k):
-        return _usage_error("--k must be at least 2")
     blocks = []
     for params, matrix in _family_matrices(args.n, args.k):
         blocks.append(family_line(args.n, args.k, params) + "\n" + to_text(matrix))
@@ -128,14 +112,6 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be at least 1")
-    if args.n > ORDER_LIMIT:
-        return _usage_error(f"--n must be at most {ORDER_LIMIT}")
-    if args.n > FREE_ORDER_LIMIT and not args.max_order_5:
-        return _usage_error("order 5 requires --max-order-5")
-    if not _require_k_arg(args.k):
-        return _usage_error("--k must be at least 2")
     report = census(args.n, args.k, allow_order_5=args.max_order_5)
     print(serialize_census(report), end="")
     ok = report.characterization_ok and report.upper_triangular_ok and report.max_density_ok
@@ -200,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command](args)
+    except ArgumentRangeError as exc:
+        return _usage_error(str(exc))
     except (MatrixFormatError, DecompositionFormatError) as exc:
         return _usage_error(f"format error: {exc}")
     except UnicodeDecodeError as exc:

@@ -22,8 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .matrix01 import Matrix01, nnz, row_string
-from .structure import CanonicalDecomposition, _compose_rows, _require_k, is_k_idempotent
+from .matrix01 import Matrix01, Permutation, nnz
+from .structure import (
+    ArgumentRangeError,
+    CanonicalDecomposition,
+    _compose_rows,
+    _require_k,
+    is_k_idempotent,
+    serialize_decomposition,
+)
 
 __all__ = [
     "ExtremalParams",
@@ -50,7 +57,7 @@ class ValidationFailed(ValueError):
 def gamma(n: int) -> int:
     """Largest possible number of ones in a k-idempotent matrix of order n."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise ArgumentRangeError("order must be positive")
     if n % 2:
         return (n + 1) ** 2 // 4
     return (n * n + 2 * n) // 4
@@ -59,7 +66,7 @@ def gamma(n: int) -> int:
 def allowed_boundary_counts(n: int) -> tuple[int, ...]:
     """Source counts (variant A) or sink counts (variant B) attaining gamma(n)."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise ArgumentRangeError("order must be positive")
     if n % 2:
         return ((n - 1) // 2,)
     return (n // 2 - 1, n // 2)
@@ -214,7 +221,7 @@ def _cycle_multisets(m: int, k: int) -> list[tuple[int, ...]]:
 def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, Matrix01]]:
     """The families of :func:`extremal_families`, each with its composed matrix."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise ArgumentRangeError("order must be positive")
     _require_k(k)
     seen: set[tuple[int, ...]] = set()
     families: list[tuple[ExtremalParams, Matrix01]] = []
@@ -262,16 +269,14 @@ def extremal_families(n: int, k: int) -> list[ExtremalParams]:
 def family_line(n: int, k: int, params: ExtremalParams) -> str:
     """One-line rendering: variant tag followed by the decomposition fields."""
     x_rows, y_rows = _family_blocks(params)
-    m = sum(params.cycle_lengths)
-    tokens = [
-        f"variant={params.variant}",
-        f"n={n}",
-        f"k={k}",
-        f"r={params.source_count}",
-        f"s={params.sink_count}",
-        "cycle_lengths=" + ",".join(str(v) for v in params.cycle_lengths),
-        "sigma=" + ",".join(str(v) for v in range(n)),
-    ]
-    tokens.extend("X=" + row_string(row, m) for row in x_rows)
-    tokens.extend("Y=" + row_string(row, params.sink_count) for row in y_rows)
-    return " ".join(tokens)
+    d = CanonicalDecomposition(
+        n=n,
+        k=k,
+        source_count=params.source_count,
+        cycle_lengths=params.cycle_lengths,
+        sink_count=params.sink_count,
+        source_to_cycle=tuple(x_rows),
+        cycle_to_sink=tuple(y_rows),
+        sigma=Permutation.identity(n),
+    )
+    return " ".join([f"variant={params.variant}", *serialize_decomposition(d).splitlines()])

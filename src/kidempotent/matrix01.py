@@ -498,7 +498,10 @@ def from_text(text: str) -> Matrix01:
     head = lines[0]
     if not head.isascii() or not head.isdigit() or (len(head) > 1 and head[0] == "0"):
         raise MatrixFormatError(f"bad order line {head!r}")
-    n = int(head)
+    try:
+        n = int(head)
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise MatrixFormatError(f"order line of {len(head)} digits is too long") from None
     if len(lines) != n + 1:
         raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
     rows = []

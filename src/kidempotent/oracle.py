@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .extremal import gamma, matches_maximum_form
 from .matrix01 import Matrix01, _sat_member_lanes, _sat_power_rows, to_text
-from .structure import CanonicalDecomposition, _decompose_rows, _require_k, _rows_k_idempotent
+from .structure import ArgumentRangeError, CanonicalDecomposition, _decompose_rows, _require_k, _rows_k_idempotent
 
 __all__ = [
     "CensusReport",
@@ -66,9 +66,9 @@ _LANE_BITS = 16
 def _check_args(n: int, k: int, allow_order_5: bool) -> None:
     _require_k(k)
     if not 0 <= n <= ORDER_LIMIT:
-        raise ValueError(f"order must be between 0 and {ORDER_LIMIT}")
+        raise ArgumentRangeError(f"order must be between 0 and {ORDER_LIMIT}")
     if n > FREE_ORDER_LIMIT and not allow_order_5:
-        raise ValueError("order 5 enumeration requires allow_order_5=True")
+        raise ArgumentRangeError("order 5 enumeration requires allow_order_5=True (--max-order-5)")
 
 
 def matrix_from_index(n: int, index: int) -> Matrix01:
@@ -195,7 +195,7 @@ def structural_count(n: int, k: int) -> int:
     """
     _require_k(k)
     if n < 0:
-        raise ValueError("order must be >= 0")
+        raise ArgumentRangeError("order must be >= 0")
     lengths = [d for d in range(1, n + 1) if (k - 1) % d == 0]
     perms = [1]
     for m in range(1, n + 1):
@@ -315,7 +315,7 @@ def verify_characterization(n: int, k: int, *, allow_order_5: bool = False) -> C
 def max_nnz_census(n: int, k: int, *, allow_order_5: bool = False) -> tuple[int, tuple[Matrix01, ...]]:
     """Maximum number of ones over all k-idempotent matrices, with the argmax list."""
     if n < 1:
-        raise ValueError("density census requires order >= 1")
+        raise ArgumentRangeError("density census requires order >= 1")
     _check_args(n, k, allow_order_5)
     _, best, argmax, _, _ = _sweep(n, k)
     return best, tuple(argmax)
@@ -345,7 +345,7 @@ def census(n: int, k: int, *, allow_order_5: bool = False) -> CensusReport:
     produce bit-identical serialized reports.
     """
     if n < 1:
-        raise ValueError("census requires order >= 1")
+        raise ArgumentRangeError("census requires order >= 1")
     _check_args(n, k, allow_order_5)
     total, best, argmax, forms, mismatches = _sweep(n, k)
     gamma_value = gamma(n)

@@ -57,9 +57,16 @@ __all__ = [
 ]
 
 
+class ArgumentRangeError(ValueError):
+    """An order or exponent argument outside the range a function accepts.
+
+    Raised before any work is done. The command line maps it to exit 2.
+    """
+
+
 def _require_k(k: int) -> None:
     if not isinstance(k, int) or k < 2:
-        raise ValueError("k must be an integer >= 2")
+        raise ArgumentRangeError("k must be an integer >= 2")
 
 
 class StructureErrorKind(Enum):
@@ -464,8 +471,8 @@ def serialize_decomposition(d: CanonicalDecomposition) -> str:
         f"k={d.k}",
         f"r={d.source_count}",
         f"s={d.sink_count}",
-        "cycle_lengths=" + ",".join(str(v) for v in d.cycle_lengths),
-        "sigma=" + ",".join(str(v) for v in d.sigma.mapping),
+        "cycle_lengths=" + ",".join(map(str, d.cycle_lengths)),
+        "sigma=" + ",".join(map(str, d.sigma.mapping)),
     ]
     m = d.cycle_total
     for row in d.source_to_cycle:
@@ -478,7 +485,10 @@ def serialize_decomposition(d: CanonicalDecomposition) -> str:
 def _parse_int(value: str, what: str) -> int:
     if not value.isascii() or not value.isdigit() or (len(value) > 1 and value[0] == "0"):
         raise DecompositionFormatError(f"bad {what} value {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise DecompositionFormatError(f"{what} value of {len(value)} digits is too long") from None
 
 
 def _parse_int_list(value: str, what: str) -> tuple[int, ...]:

@@ -3,13 +3,17 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kidempotent.cli import main
+from kidempotent.extremal import _family_matrices, gamma
 from kidempotent.matrix01 import Matrix01, from_text, to_text
+from kidempotent.oracle import census
+from kidempotent.structure import ArgumentRangeError, decompose, parse_decomposition, power_failure
 
 C3_TEXT = to_text(Matrix01.cycle(3))
 ONES2_TEXT = to_text(Matrix01.ones(2))
@@ -135,6 +139,9 @@ class TestDecomposeCompose:
         code, out = run_cli(["compose", str(path)])
         assert code == 0
         assert out == C3_TEXT
+        code, out = run_cli(["compose", "--k", "7", str(path)])
+        assert code == 0
+        assert out == C3_TEXT
 
 
 class TestScalarCommands:
@@ -228,6 +235,8 @@ def run_cli_bytes(args, data):
 READERS = [["check", "--k", "2"], ["decompose", "--k", "3"], ["compose"], ["index"]]
 NON_READERS = [["gamma", "--n", "3"], ["extremal", "--n", "3", "--k", "2"], ["census", "--n", "2", "--k", "2"]]
 
+LONG_ORDER_LINE = b"1" + b"0" * 4999 + b"\n"
+
 VALID_INPUTS = [C3_TEXT, ONES2_TEXT, WORKED_TEXT, WORKED_DECOMPOSITION, "0\n"]
 
 
@@ -260,10 +269,40 @@ def assert_contract(code, out, err, data, reads_input=True):
         assert data.isascii() or not reads_input
 
 
+# One CLI call per argument rule: (argv, stdin, the library call that owns the rule).
+ARGUMENT_ERRORS = [
+    (["check", "--k", "1"], C3_TEXT, lambda: power_failure(Matrix01.cycle(3), 1)),
+    (["decompose", "--k", "1"], C3_TEXT, lambda: decompose(Matrix01.cycle(3), 1)),
+    (["compose", "--k", "1"], WORKED_DECOMPOSITION,
+     lambda: replace(parse_decomposition(WORKED_DECOMPOSITION), k=1).original_matrix()),
+    (["gamma", "--n", "0"], "", lambda: gamma(0)),
+    (["extremal", "--n", "0", "--k", "2"], "", lambda: _family_matrices(0, 2)),
+    (["extremal", "--n", "3", "--k", "1"], "", lambda: _family_matrices(3, 1)),
+    (["census", "--n", "0", "--k", "2"], "", lambda: census(0, 2)),
+    (["census", "--n", "6", "--k", "2"], "", lambda: census(6, 2)),
+    (["census", "--n", "3", "--k", "1"], "", lambda: census(3, 1)),
+    (["census", "--n", "5", "--k", "2"], "", lambda: census(5, 2)),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, call", ARGUMENT_ERRORS, ids=[" ".join(c[0]) for c in ARGUMENT_ERRORS])
+def test_argument_errors_exit_two_with_the_library_message(argv, stdin, call):
+    with pytest.raises(ArgumentRangeError) as info:
+        call()
+    code, out, err = run_cli_bytes(argv, stdin.encode())
+    assert (code, out) == (2, "")
+    assert err == f"{info.value}\n"
+
+
 class TestArbitraryBytes:
     @settings(max_examples=150, deadline=None)
     @given(input_bytes(), st.sampled_from(READERS))
     @example(b"2\n0\xc3\xa9\n00\n", ["check", "--k", "2"])
+    # Longer than CPython's default 4,300-digit int() limit, and malformed without it.
+    @example(LONG_ORDER_LINE, ["check", "--k", "2"])
+    @example(LONG_ORDER_LINE, ["decompose", "--k", "3"])
+    @example(LONG_ORDER_LINE, ["index"])
+    @example(b"n=" + LONG_ORDER_LINE, ["compose"])
     def test_readers_by_stdin_and_file(self, tmp_path_factory, data, command):
         code, out, err = run_cli_bytes(command, data)
         assert_contract(code, out, err, data)

@@ -26,7 +26,8 @@ from kidempotent.oracle import (
     verify_characterization,
 )
 from kidempotent import cli, oracle, structure
-from kidempotent.structure import _rows_k_idempotent
+from kidempotent.extremal import _family_matrices, allowed_boundary_counts, gamma, is_extremal
+from kidempotent.structure import ArgumentRangeError, _rows_k_idempotent, compose, decompose, power_failure
 
 GOLDEN = Path(__file__).parent / "golden" / "k_idempotent_counts.txt"
 GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
@@ -389,6 +390,36 @@ class TestCensus:
     def test_rejects_order_five_without_flag(self):
         with pytest.raises(ValueError):
             census(5, 2)
+
+
+# Every argument rule of the library, one call that breaks it.
+ARGUMENT_RULES = {
+    "power_failure k": lambda: power_failure(Matrix01.cycle(3), 1),
+    "decompose k": lambda: decompose(Matrix01.cycle(3), 1),
+    "compose k": lambda: compose(0, (1,), 0, [], [[]], 1),
+    "is_extremal k": lambda: is_extremal(Matrix01.cycle(3), 0),
+    "verify_characterization order above limit": lambda: verify_characterization(6, 2, allow_order_5=True),
+    "verify_characterization order 5 without flag": lambda: verify_characterization(5, 2),
+    "upper_triangular_check negative order": lambda: upper_triangular_check(-1, 2),
+    "census order 0": lambda: census(0, 2),
+    "census k": lambda: census(3, 1),
+    "census order 5 without flag": lambda: census(5, 2),
+    "max_nnz_census order 0": lambda: max_nnz_census(0, 2),
+    "structural_count negative order": lambda: structural_count(-1, 2),
+    "structural_count k": lambda: structural_count(3, 1),
+    "gamma order 0": lambda: gamma(0),
+    "allowed_boundary_counts order 0": lambda: allowed_boundary_counts(0),
+    "_family_matrices order 0": lambda: _family_matrices(0, 2),
+    "_family_matrices k": lambda: _family_matrices(3, 1),
+}
+
+
+@pytest.mark.parametrize("call", ARGUMENT_RULES.values(), ids=ARGUMENT_RULES.keys())
+def test_argument_rules_raise_argument_range_error(call):
+    # A ValueError subclass, so callers that catch ValueError keep working.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert isinstance(info.value, ArgumentRangeError)
 
 
 class TestWalkAgreement:
