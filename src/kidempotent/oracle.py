@@ -280,16 +280,15 @@ def _sweep(n: int, k: int):
                     mismatches.append(Matrix01(n, rows))
                 continue
             total += 1
-            matrix = Matrix01(n, rows)
-            if d is None or d.original_matrix() != matrix:
-                mismatches.append(matrix)
+            if d is None or d.original_matrix().rows != rows:
+                mismatches.append(Matrix01(n, rows))
             count = sum(row.bit_count() for row in rows)
             if count > best:
                 best = count
-                argmax = [matrix]
+                argmax = [Matrix01(n, rows)]
                 forms = [d]
             elif count == best:
-                argmax.append(matrix)
+                argmax.append(Matrix01(n, rows))
                 forms.append(d)
     return total, best, argmax, forms, mismatches
 

@@ -392,6 +392,9 @@ def _compose_rows(
     y_rows: Sequence[int],
     k: int,
 ) -> Matrix01:
+    """:func:`compose` on bit-packed rows. Only the core points whose
+    predecessor has a nonzero Y row add to X P^T Y, so X is masked to them.
+    """
     _require_k(k)
     if source_count < 0 or sink_count < 0:
         raise ValueError("block sizes must be non-negative")
@@ -413,19 +416,21 @@ def _compose_rows(
             raise ValueError("cycle block row exceeds sink width")
 
     n = source_count + m + sink_count
-    z_rows = _corner_rows(_canonical_pred(cycle_lengths), x_rows, y_rows)
-
-    rows = []
-    for i in range(source_count):
-        rows.append((x_rows[i] << source_count) | (z_rows[i] << (source_count + m)))
+    cycle_rows = []
+    pred = [0] * m
+    live = 0
     offset = 0
     for length in cycle_lengths:
         for t in range(length):
             succ = offset + (t + 1) % length
-            rows.append((1 << (source_count + succ)) | (y_rows[offset + t] << (source_count + m)))
+            pred[succ] = offset + t
+            if y_rows[offset + t]:
+                live |= 1 << succ
+            cycle_rows.append((1 << (source_count + succ)) | (y_rows[offset + t] << (source_count + m)))
         offset += length
-    rows.extend([0] * sink_count)
-    return Matrix01(n, tuple(rows))
+    z_rows = _corner_rows(pred, [row & live for row in x_rows], y_rows)
+    rows = [(x << source_count) | (z << (source_count + m)) for x, z in zip(x_rows, z_rows)]
+    return Matrix01(n, (*rows, *cycle_rows) + (0,) * sink_count)
 
 
 def compose(
@@ -484,7 +489,7 @@ def serialize_decomposition(d: CanonicalDecomposition) -> str:
 
 def _parse_int(value: str, what: str) -> int:
     if not value.isascii() or not value.isdigit() or (len(value) > 1 and value[0] == "0"):
-        raise DecompositionFormatError(f"bad {what} value {value!r}")
+        raise DecompositionFormatError(f"bad {what} value {value[:20]!r} (length {len(value)})")
     try:
         return int(value)
     except ValueError:  # longer than the interpreter's int() digit limit

@@ -294,6 +294,22 @@ def test_argument_errors_exit_two_with_the_library_message(argv, stdin, call):
     assert err == f"{info.value}\n"
 
 
+# A malformed field far longer than a message: the order line of a matrix, the k field of a decomposition.
+LONG_FIELDS = [
+    (["check", "--k", "2"], "1x" * 50000 + "\n"),
+    (["check", "--k", "2"], "\x7f" * 100000 + "\n"),
+    (["compose", "-"], "n=3\nk=" + "x" * 60000 + "\n"),
+    (["compose", "-"], "n=" + "\x01" * 60000 + "\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", LONG_FIELDS, ids=["order", "order_control", "k", "n_control"])
+def test_long_malformed_field_gives_a_short_message(argv, stdin):
+    code, out, err = run_cli_bytes(argv, stdin.encode())
+    assert (code, out) == (2, "")
+    assert err.startswith("format error: bad ") and len(err.encode()) < 200
+
+
 class TestArbitraryBytes:
     @settings(max_examples=150, deadline=None)
     @given(input_bytes(), st.sampled_from(READERS))

@@ -147,6 +147,30 @@ class TestCorePeel:
         m = data.draw(st.sampled_from(PEEL_EXPONENTS))
         assert _sat_power_rows(rows, m) == plain_power(rows, m)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_functional_core_matches_plain_power(self, data):
+        """Cores with at most one core bit per row, powered as an index map."""
+        n = data.draw(st.integers(1, 9))
+        roles = [data.draw(st.sampled_from("source core sink".split())) for _ in range(n)]
+        core = [v for v in range(n) if roles[v] == "core"]
+        sources = sum(1 << v for v in range(n) if roles[v] == "source")
+        sinks = sum(1 << v for v in range(n) if roles[v] == "sink")
+        rows = []
+        for role in roles:
+            # A source row may hit several core bits, so walks can meet again (2+ entries); a
+            # core row has one core bit (a loop, or shared with other rows) or none, plus sink bits.
+            if role == "source":
+                rows.append(data.draw(st.integers(0, (1 << n) - 1)) & ~sources)
+            elif role == "core":
+                target = data.draw(st.sampled_from([None, *core]))
+                rows.append((0 if target is None else 1 << target) | (data.draw(st.integers(0, (1 << n) - 1)) & sinks))
+            else:
+                rows.append(0)
+        rows = tuple(rows)
+        m = data.draw(st.sampled_from(PEEL_EXPONENTS))
+        assert _sat_power_rows(rows, m) == plain_power(rows, m)
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -154,6 +178,8 @@ class TestCorePeel:
             (0,),
             (1,),
             (0b110, 0b100, 0),  # nilpotent: empty core
+            (0b00110, 0b01000, 0b01000, 0b11000, 0),  # core 1, 2 -> 3 -> 3: source 0 reaches 3 and 4 twice
+            (0b010, 0b100, 0),  # core {1} with no core bit
             (0b1110, 0b1100, 0b1000, 0),
             Matrix01.cycle(5).rows,  # all core: no peel
             Matrix01.ones(4).rows,

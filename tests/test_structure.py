@@ -399,6 +399,38 @@ class TestCompose:
             assert d.source_to_sink() == tuple(sum(v << j for j, v in enumerate(row)) for row in corner)
             assert [h.rows[i] >> (r + m) for i in range(r)] == list(d.source_to_sink())
 
+    def test_sparse_y_corner_and_witness(self):
+        """compose masks X to the core points after a nonzero Y row; source_to_sink does not."""
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(300):
+            lengths = [rng.choice([1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 6))]
+            m, r, s = sum(lengths), rng.randint(1, 5), rng.randint(1, 4)
+            y_rows = [0] * m
+            for c in rng.sample(range(m), min(m, 2)):
+                y_rows[c] = rng.getrandbits(s)
+            d = CanonicalDecomposition(
+                n=r + m + s,
+                k=lcm(*lengths) + 1,
+                source_count=r,
+                cycle_lengths=tuple(lengths),
+                sink_count=s,
+                source_to_cycle=tuple(rng.getrandbits(m) for _ in range(r)),
+                cycle_to_sink=tuple(y_rows),
+                sigma=Permutation.identity(r + m + s),
+            )
+            try:
+                corner = d.source_to_sink()
+            except ProductNotZeroOne as unmasked:
+                with pytest.raises(ProductNotZeroOne) as masked:
+                    d.canonical_matrix()
+                assert masked.value.witness == unmasked.witness
+                seen.add("witness")
+            else:
+                assert tuple(row >> (r + m) for row in d.canonical_matrix().rows[:r]) == corner
+                seen.add("corner")
+        assert seen == {"witness", "corner"}
+
     def test_intermediate_power_may_exceed_one(self):
         # corner product is 0-1 here, yet H^2 contains an exact 2
         h = compose(1, [3], 1, [[1, 1, 0]], [[1], [1], [0]], 4)
