@@ -149,7 +149,7 @@ def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
         raise InvalidParams("pattern index outside the cycle block")
 
     x_rows, y_rows = _family_blocks(params)
-    matrix = _compose_rows(r, params.cycle_lengths, s, x_rows, y_rows, k)
+    matrix = Matrix01(n, _compose_rows(r, params.cycle_lengths, s, x_rows, y_rows, k))
     if not is_k_idempotent(matrix, k) or nnz(matrix) != gamma(n):
         raise ValidationFailed("composed matrix misses the density bound")
     return matrix

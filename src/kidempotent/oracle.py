@@ -21,13 +21,20 @@ time. The structural route still runs per matrix: on every matrix up to
 order 4, and on the members only at order 5. There the member count must
 also equal :func:`structural_count`, the number of matrices of the
 canonical form, so the two sets are equal without visiting a non-member.
-``census(4, 2)`` and ``census(4, 7)`` take 0.19-0.25 s, ``census(5, 2)``
-0.32 s and ``census(5, 7)`` 1.47 s on the same machine (fastest of 3).
+Each member is rebuilt from its decomposition as rows and compared with
+its own rows; no matrix object is built except for the reported argmax
+and mismatches. ``census(4, 2)`` and ``census(4, 7)`` take 0.10-0.19 s
+and 0.12-0.21 s, ``census(5, 2)`` 0.21-0.36 s and ``census(5, 7)``
+1.04-1.45 s on the same machine (fastest of 3-5, three runs on a host
+whose speed drifts), against 0.18-0.26, 0.19-0.33, 0.24-0.38 and
+1.11-1.88 s when every index was decoded on its own and every rebuild
+went through two matrix objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial
 from typing import Iterator
 
@@ -253,6 +260,24 @@ class CensusReport:
     argmax: tuple[Matrix01, ...]
 
 
+def _candidates(n: int, k: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield (rows, power-route verdict): every index in order up to order 4, the members above.
+
+    Up to order 4, n * n <= _LANE_BITS, so :func:`_member_blocks` decides
+    all indices in one unpruned block, and the rows come from
+    ``itertools.product`` in index order: the last factor varies
+    fastest, so each tuple reversed puts the fastest row at row 0.
+    """
+    if n <= FREE_ORDER_LIMIT:
+        ((_, _, flags),) = _member_blocks(n, k, 0, 1 << (n * n))
+        for rows, flag in zip(product(range(1 << n), repeat=n), flags):
+            yield rows[::-1], flag == "1"
+    else:
+        for base, _, flags in _member_blocks(n, k, 0, 1 << (n * n)):
+            for x in _ones(flags):
+                yield _index_rows(n, base + x), True
+
+
 def _sweep(n: int, k: int):
     """One pass over all matrices of order n.
 
@@ -265,32 +290,29 @@ def _sweep(n: int, k: int):
     additionally required to reconstruct exactly from their
     decomposition; any failure lands in the mismatch list.
     """
-    exhaustive = n <= FREE_ORDER_LIMIT
     total = 0
     best = -1
-    argmax: list[Matrix01] = []
+    argmax: list[tuple[int, ...]] = []
     forms: list[CanonicalDecomposition | None] = []
     mismatches: list[Matrix01] = []
-    for base, span, flags in _member_blocks(n, k, 0, 1 << (n * n)):
-        for x in range(span) if exhaustive else _ones(flags):
-            rows = _index_rows(n, base + x)
-            d = _decompose_rows(rows, n, k)
-            if not flags or flags[x] != "1":
-                if d is not None:
-                    mismatches.append(Matrix01(n, rows))
-                continue
-            total += 1
-            if d is None or d.original_matrix().rows != rows:
+    for rows, member in _candidates(n, k):
+        d = _decompose_rows(rows, n, k)
+        if not member:
+            if d is not None:
                 mismatches.append(Matrix01(n, rows))
-            count = sum(row.bit_count() for row in rows)
-            if count > best:
-                best = count
-                argmax = [Matrix01(n, rows)]
-                forms = [d]
-            elif count == best:
-                argmax.append(Matrix01(n, rows))
-                forms.append(d)
-    return total, best, argmax, forms, mismatches
+            continue
+        total += 1
+        if d is None or d._original_rows() != rows:
+            mismatches.append(Matrix01(n, rows))
+        count = sum(map(int.bit_count, rows))
+        if count > best:
+            best = count
+            argmax = [rows]
+            forms = [d]
+        elif count == best:
+            argmax.append(rows)
+            forms.append(d)
+    return total, best, [Matrix01(n, rows) for rows in argmax], forms, mismatches
 
 
 def _characterized(n: int, k: int, total: int, mismatches: list[Matrix01]) -> bool:

@@ -32,10 +32,10 @@ from .matrix01 import (
     Matrix01,
     Permutation,
     _parse_row,
-    _relabel_row,
+    _permute_rows,
+    _relabel_rows,
     _sat_power_rows,
     pack_row,
-    permute,
     row_string,
 )
 
@@ -295,8 +295,7 @@ class CanonicalDecomposition:
         """Derived corner block rows, width ``sink_count``."""
         return tuple(_corner_rows(_canonical_pred(self.cycle_lengths), self.source_to_cycle, self.cycle_to_sink))
 
-    def canonical_matrix(self) -> Matrix01:
-        """The composed block matrix, in canonical layout."""
+    def _canonical_rows(self) -> tuple[int, ...]:
         return _compose_rows(
             self.source_count,
             self.cycle_lengths,
@@ -306,9 +305,19 @@ class CanonicalDecomposition:
             self.k,
         )
 
+    def canonical_matrix(self) -> Matrix01:
+        """The composed block matrix, in canonical layout."""
+        rows = self._canonical_rows()
+        return Matrix01(len(rows), rows)
+
+    def _original_rows(self) -> tuple[int, ...]:
+        """The rows of :meth:`original_matrix`: the canonical rows relabeled by sigma."""
+        return _permute_rows(self._canonical_rows(), self.sigma)
+
     def original_matrix(self) -> Matrix01:
         """The matrix this decomposition came from."""
-        return permute(self.canonical_matrix(), self.sigma)
+        rows = self._original_rows()
+        return Matrix01(len(rows), rows)
 
 
 def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposition | None:
@@ -341,8 +350,8 @@ def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposi
         source_count=r,
         cycle_lengths=tuple(len(orbit) for orbit in orbits),
         sink_count=len(sinks),
-        source_to_cycle=tuple(_relabel_row(rows[u] & core, to_canonical) >> r for u in sources),
-        cycle_to_sink=tuple(_relabel_row(rows[w], to_canonical) >> shift for w in cycle_order),
+        source_to_cycle=tuple(x >> r for x in _relabel_rows([rows[u] & core for u in sources], to_canonical)),
+        cycle_to_sink=tuple(y >> shift for y in _relabel_rows(map(rows.__getitem__, cycle_order), to_canonical)),
         sigma=Permutation(tuple(to_canonical)),
     )
 
@@ -391,8 +400,10 @@ def _compose_rows(
     x_rows: Sequence[int],
     y_rows: Sequence[int],
     k: int,
-) -> Matrix01:
-    """:func:`compose` on bit-packed rows. Only the core points whose
+) -> tuple[int, ...]:
+    """The rows of :func:`compose`, from bit-packed X and Y rows.
+
+    Every composed matrix is built here. Only the core points whose
     predecessor has a nonzero Y row add to X P^T Y, so X is masked to them.
     """
     _require_k(k)
@@ -415,7 +426,6 @@ def _compose_rows(
         if not 0 <= row < 1 << sink_count:
             raise ValueError("cycle block row exceeds sink width")
 
-    n = source_count + m + sink_count
     cycle_rows = []
     pred = [0] * m
     live = 0
@@ -430,7 +440,7 @@ def _compose_rows(
         offset += length
     z_rows = _corner_rows(pred, [row & live for row in x_rows], y_rows)
     rows = [(x << source_count) | (z << (source_count + m)) for x, z in zip(x_rows, z_rows)]
-    return Matrix01(n, (*rows, *cycle_rows) + (0,) * sink_count)
+    return (*rows, *cycle_rows) + (0,) * sink_count
 
 
 def compose(
@@ -461,7 +471,8 @@ def compose(
         if len(row) != sink_count:
             raise ValueError("cycle block row width mismatch")
         y_rows.append(pack_row(row))
-    return _compose_rows(source_count, cycle_lengths, sink_count, x_rows, y_rows, k)
+    rows = _compose_rows(source_count, cycle_lengths, sink_count, x_rows, y_rows, k)
+    return Matrix01(len(rows), rows)
 
 
 def serialize_decomposition(d: CanonicalDecomposition) -> str:

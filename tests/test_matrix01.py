@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_decomposition
+from kidempotent import matrix01
 from kidempotent.matrix01 import (
     Matrix01,
     MatrixFormatError,
@@ -15,6 +16,7 @@ from kidempotent.matrix01 import (
     nnz,
     _parse_row,
     _power,
+    _relabel_rows,
     _sat_mul_rows,
     _sat_power_rows,
     pack_row,
@@ -122,6 +124,62 @@ class TestPermutation:
         for i in range(n):
             for j in range(n):
                 assert b.entry(i, j) == a.entry(sigma(i), sigma(j))
+
+
+def relabel_reference(bits, position):
+    """Bit v of ``bits`` moved to bit position[v], one bit at a time."""
+    return sum(((bits >> v) & 1) << p for v, p in enumerate(position))
+
+
+# Widths either side of 9, the narrowest at which a full row is gathered.
+RELABEL_WIDTHS = [0, 1, 2, 8, 9, 10, 64, 400, 1000]
+
+
+class TestRelabelKernel:
+    """Both branches of the relabel kernel, forced and as chosen, against the reference."""
+
+    @staticmethod
+    def draw_rows(data, n):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        position = list(range(n))
+        rng.shuffle(position)
+        # densities from empty to full, so both sides of the switch occur
+        rows = [sum(1 << v for v in rng.sample(range(n), rng.randint(0, n) >> shift)) for shift in range(4)]
+        rows += [0, (1 << n) - 1, rng.getrandbits(n) if n else 0]
+        return rows, position
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_branches_match_reference(self, data):
+        n = data.draw(st.sampled_from(RELABEL_WIDTHS))
+        rows, position = self.draw_rows(data, n)
+        expected = [relabel_reference(row, position) for row in rows]
+        assert _relabel_rows(rows, position) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix01, "_WALK_BITS", -1)  # every row gathered
+            mp.setattr(matrix01, "_WALK_COLUMNS_PER_BIT", 1 << 20)
+            assert _relabel_rows(rows, position) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix01, "_gather_relabel", None)  # every row walked
+            mp.setattr(matrix01, "_WALK_BITS", n)
+            assert _relabel_rows(rows, position) == expected
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_narrow_rows_are_walked(self, monkeypatch, n):
+        # a census relabels rows of width 8 or less, always by the walk
+        monkeypatch.setattr(matrix01, "_gather_relabel", None)
+        position = list(range(n))[::-1]
+        rows = [(1 << n) - 1, (1 << n) >> 1, 0]
+        assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+
+    def test_dense_rows_are_gathered(self, monkeypatch):
+        calls = []
+        gather = matrix01._gather_relabel
+        monkeypatch.setattr(matrix01, "_gather_relabel", lambda position: calls.append(1) or gather(position))
+        position = list(range(400))[::-1]
+        rows = [(1 << 400) - 1, 1 << 7, (1 << 400) - 2, 0]
+        assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+        assert calls == [1]  # one getter per call, built on the first dense row
 
 
 def plain_power(rows, m):
@@ -322,3 +380,23 @@ class TestTextFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(MatrixFormatError):
             from_text(text)
+
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda row: row[:-1],  # short
+            lambda row: row + "0",  # long
+            *(lambda row, c=c: c + row[1:] for c in "2_+ \r١"),
+            *(lambda row, c=c: row[:-1] + c for c in "2_+ \r١"),
+        ],
+    )
+    def test_bad_row_message_equals_row_by_row_parse(self, n, bad):
+        rng = random.Random(n)
+        lines = [str(n), *(row_string(rng.getrandbits(n), n) for _ in range(n))]
+        for i in {1, n // 2 + 1, n}:
+            broken = lines[:i] + [bad(lines[i])] + lines[i + 1 :]
+            first = next(j for j, line in enumerate(broken[1:]) if _parse_row(line, n) is None)
+            with pytest.raises(MatrixFormatError) as info:
+                from_text("\n".join(broken) + "\n")
+            assert str(info.value) == f"bad row on line {first + 2}"

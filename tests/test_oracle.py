@@ -229,6 +229,44 @@ def golden_lines():
     return [tuple(int(v) for v in line.split()) for line in lines]
 
 
+# argmax_count of census(n, k) on every golden line
+ARGMAX_COUNTS = {
+    3: {2: 12, 3: 18, 4: 12, 5: 18, 6: 12, 7: 18},
+    4: {2: 92, 3: 176, 4: 108, 5: 176, 6: 92, 7: 192, 13: 192, 61: 192, 721: 192, 720721: 192},
+    5: {2: 170, 3: 350, 4: 210, 5: 350, 6: 170, 7: 390, 13: 390, 61: 390},
+}
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_decomposes_every_index_in_order(self, monkeypatch, n):
+        seen = []
+        decompose_rows = oracle._decompose_rows
+
+        def record(rows, n, k):
+            seen.append(rows)
+            return decompose_rows(rows, n, k)
+
+        monkeypatch.setattr(oracle, "_decompose_rows", record)
+        oracle._sweep(n, 3)
+        assert seen == [oracle._index_rows(n, x) for x in range(1 << (n * n))]
+
+    @pytest.mark.parametrize("n,k,total", golden_lines())
+    def test_census_text(self, n, k, total):
+        g = gamma(n)
+        assert serialize_census(census(n, k, allow_order_5=True)) == (
+            f"n={n}\nk={k}\ntotal_k_idempotent={total}\ngamma={g}\nmax_nnz={g}\n"
+            f"argmax_count={ARGMAX_COUNTS[n][k]}\nmax_density_ok=true\ncharacterization_ok=true\n"
+            "upper_triangular_ok=true\nmismatches=0\n"
+        )
+
+    def test_member_that_does_not_rebuild_is_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(structure.CanonicalDecomposition, "_original_rows", lambda d: ())
+        report = census(3, 2)
+        assert report.mismatches == tuple(enumerate_k_idempotent(3, 2))
+        assert not report.characterization_ok
+
+
 # n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route
 # gives 96,608 at k = 2 and 626,263 at k = 7 over all 2^36 matrices
 COUNTS_N6 = [96_608, 405_863, 309_208, 491_813, 105_824, 626_263]

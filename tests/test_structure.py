@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -10,6 +11,7 @@ from kidempotent.digraph import ComponentKind, Digraph, sccs
 from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute, unpack_row
 from kidempotent.structure import (
     _analyze_rows,
+    ArgumentRangeError,
     CanonicalDecomposition,
     CycleLengthInvalid,
     DecompositionFormatError,
@@ -437,6 +439,76 @@ class TestCompose:
         assert is_k_idempotent(h, 4)
         assert max(max(row) for row in exact_power(h, 2)) == 2
         assert exact_power(h, 4) == h.to_lists()
+
+
+class TestRebuild:
+    """The rows-level rebuild equals permuting the composed canonical matrix by sigma."""
+
+    @staticmethod
+    def check(d):
+        expected = permute(d.canonical_matrix(), d.sigma).rows
+        assert d._original_rows() == expected
+        assert d.original_matrix() == Matrix01(d.n, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(2, 13), st.integers(0, 2**32))
+    def test_random_decompositions(self, n, k, seed):
+        self.check(random_decomposition(random.Random(seed), n, k))
+
+    @staticmethod
+    def planted(rng, r, lengths, s):
+        """Random X; one 1 a Y column, at a random cycle row, keeps the corner 0-1."""
+        m = sum(lengths)
+        mapping = list(range(r + m + s))
+        rng.shuffle(mapping)
+        y_rows = [0] * m
+        for col in range(s if m else 0):
+            y_rows[rng.randrange(m)] |= 1 << col
+        return CanonicalDecomposition(
+            n=r + m + s,
+            k=lcm(*lengths) + 1,
+            source_count=r,
+            cycle_lengths=tuple(lengths),
+            sink_count=s,
+            source_to_cycle=tuple(rng.getrandbits(m) if m else 0 for _ in range(r)),
+            cycle_to_sink=tuple(y_rows),
+            sigma=Permutation(tuple(mapping)),
+        )
+
+    @pytest.mark.parametrize(
+        "r, lengths, s",
+        [(0, (), 0), (1, (), 0), (0, (1,), 0), (0, (), 1), (2, (1, 2), 0), (0, (1, 2), 3), (0, (3,), 0), (2, (), 3)],
+    )
+    def test_empty_blocks(self, r, lengths, s):
+        self.check(self.planted(random.Random(31), r, lengths, s))
+
+    @pytest.mark.parametrize("n", [200, 400, 1000])
+    def test_dense_orders(self, n):
+        rng = random.Random(n)
+        lengths = []
+        while sum(lengths) < n // 2:
+            lengths.append(rng.choice([1, 2, 3, 4, 5, 6, 8, 16]))
+        self.check(self.planted(rng, n // 4, lengths, n - n // 4 - sum(lengths)))
+
+    def test_errors_are_those_of_compose(self):
+        d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
+        broken = {
+            ArgumentRangeError: replace(d, k=1),
+            CycleLengthInvalid: replace(d, cycle_lengths=(2,), source_to_cycle=(1,), cycle_to_sink=(1, 0)),
+            ProductNotZeroOne: replace(d, n=4, cycle_lengths=(1, 1), source_to_cycle=(3,), cycle_to_sink=(1, 1),
+                                       sigma=Permutation.identity(4)),
+            ValueError: replace(d, source_to_cycle=()),
+        }
+        for kind, bad in broken.items():
+            with pytest.raises(kind) as composed:
+                bad.canonical_matrix()
+            for rebuild in (bad._original_rows, bad.original_matrix):
+                with pytest.raises(kind) as rebuilt:
+                    rebuild()
+                assert type(rebuilt.value) is type(composed.value) and str(rebuilt.value) == str(composed.value)
+                assert getattr(rebuilt.value, "witness", None) == getattr(composed.value, "witness", None)
+        with pytest.raises(ValueError, match="permutation order differs from matrix order"):
+            replace(d, sigma=Permutation.identity(4)).original_matrix()
 
 
 class TestIdempotencyIndex:
