@@ -21,14 +21,17 @@ time. The structural route still runs per matrix: on every matrix up to
 order 4, and on the members only at order 5. There the member count must
 also equal :func:`structural_count`, the number of matrices of the
 canonical form, so the two sets are equal without visiting a non-member.
-Each member is rebuilt from its decomposition as rows and compared with
-its own rows; no matrix object is built except for the reported argmax
-and mismatches. ``census(4, 2)`` and ``census(4, 7)`` take 0.10-0.19 s
-and 0.12-0.21 s, ``census(5, 2)`` 0.21-0.36 s and ``census(5, 7)``
-1.04-1.45 s on the same machine (fastest of 3-5, three runs on a host
-whose speed drifts), against 0.18-0.26, 0.19-0.33, 0.24-0.38 and
-1.11-1.88 s when every index was decoded on its own and every rebuild
-went through two matrix objects.
+Each member is relabeled once into canonical order, and the rows
+composed from its X and Y blocks are compared with its canonical rows;
+no matrix object is built except for the reported argmax and
+mismatches, and no decomposition object except for the argmax.
+``census(4, 2)`` and ``census(4, 7)`` take 0.09-0.15 s and 0.10-0.16 s,
+``census(5, 2)`` 0.21-0.22 s and ``census(5, 7)`` 1.11-1.17 s on the
+same machine (fastest of 24-32 calls at order 4 and of 5 at order 5,
+interleaved with the parent in one process, over two to four runs on a
+host whose speed drifts), against 0.09-0.16, 0.11-0.17, 0.27-0.29 and
+1.50-1.59 s when each member was decomposed into an object by two
+gathers and its rebuild relabeled back.
 """
 
 from __future__ import annotations
@@ -40,7 +43,15 @@ from typing import Iterator
 
 from .extremal import gamma, matches_maximum_form
 from .matrix01 import Matrix01, _sat_member_lanes, _sat_power_rows, to_text
-from .structure import ArgumentRangeError, CanonicalDecomposition, _decompose_rows, _require_k, _rows_k_idempotent
+from .structure import (
+    ArgumentRangeError,
+    CanonicalDecomposition,
+    _canonical_form,
+    _compose_rows,
+    _decomposition,
+    _require_k,
+    _rows_k_idempotent,
+)
 
 __all__ = [
     "CensusReport",
@@ -287,32 +298,40 @@ def _sweep(n: int, k: int):
     every index; the structural route checks its verdict on every index
     up to order 4, and on the members at order 5, where
     :func:`_characterized` closes the check by a count. Members are
-    additionally required to reconstruct exactly from their
-    decomposition; any failure lands in the mismatch list.
+    additionally required to reconstruct exactly: each accepted member's
+    blocks are composed by :func:`_compose_rows` and compared with its
+    canonical rows, which is the same as comparing the rebuilt matrix
+    with the member, as the relabel is a bijection. Any failure lands in
+    the mismatch list. Decomposition objects are built for the final
+    argmax only.
     """
     total = 0
     best = -1
     argmax: list[tuple[int, ...]] = []
-    forms: list[CanonicalDecomposition | None] = []
+    forms: list[tuple | None] = []
     mismatches: list[Matrix01] = []
     for rows, member in _candidates(n, k):
-        d = _decompose_rows(rows, n, k)
+        form = _canonical_form(rows, n, k)
         if not member:
-            if d is not None:
+            if form is not None:
                 mismatches.append(Matrix01(n, rows))
             continue
         total += 1
-        if d is None or d._original_rows() != rows:
+        # form is (r, cycle_lengths, s, X, Y, canonical_rows, to_canonical)
+        if form is None or _compose_rows(*form[:5], k) != form[5]:
             mismatches.append(Matrix01(n, rows))
         count = sum(map(int.bit_count, rows))
         if count > best:
             best = count
             argmax = [rows]
-            forms = [d]
+            forms = [form]
         elif count == best:
             argmax.append(rows)
-            forms.append(d)
-    return total, best, [Matrix01(n, rows) for rows in argmax], forms, mismatches
+            forms.append(form)
+    decompositions: list[CanonicalDecomposition | None] = [
+        None if form is None else _decomposition(form, n, k) for form in forms
+    ]
+    return total, best, [Matrix01(n, rows) for rows in argmax], decompositions, mismatches
 
 
 def _characterized(n: int, k: int, total: int, mismatches: list[Matrix01]) -> bool:

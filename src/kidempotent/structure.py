@@ -17,8 +17,9 @@ The certification checks, in the original labels, that A cut to its
 core (the vertices with both an in-arc and an out-arc) is a permutation
 matrix, which is P, and that the source-to-sink arcs equal X P^T Y:
 every arc u -> w from a source to a sink comes from exactly one core
-vertex c with u -> c and pred(c) -> w. Nothing is relabeled until a
-matrix is accepted and its block data is asked for.
+vertex c with u -> c and pred(c) -> w. Nothing is relabeled before a
+matrix is accepted; an accepted one is relabeled once, into canonical
+order, and its X and Y blocks are read off the relabeled rows.
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
 
     Sources and sinks are ascending; the orbits are sorted by (length,
     smallest vertex), each starting at its smallest vertex and following
-    arcs. Together that is the canonical order of :func:`_decompose_rows`.
+    arcs. Together that is the canonical order into which
+    :func:`_canonical_form` relabels an accepted matrix, once.
     """
     has_in = 0
     has_out = 0
@@ -310,50 +312,76 @@ class CanonicalDecomposition:
         rows = self._canonical_rows()
         return Matrix01(len(rows), rows)
 
-    def _original_rows(self) -> tuple[int, ...]:
-        """The rows of :meth:`original_matrix`: the canonical rows relabeled by sigma."""
-        return _permute_rows(self._canonical_rows(), self.sigma)
-
     def original_matrix(self) -> Matrix01:
-        """The matrix this decomposition came from."""
-        rows = self._original_rows()
+        """The matrix this decomposition came from: the canonical rows relabeled by sigma."""
+        rows = _permute_rows(self._canonical_rows(), self.sigma)
         return Matrix01(len(rows), rows)
 
 
-def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposition | None:
-    """Block data from the structural route, or None when it rejects at k.
+def _canonical_form(rows: tuple[int, ...], n: int, k: int):
+    """The accepted matrix relabeled once into canonical order, or None when rejected at k.
 
-    The X and Y blocks are gathered only once the certification has
-    passed and every cycle length divides k-1: each source row's core
-    bits and each cycle row's sink bits move to their canonical
-    positions, so the corner bits are never visited.
+    Runs the certification of :func:`_analyze_rows` and the cycle-length
+    test, then moves all n rows, and every bit in them, into the order
+    sources, orbits, sinks by one :func:`_relabel_rows` call. The X and Y
+    blocks are read off the canonical rows by shifts and masks: a source
+    row holds its X row above bit r, a cycle row its one core bit below
+    bit r + m and its Y row above it.
+
+    Returns the plain tuple (r, cycle_lengths, s, X, Y, canonical_rows,
+    to_canonical), where ``to_canonical[v]`` is the canonical position of
+    the original index v. The sources and sinks are the non-core
+    vertices, each listed once, and the orbits cover the core once, so
+    ``to_canonical`` is a bijection and the canonical rows are the rows
+    of ``permute(A, Permutation(order))``, with ``order`` the original
+    indices listed in canonical order.
     """
     st = _analyze_rows(rows, n)
     if st is None:
         return None
     sources, orbits, sinks = st
-    if any((k - 1) % len(orbit) for orbit in orbits):
-        return None
-    cycle_order = [v for orbit in orbits for v in orbit]
-    to_canonical = [0] * n
-    for pos, v in enumerate([*sources, *cycle_order, *sinks]):
-        to_canonical[v] = pos
-    core = 0
-    for v in cycle_order:
-        core |= 1 << v
     r = len(sources)
-    # A cycle row's one core bit lands below r + m and is shifted out.
-    shift = r + len(cycle_order)
+    order = list(sources)
+    for orbit in orbits:
+        if (k - 1) % len(orbit):
+            return None
+        order += orbit
+    shift = len(order)
+    order += sinks
+    to_canonical = [0] * n
+    for pos, v in enumerate(order):
+        to_canonical[v] = pos
+    canonical_rows = tuple(_relabel_rows(map(rows.__getitem__, order), to_canonical))
+    cycle_mask = (1 << (shift - r)) - 1
+    x_rows = tuple([(row >> r) & cycle_mask for row in canonical_rows[:r]])
+    y_rows = tuple([row >> shift for row in canonical_rows[r:shift]])
+    return r, tuple(map(len, orbits)), n - shift, x_rows, y_rows, canonical_rows, to_canonical
+
+
+def _decomposition(form, n: int, k: int) -> CanonicalDecomposition:
+    """The :class:`CanonicalDecomposition` of a tuple from :func:`_canonical_form`."""
+    r, cycle_lengths, s, x_rows, y_rows, _, to_canonical = form
     return CanonicalDecomposition(
         n=n,
         k=k,
         source_count=r,
-        cycle_lengths=tuple(len(orbit) for orbit in orbits),
-        sink_count=len(sinks),
-        source_to_cycle=tuple(x >> r for x in _relabel_rows([rows[u] & core for u in sources], to_canonical)),
-        cycle_to_sink=tuple(y >> shift for y in _relabel_rows(map(rows.__getitem__, cycle_order), to_canonical)),
+        cycle_lengths=cycle_lengths,
+        sink_count=s,
+        source_to_cycle=x_rows,
+        cycle_to_sink=y_rows,
         sigma=Permutation(tuple(to_canonical)),
     )
+
+
+def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposition | None:
+    """Block data from the structural route, or None when it rejects at k.
+
+    The certification, the cycle-length test and the one relabel are
+    those of :func:`_canonical_form`; this adds the validated
+    :class:`Permutation` and the decomposition object.
+    """
+    form = _canonical_form(rows, n, k)
+    return None if form is None else _decomposition(form, n, k)
 
 
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:

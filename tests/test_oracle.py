@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kidempotent.matrix01 import (
     Matrix01,
+    Permutation,
     _lane_mul,
     _lane_patterns,
     _sat_member_lanes,
@@ -241,13 +242,13 @@ class TestCandidates:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sweep_decomposes_every_index_in_order(self, monkeypatch, n):
         seen = []
-        decompose_rows = oracle._decompose_rows
+        canonical_form = oracle._canonical_form
 
         def record(rows, n, k):
             seen.append(rows)
-            return decompose_rows(rows, n, k)
+            return canonical_form(rows, n, k)
 
-        monkeypatch.setattr(oracle, "_decompose_rows", record)
+        monkeypatch.setattr(oracle, "_canonical_form", record)
         oracle._sweep(n, 3)
         assert seen == [oracle._index_rows(n, x) for x in range(1 << (n * n))]
 
@@ -261,10 +262,69 @@ class TestCandidates:
         )
 
     def test_member_that_does_not_rebuild_is_a_mismatch(self, monkeypatch):
-        monkeypatch.setattr(structure.CanonicalDecomposition, "_original_rows", lambda d: ())
+        monkeypatch.setattr(oracle, "_compose_rows", lambda *blocks: ())
         report = census(3, 2)
         assert report.mismatches == tuple(enumerate_k_idempotent(3, 2))
         assert not report.characterization_ok
+
+
+def corrupt_corner(r, m, s, rows):
+    if r and s:
+        return (rows[0] ^ 1 << (r + m), *rows[1:])
+
+
+def corrupt_cycle_row(r, m, s, rows):
+    if m >= 2:
+        return (*rows[:r], rows[r] | ((1 << m) - 1) << r, *rows[r + 1 :])
+
+
+def corrupt_sink_row(r, m, s, rows):
+    if s:
+        return (*rows[:-1], rows[-1] | 1)
+
+
+def corrupt_source_row(r, m, s, rows):
+    if r:
+        return (rows[0] | 1, *rows[1:])
+
+
+class TestEveryBlockCompared:
+    """A member whose canonical rows differ from its composed blocks anywhere is a mismatch."""
+
+    @pytest.mark.parametrize("corrupt", [corrupt_corner, corrupt_cycle_row, corrupt_sink_row, corrupt_source_row])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_corrupted_block(self, monkeypatch, corrupt, k):
+        canonical_form = oracle._canonical_form
+        corrupted = []
+
+        def corrupt_first(rows, n, k):
+            form = canonical_form(rows, n, k)
+            if form is None or corrupted:
+                return form
+            r, lengths, s, x_rows, y_rows, canonical_rows, to_canonical = form
+            bad = corrupt(r, sum(lengths), s, canonical_rows)
+            if bad is None:
+                return form
+            corrupted.append(Matrix01(n, rows))
+            return r, lengths, s, x_rows, y_rows, bad, to_canonical
+
+        monkeypatch.setattr(oracle, "_canonical_form", corrupt_first)
+        report = census(3, k)
+        assert len(corrupted) == 1
+        assert report.mismatches == tuple(corrupted)
+        assert not report.characterization_ok
+
+
+class TestArgmaxObjects:
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 7), (4, 3)])
+    def test_permutations_only_for_argmax(self, monkeypatch, n, k):
+        built = []
+        post_init = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p) or post_init(p))
+        total, _, argmax, forms, _ = oracle._sweep(n, k)
+        assert len(built) == len(argmax) == len(forms) < total
+        assert [d.sigma for d in forms] == built
+        assert [d.original_matrix() for d in forms] == argmax
 
 
 # n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route
@@ -318,9 +378,9 @@ class TestCountClosesOrderFive:
         # order 4 is closed by visiting every non-member instead: one the
         # structural route accepts is a mismatch
         full = (15, 15, 15, 15)
-        decompose_rows = oracle._decompose_rows
+        canonical_form = oracle._canonical_form
         monkeypatch.setattr(
-            oracle, "_decompose_rows", lambda rows, n, k: object() if rows == full else decompose_rows(rows, n, k)
+            oracle, "_canonical_form", lambda rows, n, k: object() if rows == full else canonical_form(rows, n, k)
         )
         report = census(4, 2)
         assert not report.characterization_ok

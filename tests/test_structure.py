@@ -11,6 +11,7 @@ from kidempotent.digraph import ComponentKind, Digraph, sccs
 from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute, unpack_row
 from kidempotent.structure import (
     _analyze_rows,
+    _canonical_form,
     ArgumentRangeError,
     CanonicalDecomposition,
     CycleLengthInvalid,
@@ -441,14 +442,61 @@ class TestCompose:
         assert exact_power(h, 4) == h.to_lists()
 
 
+def relabel_bits(bits, position):
+    """Every set bit v of ``bits`` moved to bit position[v], one bit at a time."""
+    out = 0
+    for v, p in enumerate(position):
+        if (bits >> v) & 1:
+            out |= 1 << p
+    return out
+
+
+def two_gather_blocks(rows, n):
+    """X and Y as two separate gathers read them, before the one relabel.
+
+    Each source row cut to the core, and each cycle row whole, is
+    relabeled into canonical order and shifted down to its block.
+    """
+    sources, orbits, sinks = _analyze_rows(rows, n)
+    cycle_order = [v for orbit in orbits for v in orbit]
+    to_canonical = [0] * n
+    for pos, v in enumerate([*sources, *cycle_order, *sinks]):
+        to_canonical[v] = pos
+    core = sum(1 << v for v in cycle_order)
+    r = len(sources)
+    shift = r + len(cycle_order)
+    x_rows = tuple(relabel_bits(rows[u] & core, to_canonical) >> r for u in sources)
+    y_rows = tuple(relabel_bits(rows[v], to_canonical) >> shift for v in cycle_order)
+    return x_rows, y_rows
+
+
+def check_canonical_form(a, k):
+    """_canonical_form against the power route, permute and the two-gather blocks."""
+    form = _canonical_form(a.rows, a.n, k)
+    assert (form is not None) == is_k_idempotent(a, k)
+    if form is None:
+        return
+    r, lengths, s, x_rows, y_rows, canonical_rows, to_canonical = form
+    assert sorted(to_canonical) == list(range(a.n))
+    sources, orbits, sinks = _analyze_rows(a.rows, a.n)
+    order = (*sources, *(v for orbit in orbits for v in orbit), *sinks)
+    assert [to_canonical[v] for v in order] == list(range(a.n))
+    assert canonical_rows == permute(a, Permutation(order)).rows
+    assert (r, lengths, s) == (len(sources), tuple(map(len, orbits)), len(sinks))
+    assert (x_rows, y_rows) == two_gather_blocks(a.rows, a.n)
+
+
 class TestRebuild:
-    """The rows-level rebuild equals permuting the composed canonical matrix by sigma."""
+    """The rebuild equals permuting the composed canonical matrix by sigma.
+
+    Each rebuilt member also goes through :func:`check_canonical_form`.
+    """
 
     @staticmethod
     def check(d):
-        expected = permute(d.canonical_matrix(), d.sigma).rows
-        assert d._original_rows() == expected
-        assert d.original_matrix() == Matrix01(d.n, expected)
+        a = d.original_matrix()
+        assert a == Matrix01(d.n, permute(d.canonical_matrix(), d.sigma).rows)
+        check_canonical_form(a, d.k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 12), st.integers(2, 13), st.integers(0, 2**32))
@@ -502,13 +550,22 @@ class TestRebuild:
         for kind, bad in broken.items():
             with pytest.raises(kind) as composed:
                 bad.canonical_matrix()
-            for rebuild in (bad._original_rows, bad.original_matrix):
-                with pytest.raises(kind) as rebuilt:
-                    rebuild()
-                assert type(rebuilt.value) is type(composed.value) and str(rebuilt.value) == str(composed.value)
-                assert getattr(rebuilt.value, "witness", None) == getattr(composed.value, "witness", None)
+            with pytest.raises(kind) as rebuilt:
+                bad.original_matrix()
+            assert type(rebuilt.value) is type(composed.value) and str(rebuilt.value) == str(composed.value)
+            assert getattr(rebuilt.value, "witness", None) == getattr(composed.value, "witness", None)
         with pytest.raises(ValueError, match="permutation order differs from matrix order"):
             replace(d, sigma=Permutation.identity(4)).original_matrix()
+
+
+class TestCanonicalForm:
+    """One relabel into canonical order; composed, empty-block and dense members are in TestRebuild."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 6), st.integers(2, 13))
+    def test_random_matrices(self, data, n, k):
+        rows = tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+        check_canonical_form(Matrix01(n, rows), k)
 
 
 class TestIdempotencyIndex:
