@@ -20,12 +20,16 @@ family that attains the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
+from typing import Sequence
 
 from .matrix01 import Matrix01, Permutation, nnz
 from .structure import (
     ArgumentRangeError,
     CanonicalDecomposition,
+    _build_rows,
     _compose_rows,
     _require_k,
     is_k_idempotent,
@@ -164,41 +168,32 @@ def is_extremal(a: Matrix01, k: int) -> bool:
 
 
 def matches_maximum_form(d: CanonicalDecomposition) -> bool:
-    """Whether decomposed block data fits variant A or variant B.
+    """Whether decomposed block data fits variant A or variant B; see :func:`_fits_maximum_form`."""
+    rows = _build_rows(d.source_count, d.cycle_lengths, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
+    return _fits_maximum_form(d.source_count, d.sink_count, d.source_to_cycle, d.cycle_to_sink, rows)
 
-    Empty blocks satisfy their conditions vacuously, which covers the
-    degenerate corners with no sources or no sinks.
+
+def _fits_maximum_form(r: int, s: int, x_rows: Sequence[int], y_rows: Sequence[int], rows: Sequence[int]) -> bool:
+    """Whether the blocks X and Y, composed into the canonical ``rows``, fit variant A or B.
+
+    The corner X P^T Y is read off the composed rows, where source row i
+    holds corner row i above bit r + m; it is the value of
+    :meth:`CanonicalDecomposition.source_to_sink`. Every Y column carries
+    exactly one 1 when the Y rows cover all s columns with s ones in
+    all. Empty blocks satisfy their conditions vacuously, which covers
+    the degenerate corners with no sources or no sinks.
     """
-    n = d.n
-    if n < 1:
+    m = len(y_rows)
+    if r + m + s < 1:
         return False
-    allowed = allowed_boundary_counts(n)
-    m = d.cycle_total
-    full_cycle = (1 << m) - 1
-    full_sink = (1 << d.sink_count) - 1
-    corner_ones = all(row == full_sink for row in d.source_to_sink())
-    if (
-        d.source_count in allowed
-        and corner_ones
-        and all(row == full_cycle for row in d.source_to_cycle)
-    ):
-        column_counts = [0] * d.sink_count
-        for row in d.cycle_to_sink:
-            bits = row
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                column_counts[low.bit_length() - 1] += 1
-        if all(c == 1 for c in column_counts):
+    allowed = allowed_boundary_counts(r + m + s)
+    full_sink = (1 << s) - 1
+    if any(row >> (r + m) != full_sink for row in rows[:r]):
+        return False
+    if r in allowed and all(row == (1 << m) - 1 for row in x_rows):
+        if reduce(or_, y_rows, 0) == full_sink and sum(map(int.bit_count, y_rows)) == s:
             return True
-    if (
-        d.sink_count in allowed
-        and corner_ones
-        and all(row == full_sink for row in d.cycle_to_sink)
-        and all(row.bit_count() == 1 for row in d.source_to_cycle)
-    ):
-        return True
-    return False
+    return s in allowed and all(row == full_sink for row in y_rows) and all(row.bit_count() == 1 for row in x_rows)
 
 
 def _cycle_multisets(m: int, k: int) -> list[tuple[int, ...]]:

@@ -18,37 +18,37 @@ search skips every block whose fixed index bits already force A^k != A
 3.11, against 0.25 s and 1.33 s without the search and the sparse lane
 product (measured side by side) and 183 s and 726 s one matrix at a
 time. The structural route still runs per matrix: on every matrix up to
-order 4, and on the members only at order 5. There the member count must
-also equal :func:`structural_count`, the number of matrices of the
+order 4, as one ``map`` whose accepted index set is compared with the
+member set, and on the members only at order 5. There the member count
+must also equal :func:`structural_count`, the number of matrices of the
 canonical form, so the two sets are equal without visiting a non-member.
-Each member is relabeled once into canonical order, and the rows
-composed from its X and Y blocks are compared with its canonical rows;
-no matrix object is built except for the reported argmax and
-mismatches, and no decomposition object except for the argmax.
-``census(4, 2)`` and ``census(4, 7)`` take 0.09-0.15 s and 0.10-0.16 s,
-``census(5, 2)`` 0.21-0.22 s and ``census(5, 7)`` 1.11-1.17 s on the
-same machine (fastest of 24-32 calls at order 4 and of 5 at order 5,
-interleaved with the parent in one process, over two to four runs on a
-host whose speed drifts), against 0.09-0.16, 0.11-0.17, 0.27-0.29 and
-1.50-1.59 s when each member was decomposed into an object by two
-gathers and its rebuild relabeled back.
+Only members are walked: each is relabeled once into canonical order,
+and the rows composed from its X and Y blocks are compared with its
+canonical rows. The density shape of each argmax member is decided on
+those blocks and rows; no matrix object is built except for the reported
+argmax and mismatches, and no permutation or decomposition object at all.
+``census(3, k)`` takes 1.17-1.44 ms for k = 2..7, ``census(4, 2)`` 86
+ms, ``census(4, 7)`` 91 ms, ``census(5, 2)`` 0.19 s and ``census(5, 7)``
+0.82 s on the same machine (fastest of 160, 32 and 4 calls, interleaved
+with the parent in one process), against 1.43-1.71 ms, 93 ms, 103 ms,
+0.23 s and 1.01 s with a Python loop over every candidate, re-validated
+blocks and an argmax decomposed to recompute its corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product, repeat
 from math import comb, factorial
+from operator import is_not, itemgetter
 from typing import Iterator
 
-from .extremal import gamma, matches_maximum_form
+from .extremal import _fits_maximum_form, gamma
 from .matrix01 import Matrix01, _sat_member_lanes, _sat_power_rows, to_text
 from .structure import (
     ArgumentRangeError,
-    CanonicalDecomposition,
+    _build_rows,
     _canonical_form,
-    _compose_rows,
-    _decomposition,
     _require_k,
     _rows_k_idempotent,
 )
@@ -271,67 +271,59 @@ class CensusReport:
     argmax: tuple[Matrix01, ...]
 
 
-def _candidates(n: int, k: int) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Yield (rows, power-route verdict): every index in order up to order 4, the members above.
-
-    Up to order 4, n * n <= _LANE_BITS, so :func:`_member_blocks` decides
-    all indices in one unpruned block, and the rows come from
-    ``itertools.product`` in index order: the last factor varies
-    fastest, so each tuple reversed puts the fastest row at row 0.
-    """
-    if n <= FREE_ORDER_LIMIT:
-        ((_, _, flags),) = _member_blocks(n, k, 0, 1 << (n * n))
-        for rows, flag in zip(product(range(1 << n), repeat=n), flags):
-            yield rows[::-1], flag == "1"
-    else:
-        for base, _, flags in _member_blocks(n, k, 0, 1 << (n * n)):
-            for x in _ones(flags):
-                yield _index_rows(n, base + x), True
-
-
 def _sweep(n: int, k: int):
     """One pass over all matrices of order n.
 
-    Returns (total, max_nnz, argmax, argmax_forms, mismatches), where
-    argmax_forms[i] is the decomposition of argmax[i] or None, so the
-    density check reuses each member's analysis. The power route decides
-    every index; the structural route checks its verdict on every index
-    up to order 4, and on the members at order 5, where
-    :func:`_characterized` closes the check by a count. Members are
-    additionally required to reconstruct exactly: each accepted member's
-    blocks are composed by :func:`_compose_rows` and compared with its
-    canonical rows, which is the same as comparing the rebuilt matrix
-    with the member, as the relabel is a bijection. Any failure lands in
-    the mismatch list. Decomposition objects are built for the final
-    argmax only.
+    Returns (total, max_nnz, argmax, argmax_blocks, mismatches), where
+    argmax_blocks[i] is (form, rows): the tuple of :func:`_canonical_form`
+    for argmax[i] and the rows composed from its blocks, or (None, None),
+    so the density check reuses them. The power route decides every
+    index. Up to order 4 the structural route certifies every index in
+    index order, as one ``map`` over ``itertools.product`` (each tuple
+    reversed puts the fastest-varying row at row 0), and each index it
+    accepts that the power route does not is a mismatch. At order 5 it
+    runs on the members only, and :func:`_characterized` closes the check
+    by a count. Only the members are walked: each one's blocks are
+    composed by :func:`_build_rows` and compared with its canonical rows,
+    the same as comparing the rebuilt matrix with the member, as the
+    relabel is a bijection. An index's bits are its matrix's entries, so
+    its count of ones is its bit count. Matrices are built only for the
+    final argmax and the mismatches, these in ascending index order.
     """
+    size = 1 << (n * n)
+    if n <= FREE_ORDER_LIMIT:
+        # n * n <= _LANE_BITS: one unpruned block decides every index
+        ((_, _, flags),) = _member_blocks(n, k, 0, size)
+        candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
+        forms = list(map(_canonical_form, candidates, repeat(n), repeat(k)))
+        members = list(_ones(flags))
+        bad = set(compress(range(size), map(is_not, forms, repeat(None)))).difference(members)
+        walk = zip(members, map(forms.__getitem__, members))
+    else:
+        bad = set()
+        walk = (
+            (x, _canonical_form(_index_rows(n, x), n, k))
+            for base, _, flags in _member_blocks(n, k, 0, size)
+            for x in map(base.__add__, _ones(flags))
+        )
     total = 0
     best = -1
-    argmax: list[tuple[int, ...]] = []
-    forms: list[tuple | None] = []
-    mismatches: list[Matrix01] = []
-    for rows, member in _candidates(n, k):
-        form = _canonical_form(rows, n, k)
-        if not member:
-            if form is not None:
-                mismatches.append(Matrix01(n, rows))
-            continue
+    argmax: list[tuple[int, tuple | None, tuple[int, ...] | None]] = []
+    for x, form in walk:
         total += 1
         # form is (r, cycle_lengths, s, X, Y, canonical_rows, to_canonical)
-        if form is None or _compose_rows(*form[:5], k) != form[5]:
-            mismatches.append(Matrix01(n, rows))
-        count = sum(map(int.bit_count, rows))
+        rows = None if form is None else _build_rows(*form[:5])
+        if rows is None or rows != form[5]:
+            bad.add(x)
+        count = x.bit_count()
         if count > best:
             best = count
-            argmax = [rows]
-            forms = [form]
+            argmax = [(x, form, rows)]
         elif count == best:
-            argmax.append(rows)
-            forms.append(form)
-    decompositions: list[CanonicalDecomposition | None] = [
-        None if form is None else _decomposition(form, n, k) for form in forms
-    ]
-    return total, best, [Matrix01(n, rows) for rows in argmax], decompositions, mismatches
+            argmax.append((x, form, rows))
+    blocks = [(form, rows) for _, form, rows in argmax]
+    mismatches = [matrix_from_index(n, x) for x in sorted(bad)]
+    return total, best, [matrix_from_index(n, x) for x, _, _ in argmax], blocks, mismatches
 
 
 def _characterized(n: int, k: int, total: int, mismatches: list[Matrix01]) -> bool:
@@ -387,10 +379,10 @@ def census(n: int, k: int, *, allow_order_5: bool = False) -> CensusReport:
     if n < 1:
         raise ArgumentRangeError("census requires order >= 1")
     _check_args(n, k, allow_order_5)
-    total, best, argmax, forms, mismatches = _sweep(n, k)
+    total, best, argmax, blocks, mismatches = _sweep(n, k)
     gamma_value = gamma(n)
     density_ok = best == gamma_value and all(
-        d is not None and matches_maximum_form(d) for d in forms
+        form is not None and _fits_maximum_form(form[0], form[2], form[3], form[4], rows) for form, rows in blocks
     )
     return CensusReport(
         n=n,

@@ -431,8 +431,8 @@ def _compose_rows(
 ) -> tuple[int, ...]:
     """The rows of :func:`compose`, from bit-packed X and Y rows.
 
-    Every composed matrix is built here. Only the core points whose
-    predecessor has a nonzero Y row add to X P^T Y, so X is masked to them.
+    Checks k, the block sizes, each cycle length against k - 1 and the
+    width of every X and Y row, then builds by :func:`_build_rows`.
     """
     _require_k(k)
     if source_count < 0 or sink_count < 0:
@@ -453,7 +453,20 @@ def _compose_rows(
     for row in y_rows:
         if not 0 <= row < 1 << sink_count:
             raise ValueError("cycle block row exceeds sink width")
+    return _build_rows(source_count, cycle_lengths, sink_count, x_rows, y_rows)
 
+
+def _build_rows(
+    source_count: int, cycle_lengths: Sequence[int], sink_count: int, x_rows: Sequence[int], y_rows: Sequence[int]
+) -> tuple[int, ...]:
+    """The composed rows, unchecked: the blocks must pass the checks of :func:`_compose_rows`.
+
+    Every composed matrix is built here. The blocks of :func:`_canonical_form`
+    pass those checks by construction; only the corner is checked, by
+    :func:`_corner_rows`. Only the core points whose predecessor has a
+    nonzero Y row add to X P^T Y, so X is masked to them.
+    """
+    m = sum(cycle_lengths)
     cycle_rows = []
     pred = [0] * m
     live = 0

@@ -1,9 +1,11 @@
+import random
 from itertools import permutations
 
 import pytest
 
 from kidempotent.extremal import (
     ExtremalParams,
+    _fits_maximum_form,
     InvalidParams,
     ValidationFailed,
     allowed_boundary_counts,
@@ -15,7 +17,14 @@ from kidempotent.extremal import (
     matches_maximum_form,
 )
 from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute
-from kidempotent.structure import CanonicalDecomposition, decompose, parse_decomposition
+from kidempotent.oracle import enumerate_k_idempotent
+from kidempotent.structure import (
+    CanonicalDecomposition,
+    _build_rows,
+    _canonical_form,
+    decompose,
+    parse_decomposition,
+)
 
 
 class TestGamma:
@@ -178,3 +187,52 @@ class TestEqualityCharacterization:
     def test_non_extremal_form_rejected(self):
         d = decompose(Matrix01.identity(3), 2)
         assert not matches_maximum_form(d)
+
+
+def reference_max_form(d):
+    """The two shapes of the density theorem, read off the decomposition's fields."""
+    allowed = allowed_boundary_counts(d.n)
+    full_cycle = (1 << d.cycle_total) - 1
+    full_sink = (1 << d.sink_count) - 1
+    columns = [sum((row >> j) & 1 for row in d.cycle_to_sink) for j in range(d.sink_count)]
+    variant_a = (
+        d.source_count in allowed and all(row == full_cycle for row in d.source_to_cycle) and set(columns) <= {1}
+    )
+    variant_b = (
+        d.sink_count in allowed
+        and all(row == full_sink for row in d.cycle_to_sink)
+        and all(row.bit_count() == 1 for row in d.source_to_cycle)
+    )
+    return all(row == full_sink for row in d.source_to_sink()) and (variant_a or variant_b)
+
+
+def census_rule(a, k):
+    """The density shape as a census decides it: on the blocks and the rows composed from them."""
+    form = _canonical_form(a.rows, a.n, k)
+    return _fits_maximum_form(form[0], form[2], form[3], form[4], _build_rows(*form[:5]))
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_every_member(self, k):
+        # on members the shapes hold exactly at gamma(n) ones (the density theorem)
+        outcomes = set()
+        for n in range(1, 5):
+            for a in enumerate_k_idempotent(n, k):
+                d = decompose(a, k)
+                fits = census_rule(a, k)
+                assert fits == matches_maximum_form(d) == reference_max_form(d) == (nnz(a) == gamma(n))
+                outcomes.add(fits)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_family(self, n):
+        rng = random.Random(n)
+        for k in (2, 3, 7):
+            for p in extremal_families(n, k):
+                a = construct_extremal(n, k, p)
+                order = list(range(n))
+                rng.shuffle(order)
+                for b in (a, permute(a, Permutation(tuple(order)))):
+                    d = decompose(b, k)
+                    assert census_rule(b, k) and matches_maximum_form(d) and reference_max_form(d)

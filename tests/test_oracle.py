@@ -262,10 +262,54 @@ class TestCandidates:
         )
 
     def test_member_that_does_not_rebuild_is_a_mismatch(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_compose_rows", lambda *blocks: ())
+        monkeypatch.setattr(oracle, "_build_rows", lambda *blocks: ())
         report = census(3, 2)
         assert report.mismatches == tuple(enumerate_k_idempotent(3, 2))
         assert not report.characterization_ok
+
+    def test_mismatches_merge_in_index_order(self, monkeypatch):
+        # one non-member the structural route accepts, one member whose
+        # rebuild fails and one argmax member it rejects: each is reported
+        # once, in ascending index order, and the rejected member still
+        # counts toward the density maximum
+        clean = census(3, 2)
+        members = [x for x in range(512) if _rows_k_idempotent(oracle._index_rows(3, x), 2)]
+        canonical_form = oracle._canonical_form
+        # a member with a source, so that its X block is a tuple of its own;
+        # the stray lies between the two members, so neither list can simply
+        # be appended to the other
+        broken = next(x for x in members if x.bit_count() < 4 and canonical_form(oracle._index_rows(3, x), 3, 2)[0])
+        stray = min(set(range(broken, 512)).difference(members))
+        rejected = max(x for x in members if x.bit_count() == 4)
+        assert broken < stray < rejected
+        rows_of = {x: oracle._index_rows(3, x) for x in (stray, broken, rejected)}
+        build_rows = oracle._build_rows
+        broken_form = []
+
+        def patched_form(rows, n, k):
+            if rows == rows_of[rejected]:
+                return None
+            if rows == rows_of[stray]:
+                return canonical_form((0,) * n, n, k)
+            form = canonical_form(rows, n, k)
+            if rows == rows_of[broken]:
+                broken_form.append(form)
+            return form
+
+        def patched_build(*blocks):
+            if broken_form and blocks[3] is broken_form[0][3]:
+                return ()
+            return build_rows(*blocks)
+
+        monkeypatch.setattr(oracle, "_canonical_form", patched_form)
+        monkeypatch.setattr(oracle, "_build_rows", patched_build)
+        report = census(3, 2)
+        assert report.mismatches == tuple(Matrix01(3, rows_of[x]) for x in (broken, stray, rejected))
+        assert not report.characterization_ok
+        assert report.total_k_idempotent == clean.total_k_idempotent
+        assert (report.max_nnz, report.argmax) == (clean.max_nnz, clean.argmax)
+        assert Matrix01(3, rows_of[rejected]) in report.argmax
+        assert not report.max_density_ok
 
 
 def corrupt_corner(r, m, s, rows):
@@ -318,13 +362,17 @@ class TestEveryBlockCompared:
 class TestArgmaxObjects:
     @pytest.mark.parametrize("n,k", [(3, 2), (3, 7), (4, 3)])
     def test_permutations_only_for_argmax(self, monkeypatch, n, k):
+        # a census builds no Permutation; the argmax forms it keeps build
+        # decompositions that reproduce the argmax matrices
         built = []
         post_init = Permutation.__post_init__
         monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p) or post_init(p))
-        total, _, argmax, forms, _ = oracle._sweep(n, k)
-        assert len(built) == len(argmax) == len(forms) < total
-        assert [d.sigma for d in forms] == built
-        assert [d.original_matrix() for d in forms] == argmax
+        assert census(n, k).max_density_ok
+        assert built == []
+        monkeypatch.undo()
+        _, _, argmax, blocks, _ = oracle._sweep(n, k)
+        assert [rows for _, rows in blocks] == [form[5] for form, _ in blocks]
+        assert [structure._decomposition(form, n, k).original_matrix() for form, _ in blocks] == argmax
 
 
 # n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route
