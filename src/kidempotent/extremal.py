@@ -5,16 +5,17 @@ entries is at most gamma(n), which is (n+1)^2/4 for odd n and
 (n^2+2n)/4 for even n. Equality holds exactly for matrices that are a
 relabeling of the canonical block form in one of two shapes:
 
-- variant A: the allowed number of source rows, the X and corner blocks
-  all ones, and each column of Y carrying exactly one 1;
+- variant A: the allowed number of source rows, the X block all ones,
+  and each column of Y carrying exactly one 1;
 - variant B: the mirror image, with the allowed number of sink columns,
-  the Y and corner blocks all ones, and each row of X carrying exactly
-  one 1.
+  the Y block all ones, and each row of X carrying exactly one 1.
 
-For odd n the allowed boundary count is (n-1)/2; for even n both n/2
-and n/2 - 1 work. This module evaluates gamma, constructs and
-recognizes the maximum-density shapes, and enumerates every parameter
-family that attains the bound.
+Each shape makes the corner block X P^T Y all ones: in variant A every
+corner entry counts the one 1 of a Y column, and in variant B it is the
+full Y row that the one X bit selects. For odd n the allowed boundary
+count is (n-1)/2; for even n both n/2 and n/2 - 1 work. This module
+evaluates gamma, constructs and recognizes the maximum-density shapes,
+and enumerates every parameter family that attains the bound.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .matrix01 import Matrix01, Permutation, nnz
 from .structure import (
     ArgumentRangeError,
     CanonicalDecomposition,
-    _build_rows,
     _compose_rows,
     _require_k,
     is_k_idempotent,
@@ -125,10 +125,10 @@ def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
     """Compose the family's matrix in canonical layout and verify it.
 
     The parameter algebra is never trusted: the result is re-checked by
-    a direct k-idempotency test and a direct count of ones against
-    gamma(n). Raises :class:`InvalidParams` for parameters outside the
-    allowed shapes and :class:`ValidationFailed` when a degenerate
-    corner composes to something below the bound.
+    :func:`is_extremal`, a direct k-idempotency test and a direct count
+    of ones against gamma(n). Raises :class:`InvalidParams` for
+    parameters outside the allowed shapes and :class:`ValidationFailed`
+    when a degenerate corner composes to something below the bound.
     """
     if n < 1:
         raise InvalidParams("order must be positive")
@@ -154,7 +154,7 @@ def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
 
     x_rows, y_rows = _family_blocks(params)
     matrix = Matrix01(n, _compose_rows(r, params.cycle_lengths, s, x_rows, y_rows, k))
-    if not is_k_idempotent(matrix, k) or nnz(matrix) != gamma(n):
+    if not is_extremal(matrix, k):
         raise ValidationFailed("composed matrix misses the density bound")
     return matrix
 
@@ -169,27 +169,24 @@ def is_extremal(a: Matrix01, k: int) -> bool:
 
 def matches_maximum_form(d: CanonicalDecomposition) -> bool:
     """Whether decomposed block data fits variant A or variant B; see :func:`_fits_maximum_form`."""
-    rows = _build_rows(d.source_count, d.cycle_lengths, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
-    return _fits_maximum_form(d.source_count, d.sink_count, d.source_to_cycle, d.cycle_to_sink, rows)
+    return _fits_maximum_form(d.source_count, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
 
 
-def _fits_maximum_form(r: int, s: int, x_rows: Sequence[int], y_rows: Sequence[int], rows: Sequence[int]) -> bool:
-    """Whether the blocks X and Y, composed into the canonical ``rows``, fit variant A or B.
+def _fits_maximum_form(r: int, s: int, x_rows: Sequence[int], y_rows: Sequence[int]) -> bool:
+    """Whether the blocks X and Y fit variant A or B.
 
-    The corner X P^T Y is read off the composed rows, where source row i
-    holds corner row i above bit r + m; it is the value of
-    :meth:`CanonicalDecomposition.source_to_sink`. Every Y column carries
-    exactly one 1 when the Y rows cover all s columns with s ones in
-    all. Empty blocks satisfy their conditions vacuously, which covers
-    the degenerate corners with no sources or no sinks.
+    The all-ones corner of the density theorem is not read: each shape
+    implies it (see the module docstring), so blocks whose corner is not
+    0-1 fit neither. Every Y column carries exactly one 1 when the Y
+    rows cover all s columns with s ones in all. Empty blocks satisfy
+    their conditions vacuously, which covers the degenerate corners with
+    no sources or no sinks.
     """
     m = len(y_rows)
     if r + m + s < 1:
         return False
     allowed = allowed_boundary_counts(r + m + s)
     full_sink = (1 << s) - 1
-    if any(row >> (r + m) != full_sink for row in rows[:r]):
-        return False
     if r in allowed and all(row == (1 << m) - 1 for row in x_rows):
         if reduce(or_, y_rows, 0) == full_sink and sum(map(int.bit_count, y_rows)) == s:
             return True

@@ -370,16 +370,16 @@ def _power(base, m: int, mul):
 def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Repeated squaring in the saturating semiring; m must be >= 1.
 
-    Only the core, the vertices with both an in-arc and an out-arc, is
-    powered: every inner vertex of a walk of length m lies in the core,
-    so A^m = A[:, core] (M^(m-2) A[core, :]) for m >= 3, where M is A cut
-    to core x core. When each row of M has at most one 1, as in every
-    k-idempotent matrix, M is the map f from i to that column (-1 for
-    none): f^(m-2) is powered by composing index lists, and row i of
-    M^(m-2) A is row f^(m-2)(i) of A, or 0, with no 2+ entry. Otherwise
-    M^(m-2) is squared. The identities are exact over the integers, so
-    both planes match plain squaring; they need no structural fact,
-    such as a permutation or cycle test.
+    For m >= 3, when the core (the vertices with both an in-arc and an
+    out-arc) is a proper subset of the vertices with arcs and A cut to
+    it, M, has at most one 1 per row, as in every k-idempotent matrix,
+    only the core is powered: every inner vertex of a walk of length m
+    lies in the core, so A^m = A[:, core] (M^(m-2) A[core, :]). M is the
+    map f from i to the column of its 1 (-1 for none): f^(m-2) is powered
+    by composing index lists, and row i of M^(m-2) A is row f^(m-2)(i) of
+    A, or 0, with no 2+ entry. Any other A is powered whole. The identity
+    is exact over the integers, so both planes match plain squaring; it
+    needs no structural fact, such as a permutation or cycle test.
     """
     zeros = (0,) * len(rows)
     mul = lambda a, b: _sat_mul_rows(*a, *b)
@@ -396,10 +396,8 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
                 then = lambda g, h: list(map((*h, -1).__getitem__, g))  # i -> h[g[i]], and -1 -> -1
                 f = _power([row.bit_length() - 1 for row in inner], m - 2, then)
                 right = (tuple(map((*rows, 0).__getitem__, f)), zeros)
-            else:
-                right = mul(_power((inner, zeros), m - 2, mul), (rows, zeros))
-            to_core = tuple(row & core for row in rows)
-            return mul((to_core, zeros), right)
+                to_core = tuple(row & core for row in rows)
+                return mul((to_core, zeros), right)
     return _power((rows, zeros), m, mul)
 
 
@@ -491,12 +489,13 @@ def sat_power(a: Matrix01, m: int) -> SatMatrix:
 
     Each entry equals min(2, exact A^m entry). Computed by repeated
     squaring, which is valid because capping at 2 is a semiring
-    homomorphism from the non-negative integers. For m >= 3 only the
-    core M (vertices with both in- and out-arcs) is powered, as an index
-    map when M has at most one 1 per row, and the result is
-    A[:, core] (M^(m-2) A[core, :]): the inner vertices of every walk
-    lie in the core. That is plain algebra on zero rows and columns, so
-    this power stays independent of the structural route.
+    homomorphism from the non-negative integers. For m >= 3, when the
+    core M (vertices with both in- and out-arcs) is a proper subset of
+    the vertices with arcs and has at most one 1 per row, only M is
+    powered, as an index map, and the result is A[:, core]
+    (M^(m-2) A[core, :]), as every walk's inner vertices lie in the
+    core; any other A is squared whole. That is plain algebra on zero
+    rows and columns, so this stays independent of the structural route.
     """
     if m < 1:
         raise ValueError("power must be at least 1")

@@ -25,14 +25,11 @@ canonical form, so the two sets are equal without visiting a non-member.
 Only members are walked: each is relabeled once into canonical order,
 and the rows composed from its X and Y blocks are compared with its
 canonical rows. The density shape of each argmax member is decided on
-those blocks and rows; no matrix object is built except for the reported
-argmax and mismatches, and no permutation or decomposition object at all.
+those blocks; no matrix object is built except for the reported argmax
+and mismatches, and no permutation or decomposition object at all.
 ``census(3, k)`` takes 1.17-1.44 ms for k = 2..7, ``census(4, 2)`` 86
 ms, ``census(4, 7)`` 91 ms, ``census(5, 2)`` 0.19 s and ``census(5, 7)``
-0.82 s on the same machine (fastest of 160, 32 and 4 calls, interleaved
-with the parent in one process), against 1.43-1.71 ms, 93 ms, 103 ms,
-0.23 s and 1.01 s with a Python loop over every candidate, re-validated
-blocks and an argmax decomposed to recompute its corner.
+0.82 s on the same machine (fastest of 160, 32 and 4 calls).
 """
 
 from __future__ import annotations
@@ -181,8 +178,7 @@ def enumerate_k_idempotent(
     Membership is decided bit-sliced, up to 2**16 indices per saturating
     power, and blocks of 2**16 or more indices whose fixed index bits
     already rule out A^k = A are skipped: all 2**25 order-5 matrices take
-    0.09 s at k = 2 and 0.53 s at k = 7, where one matrix at a time took
-    183 s and 726 s.
+    0.09 s at k = 2 and 0.53 s at k = 7.
     """
     _check_args(n, k, allow_order_5)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
@@ -274,14 +270,13 @@ class CensusReport:
 def _sweep(n: int, k: int):
     """One pass over all matrices of order n.
 
-    Returns (total, max_nnz, argmax, argmax_blocks, mismatches), where
-    argmax_blocks[i] is (form, rows): the tuple of :func:`_canonical_form`
-    for argmax[i] and the rows composed from its blocks, or (None, None),
-    so the density check reuses them. The power route decides every
-    index. Up to order 4 the structural route certifies every index in
-    index order, as one ``map`` over ``itertools.product`` (each tuple
-    reversed puts the fastest-varying row at row 0), and each index it
-    accepts that the power route does not is a mismatch. At order 5 it
+    Returns (total, max_nnz, argmax, argmax_forms, mismatches), where
+    argmax_forms[i] is the tuple of :func:`_canonical_form` for argmax[i],
+    or None, so the density check reuses its blocks. The power route
+    decides every index. Up to order 4 the structural route certifies
+    every index in index order, as one ``map`` over ``itertools.product``
+    (each tuple reversed puts the fastest-varying row at row 0), and each
+    index it accepts that the power route does not is a mismatch. At order 5 it
     runs on the members only, and :func:`_characterized` closes the check
     by a count. Only the members are walked: each one's blocks are
     composed by :func:`_build_rows` and compared with its canonical rows,
@@ -308,22 +303,20 @@ def _sweep(n: int, k: int):
         )
     total = 0
     best = -1
-    argmax: list[tuple[int, tuple | None, tuple[int, ...] | None]] = []
+    argmax: list[tuple[int, tuple | None]] = []
     for x, form in walk:
         total += 1
         # form is (r, cycle_lengths, s, X, Y, canonical_rows, to_canonical)
-        rows = None if form is None else _build_rows(*form[:5])
-        if rows is None or rows != form[5]:
+        if form is None or _build_rows(*form[:5]) != form[5]:
             bad.add(x)
         count = x.bit_count()
         if count > best:
             best = count
-            argmax = [(x, form, rows)]
+            argmax = [(x, form)]
         elif count == best:
-            argmax.append((x, form, rows))
-    blocks = [(form, rows) for _, form, rows in argmax]
+            argmax.append((x, form))
     mismatches = [matrix_from_index(n, x) for x in sorted(bad)]
-    return total, best, [matrix_from_index(n, x) for x, _, _ in argmax], blocks, mismatches
+    return total, best, [matrix_from_index(n, x) for x, _ in argmax], [form for _, form in argmax], mismatches
 
 
 def _characterized(n: int, k: int, total: int, mismatches: list[Matrix01]) -> bool:
@@ -379,10 +372,10 @@ def census(n: int, k: int, *, allow_order_5: bool = False) -> CensusReport:
     if n < 1:
         raise ArgumentRangeError("census requires order >= 1")
     _check_args(n, k, allow_order_5)
-    total, best, argmax, blocks, mismatches = _sweep(n, k)
+    total, best, argmax, forms, mismatches = _sweep(n, k)
     gamma_value = gamma(n)
     density_ok = best == gamma_value and all(
-        form is not None and _fits_maximum_form(form[0], form[2], form[3], form[4], rows) for form, rows in blocks
+        form is not None and _fits_maximum_form(form[0], form[2], form[3], form[4]) for form in forms
     )
     return CensusReport(
         n=n,

@@ -144,29 +144,14 @@ def power_failure(a: Matrix01, k: int) -> StructureError | None:
     return None
 
 
-def _canonical_pred(cycle_lengths: Sequence[int]) -> list[int]:
-    """pred[c] is the canonical cycle position whose cycle successor is c."""
-    pred: list[int] = []
-    offset = 0
-    for length in cycle_lengths:
-        pred.append(offset + length - 1)
-        pred.extend(range(offset, offset + length - 1))
-        offset += length
-    return pred
-
-
-def _corner_rows(
-    pred: Mapping[int, int] | Sequence[int],
-    x_rows: Sequence[int],
-    y_rows: Mapping[int, int] | Sequence[int],
-) -> list[int]:
+def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[int], m: int) -> list[int]:
     """Rows of the corner block X P^T Y, which must be 0-1.
 
-    Bit c of an X row meets the Y row ``y_rows[pred[c]]``, where pred[c]
-    is the vertex whose cycle successor is c. Raises
-    :class:`ProductNotZeroOne` at the first entry of 2 or more; with the
-    canonical ``pred`` of :func:`_canonical_pred` the witness is in
-    coordinates of the composed matrix.
+    ``through[c]`` is row c of P^T Y: the Y row of the vertex whose cycle
+    successor is c. Bit c of an X row meets that row. Raises
+    :class:`ProductNotZeroOne` at the first entry of 2 or more, at
+    column ``len(x_rows) + m + j`` for corner column j: with m the core
+    size that is the witness in coordinates of the composed matrix.
     """
     corner = []
     for i, bits in enumerate(x_rows):
@@ -175,12 +160,12 @@ def _corner_rows(
         while bits:
             low = bits & -bits
             bits ^= low
-            y_row = y_rows[pred[low.bit_length() - 1]]
+            y_row = through[low.bit_length() - 1]
             acc2 |= acc1 & y_row
             acc1 |= y_row
         if acc2:
             j = (acc2 & -acc2).bit_length() - 1
-            raise ProductNotZeroOne((i, len(x_rows) + len(pred) + j))
+            raise ProductNotZeroOne((i, len(x_rows) + m + j))
         corner.append(acc1)
     return corner
 
@@ -198,15 +183,16 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
       exactly one out-arc into the core, and those arcs reach all of it;
     - the source-to-sink arcs must equal the product X P^T Y exactly: a
       source row's sink bits are the saturating OR of the sink bits of
-      ``rows[pred[c]]`` over its core bits c, with no sink reached twice.
+      c's cycle predecessor over its core bits c, with no sink hit twice.
 
     Both rules are checked in the original labels, the corner rule by
-    :func:`_corner_rows` with a predecessor map recorded once the core is
-    known to be a permutation. Nothing points into a source, so a core
-    row is its cycle successor plus sink bits. Core bits c whose predecessor has no sink
-    bit add nothing to the product and are masked off first, so the
-    corner check visits only the source-to-core arcs that carry a sink
-    term, and nothing is relabeled before a rejection.
+    :func:`_corner_rows` once the core is known to be a permutation.
+    Nothing points into a source, so a core row is its cycle successor
+    plus sink bits: filed under the successor, they are the rows of
+    P^T Y. Only the core points whose predecessor has sink bits are
+    filed, and the X rows are masked to them, so the corner check visits
+    only the source-to-core arcs that carry a sink term, and nothing is
+    relabeled before a rejection.
 
     Sources and sinks are ascending; the orbits are sorted by (length,
     smallest vertex), each starting at its smallest vertex and following
@@ -234,20 +220,19 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     if image != core:
         return None
     if sources:
-        # live: the core vertices c whose predecessor v has sink bits y[v];
-        # pred is recorded for those c only, the only ones the product reads.
+        # live: the core points c whose predecessor has sink bits, the
+        # only rows of P^T Y that the product reads.
         live = 0
-        pred = {}
-        y = {}
+        through = {}
         for v, row in enumerate(rows):
             if (core >> v) & 1:
                 succ = row & core
                 if row != succ:
-                    pred[succ.bit_length() - 1] = v
-                    y[v] = row ^ succ
+                    through[succ.bit_length() - 1] = row ^ succ
                     live |= succ
         try:
-            corner = _corner_rows(pred, [rows[u] & live for u in sources], y)
+            # the witness is not reported, so its column offset is moot
+            corner = _corner_rows([rows[u] & live for u in sources], through, 0)
         except ProductNotZeroOne:
             return None
         for u, row in zip(sources, corner):
@@ -294,8 +279,13 @@ class CanonicalDecomposition:
         return sum(self.cycle_lengths)
 
     def source_to_sink(self) -> tuple[int, ...]:
-        """Derived corner block rows, width ``sink_count``."""
-        return tuple(_corner_rows(_canonical_pred(self.cycle_lengths), self.source_to_cycle, self.cycle_to_sink))
+        """Derived corner block rows, width ``sink_count``, read off the composed rows.
+
+        Source row i holds corner row i above bit r + m. The blocks are
+        checked as for :meth:`canonical_matrix`.
+        """
+        shift = self.source_count + self.cycle_total
+        return tuple([row >> shift for row in self._canonical_rows()[: self.source_count]])
 
     def _canonical_rows(self) -> tuple[int, ...]:
         return _compose_rows(
@@ -358,32 +348,6 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
     return r, tuple(map(len, orbits)), n - shift, x_rows, y_rows, canonical_rows, to_canonical
 
 
-def _decomposition(form, n: int, k: int) -> CanonicalDecomposition:
-    """The :class:`CanonicalDecomposition` of a tuple from :func:`_canonical_form`."""
-    r, cycle_lengths, s, x_rows, y_rows, _, to_canonical = form
-    return CanonicalDecomposition(
-        n=n,
-        k=k,
-        source_count=r,
-        cycle_lengths=cycle_lengths,
-        sink_count=s,
-        source_to_cycle=x_rows,
-        cycle_to_sink=y_rows,
-        sigma=Permutation(tuple(to_canonical)),
-    )
-
-
-def _decompose_rows(rows: tuple[int, ...], n: int, k: int) -> CanonicalDecomposition | None:
-    """Block data from the structural route, or None when it rejects at k.
-
-    The certification, the cycle-length test and the one relabel are
-    those of :func:`_canonical_form`; this adds the validated
-    :class:`Permutation` and the decomposition object.
-    """
-    form = _canonical_form(rows, n, k)
-    return None if form is None else _decomposition(form, n, k)
-
-
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     """Recover the canonical block data, or explain why none exists.
 
@@ -394,9 +358,10 @@ def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     returned :class:`StructureError` with an honest witness.
     """
     _require_k(k)
-    d = _decompose_rows(a.rows, a.n, k)
-    if d is not None:
-        return d
+    form = _canonical_form(a.rows, a.n, k)
+    if form is not None:
+        r, cycle_lengths, s, x_rows, y_rows, _, to_canonical = form
+        return CanonicalDecomposition(a.n, k, r, cycle_lengths, s, x_rows, y_rows, Permutation(tuple(to_canonical)))
     failure = power_failure(a, k)
     if failure is None:
         raise RuntimeError("structural rejection of a matrix whose power matches")
@@ -461,25 +426,26 @@ def _build_rows(
 ) -> tuple[int, ...]:
     """The composed rows, unchecked: the blocks must pass the checks of :func:`_compose_rows`.
 
-    Every composed matrix is built here. The blocks of :func:`_canonical_form`
-    pass those checks by construction; only the corner is checked, by
-    :func:`_corner_rows`. Only the core points whose predecessor has a
-    nonzero Y row add to X P^T Y, so X is masked to them.
+    Every composed matrix and derived corner is built here. The blocks of
+    :func:`_canonical_form` pass those checks by construction; only the
+    corner is checked, by :func:`_corner_rows` on the rows of P^T Y. Only
+    the core points whose predecessor has a nonzero Y row add to X P^T Y,
+    so X is masked to them.
     """
     m = sum(cycle_lengths)
     cycle_rows = []
-    pred = [0] * m
+    through = [0] * m
     live = 0
     offset = 0
     for length in cycle_lengths:
         for t in range(length):
             succ = offset + (t + 1) % length
-            pred[succ] = offset + t
+            through[succ] = y_rows[offset + t]
             if y_rows[offset + t]:
                 live |= 1 << succ
             cycle_rows.append((1 << (source_count + succ)) | (y_rows[offset + t] << (source_count + m)))
         offset += length
-    z_rows = _corner_rows(pred, [row & live for row in x_rows], y_rows)
+    z_rows = _corner_rows([row & live for row in x_rows], through, m)
     rows = [(x << source_count) | (z << (source_count + m)) for x, z in zip(x_rows, z_rows)]
     return (*rows, *cycle_rows) + (0,) * sink_count
 

@@ -20,7 +20,7 @@ from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permut
 from kidempotent.oracle import enumerate_k_idempotent
 from kidempotent.structure import (
     CanonicalDecomposition,
-    _build_rows,
+    ProductNotZeroOne,
     _canonical_form,
     decompose,
     parse_decomposition,
@@ -188,6 +188,14 @@ class TestEqualityCharacterization:
         d = decompose(Matrix01.identity(3), 2)
         assert not matches_maximum_form(d)
 
+    def test_corner_not_zero_one_fits_neither_shape(self):
+        # hand-built blocks whose corner X P^T Y has an entry 2: no matrix,
+        # and each shape would give an all-ones corner
+        d = CanonicalDecomposition(4, 2, 1, (1, 1), 1, (0b11,), (1, 1), Permutation.identity(4))
+        with pytest.raises(ProductNotZeroOne):
+            d.source_to_sink()
+        assert not matches_maximum_form(d)
+
 
 def reference_max_form(d):
     """The two shapes of the density theorem, read off the decomposition's fields."""
@@ -207,9 +215,9 @@ def reference_max_form(d):
 
 
 def census_rule(a, k):
-    """The density shape as a census decides it: on the blocks and the rows composed from them."""
+    """The density shape as a census decides it: on the blocks of the canonical form."""
     form = _canonical_form(a.rows, a.n, k)
-    return _fits_maximum_form(form[0], form[2], form[3], form[4], _build_rows(*form[:5]))
+    return _fits_maximum_form(form[0], form[2], form[3], form[4])
 
 
 class TestBlockRule:

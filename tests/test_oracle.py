@@ -370,9 +370,9 @@ class TestArgmaxObjects:
         assert census(n, k).max_density_ok
         assert built == []
         monkeypatch.undo()
-        _, _, argmax, blocks, _ = oracle._sweep(n, k)
-        assert [rows for _, rows in blocks] == [form[5] for form, _ in blocks]
-        assert [structure._decomposition(form, n, k).original_matrix() for form, _ in blocks] == argmax
+        _, _, argmax, forms, _ = oracle._sweep(n, k)
+        assert forms == [structure._canonical_form(a.rows, n, k) for a in argmax]
+        assert [decompose(a, k).original_matrix() for a in argmax] == argmax
 
 
 # n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route

@@ -317,6 +317,27 @@ class TestDigraphReference:
         assert not any(is_k_idempotent(a, k) for k in range(2, 8))
 
 
+def naive_corner(lengths, x_rows, y_rows, s):
+    """X P^T Y by integer sums, unmasked: (packed corner rows, entries of 2 or more).
+
+    Column c of X meets the Y row of c's cycle predecessor. The entries
+    of 2 or more are listed in row-major order, in coordinates of the
+    composed matrix; the packed rows hold the corner only when there are
+    none.
+    """
+    r, m = len(x_rows), sum(lengths)
+    pred = []
+    offset = 0
+    for length in lengths:
+        pred.extend(offset + (t - 1) % length for t in range(length))
+        offset += length
+    corner = [
+        [sum((x_rows[i] >> c) & (y_rows[pred[c]] >> j) & 1 for c in range(m)) for j in range(s)] for i in range(r)
+    ]
+    big = [(i, r + m + j) for i in range(r) for j in range(s) if corner[i][j] >= 2]
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in corner), big
+
+
 class TestCompose:
     def test_worked_example(self):
         m = compose(1, [1], 1, [[1]], [[1]], 2)
@@ -339,6 +360,13 @@ class TestCompose:
             compose(0, [2], 0, [], [[]], 3)
         with pytest.raises(ValueError):
             compose(1, [1], 1, [[1, 0]], [[1]], 2)
+
+    def test_derived_corner_checks_widths(self):
+        # an X row wider than the cycle total is refused, not clipped
+        d = CanonicalDecomposition(3, 2, 1, (1,), 1, (0b11,), (1,), Permutation.identity(3))
+        for derive in (d.source_to_sink, d.canonical_matrix):
+            with pytest.raises(ValueError, match="exceeds cycle width"):
+                derive()
 
     def test_composed_matrices_are_k_idempotent(self):
         rng = random.Random(17)
@@ -369,17 +397,7 @@ class TestCompose:
         x_rows = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in range(r))
         y_rows = tuple(data.draw(st.integers(0, (1 << s) - 1)) for _ in range(m))
         k = lcm(*lengths) + 1
-        # Independent reference: column c of X meets the Y row of c's cycle predecessor.
-        pred = []
-        offset = 0
-        for length in lengths:
-            pred.extend(offset + (t - 1) % length for t in range(length))
-            offset += length
-        corner = [
-            [sum((x_rows[i] >> c) & (y_rows[pred[c]] >> j) & 1 for c in range(m)) for j in range(s)]
-            for i in range(r)
-        ]
-        big = [(i, r + m + j) for i in range(r) for j in range(s) if corner[i][j] >= 2]
+        corner, big = naive_corner(lengths, x_rows, y_rows, s)
         d = CanonicalDecomposition(
             n=r + m + s,
             k=k,
@@ -399,11 +417,11 @@ class TestCompose:
             assert composed.value.witness == derived.value.witness == big[0]
         else:
             h = compose(*args)
-            assert d.source_to_sink() == tuple(sum(v << j for j, v in enumerate(row)) for row in corner)
+            assert d.source_to_sink() == corner
             assert [h.rows[i] >> (r + m) for i in range(r)] == list(d.source_to_sink())
 
     def test_sparse_y_corner_and_witness(self):
-        """compose masks X to the core points after a nonzero Y row; source_to_sink does not."""
+        """The builder masks X to the core points after a nonzero Y row; the naive sum does not."""
         rng = random.Random(29)
         seen = set()
         for _ in range(300):
@@ -412,24 +430,27 @@ class TestCompose:
             y_rows = [0] * m
             for c in rng.sample(range(m), min(m, 2)):
                 y_rows[c] = rng.getrandbits(s)
+            x_rows = tuple(rng.getrandbits(m) for _ in range(r))
             d = CanonicalDecomposition(
                 n=r + m + s,
                 k=lcm(*lengths) + 1,
                 source_count=r,
                 cycle_lengths=tuple(lengths),
                 sink_count=s,
-                source_to_cycle=tuple(rng.getrandbits(m) for _ in range(r)),
+                source_to_cycle=x_rows,
                 cycle_to_sink=tuple(y_rows),
                 sigma=Permutation.identity(r + m + s),
             )
-            try:
-                corner = d.source_to_sink()
-            except ProductNotZeroOne as unmasked:
-                with pytest.raises(ProductNotZeroOne) as masked:
+            corner, big = naive_corner(lengths, x_rows, y_rows, s)
+            if big:
+                with pytest.raises(ProductNotZeroOne) as derived:
+                    d.source_to_sink()
+                with pytest.raises(ProductNotZeroOne) as composed:
                     d.canonical_matrix()
-                assert masked.value.witness == unmasked.witness
+                assert derived.value.witness == composed.value.witness == big[0]
                 seen.add("witness")
             else:
+                assert d.source_to_sink() == corner
                 assert tuple(row >> (r + m) for row in d.canonical_matrix().rows[:r]) == corner
                 seen.add("corner")
         assert seen == {"witness", "corner"}
