@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Desk-scale verification: every claim, checked on every small matrix.
 
-Membership (A^k = A) is decided in the saturating semiring {0, 1, 2+};
-structure is certified independently through components, degrees and the
-corner-block identity. The census runs both routes over all 2^(n^2)
-matrices and reports any disagreement, along with the density maximum
-and the strictly-upper-triangular scan.
+Membership (A^k = A) is decided in the saturating semiring {0, 1, 2+},
+whose powers agree with the capped exact integer powers (entry (i, j) of
+A^m counts the walks of length m from i to j). Structure is certified
+independently by ``decompose``: sources, cycles whose lengths divide
+k - 1, sinks and the corner-block identity. The census runs both routes
+over all 2^(n^2) matrices and reports any disagreement, along with the
+density maximum and the strictly-upper-triangular scan.
 """
 
 from kidempotent import (
-    Digraph,
     Matrix01,
     census,
-    count_walks,
+    decompose,
     enumerate_k_idempotent,
+    exact_power,
     sat_power,
-    sccs,
     serialize_census,
 )
 
@@ -36,20 +37,15 @@ a = Matrix01.from_lists(
         [0, 0, 0, 0],
     ]
 )
-d = Digraph.from_matrix(a)
 for length in (1, 2, 3, 6):
-    exact = count_walks(d, length)
+    exact = exact_power(a, length)
     capped = sat_power(a, length).to_lists()
     print(f"  length {length}: exact {exact}")
     assert [[min(v, 2) for v in row] for row in exact] == capped
 
-print("\nstrongly connected structure of that digraph:")
-for comp in sccs(d).components:
-    print(f"  vertices {comp.vertices}: {comp.kind.value}", end="")
-    if comp.cycle_length:
-        print(f" (length {comp.cycle_length})")
-    else:
-        print()
+print("\ncanonical structure of that matrix at k=4:")
+d = decompose(a, 4)
+print(f"  {d.source_count} sources, cycle lengths {d.cycle_lengths}, {d.sink_count} sinks")
 
 print("\nthe first few 3-idempotent matrices of order 2, in index order:")
 for matrix in list(enumerate_k_idempotent(2, 3))[:4]:

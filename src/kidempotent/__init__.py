@@ -6,10 +6,13 @@ built from a zero source block, a direct sum of cycles whose lengths
 divide k - 1, and a zero sink block; and the number of ones they can
 carry is capped by an explicit function gamma of the order. This
 package computes with those facts and verifies them exhaustively at
-small orders.
+small orders, by two independent routes: the saturating power
+(``matrix01.sat_power``, with ``exact_power`` as its exact integer
+reference) and the structural certification (``structure.decompose``).
+``extremal`` builds the densest members and ``oracle.census`` runs
+both routes over every matrix of an order.
 """
 
-from .digraph import ComponentKind, Digraph, SccComponent, SccReport, count_walks, has_path, sccs
 from .extremal import (
     ExtremalParams,
     InvalidParams,
@@ -32,23 +35,17 @@ from .matrix01 import (
     from_text,
     nnz,
     permute,
-    row_sums,
-    sat_add,
-    sat_mul,
     sat_power,
     to_text,
 )
 from .oracle import (
     CensusReport,
-    CharacterizationResult,
     census,
     enumerate_k_idempotent,
     matrix_from_index,
-    max_nnz_census,
     serialize_census,
     structural_count,
     upper_triangular_check,
-    verify_characterization,
 )
 from .structure import (
     CanonicalDecomposition,

@@ -33,9 +33,6 @@ __all__ = [
     "pack_row",
     "permute",
     "row_string",
-    "row_sums",
-    "sat_add",
-    "sat_mul",
     "sat_power",
     "to_text",
     "unpack_row",
@@ -49,16 +46,6 @@ TWO_PLUS = 2
 
 class MatrixFormatError(ValueError):
     """Matrix text that does not follow the line format exactly."""
-
-
-def sat_add(a: int, b: int) -> int:
-    """Addition in the saturating semiring {0, 1, 2+}."""
-    return min(a + b, 2)
-
-
-def sat_mul(a: int, b: int) -> int:
-    """Multiplication in the saturating semiring {0, 1, 2+}."""
-    return min(a * b, 2)
 
 
 def pack_row(values: Iterable[int]) -> int:
@@ -142,16 +129,6 @@ class Matrix01:
     def to_lists(self) -> list[list[int]]:
         return [unpack_row(row, self.n) for row in self.rows]
 
-    def transpose(self) -> "Matrix01":
-        out = [0] * self.n
-        for i, row in enumerate(self.rows):
-            bits = row
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                out[low.bit_length() - 1] |= 1 << i
-        return Matrix01(self.n, tuple(out))
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -173,18 +150,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, v in enumerate(self.mapping):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Permutation sending i to ``self(other(i))`` (apply other first)."""
-        if len(other) != len(self):
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.mapping[v] for v in other.mapping))
 
 
 @dataclass(frozen=True)
@@ -211,10 +176,6 @@ class SatMatrix:
             if p2 & ~p1:
                 raise ValueError("entry marked >=2 but not >=1")
 
-    @classmethod
-    def from_matrix01(cls, a: Matrix01) -> "SatMatrix":
-        return cls(a.n, a.rows, (0,) * a.n)
-
     def entry(self, i: int, j: int) -> int:
         if (self.ge2[i] >> j) & 1:
             return TWO_PLUS
@@ -233,11 +194,6 @@ class SatMatrix:
 def nnz(a: Matrix01) -> int:
     """Number of nonzero entries."""
     return sum(row.bit_count() for row in a.rows)
-
-
-def row_sums(a: Matrix01) -> list[int]:
-    """Per-row counts of nonzero entries."""
-    return [row.bit_count() for row in a.rows]
 
 
 def permute(a: Matrix01, sigma: Permutation) -> Matrix01:

@@ -1,4 +1,5 @@
-"""Shared test helpers: census memoization and random decomposition data."""
+"""Shared test helpers: census memoization, random decomposition data and
+the strongly connected components of a digraph, from the definition."""
 
 import random
 
@@ -115,3 +116,50 @@ def block_power(d: CanonicalDecomposition, m: int) -> list[list[int]]:
         for j in range(s):
             out[r + i][r + size + j] = y_entry(p_m1[i], j)
     return out
+
+
+def reach(rows):
+    """Bit j of row i is set when a walk of length >= 1 leads from i to j.
+
+    The transitive closure of the digraph whose arcs are the set bits of
+    ``rows``, by Warshall's method on bitsets: pass t lets t be an inner
+    vertex of a walk.
+    """
+    out = list(rows)
+    for t in range(len(out)):
+        for i, row in enumerate(out):
+            if (row >> t) & 1:
+                out[i] = row | out[t]
+    return out
+
+
+def strong_components(rows):
+    """Strongly connected components of the digraph of ``rows``, with their kinds.
+
+    Two vertices share a component when each reaches the other. A
+    component is a "cycle" when every vertex in it has exactly one arc
+    inside it; a single vertex without a self-loop is "acyclic" and any
+    other component "non-cycle". Returns (vertices, kind) pairs, each
+    vertex tuple ascending, in reverse-topological order: a component
+    that reaches more vertices comes later, so an arc between components
+    points to an earlier one; ties go to the smaller first vertex.
+    """
+    n = len(rows)
+    closure = reach(rows)
+    comps = []
+    seen = 0
+    for v in range(n):
+        if (seen >> v) & 1:
+            continue
+        mask = 1 << v
+        for w in range(n):
+            if (closure[v] >> w) & 1 and (closure[w] >> v) & 1:
+                mask |= 1 << w
+        seen |= mask
+        vertices = tuple(w for w in range(n) if (mask >> w) & 1)
+        if all((rows[w] & mask).bit_count() == 1 for w in vertices):
+            kind = "cycle"
+        else:
+            kind = "acyclic" if len(vertices) == 1 else "non-cycle"
+        comps.append(((closure[v] | mask).bit_count(), vertices, kind))
+    return [(vertices, kind) for _, vertices, kind in sorted(comps)]

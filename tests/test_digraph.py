@@ -1,171 +1,139 @@
+"""The digraph of a 0-1 matrix: arc (i, j) when entry (i, j) is 1.
+
+Entry (i, j) of the exact power A^m counts the walks of length m from i
+to j, so :func:`exact_power` is checked against a listing of vertex
+sequences. The closure and component helpers of ``conftest`` are the
+reference that certifies the structural route; they are checked here on
+hand-made digraphs.
+"""
+
 import random
 from itertools import product
 
 import pytest
 
-from kidempotent.digraph import ComponentKind, Digraph, count_walks, has_path, sccs
-from kidempotent.matrix01 import Matrix01, sat_power
+from conftest import reach, strong_components
+from kidempotent.matrix01 import Matrix01, exact_power
 
 
-def walks_by_enumeration(d, length):
-    """Count walks by listing vertex sequences; the reference for count_walks."""
-    n = d.n
+def walks_by_enumeration(rows, length):
+    """Count walks by listing vertex sequences; the reference for exact_power."""
+    n = len(rows)
     out = [[0] * n for _ in range(n)]
     for seq in product(range(n), repeat=length + 1):
-        if all(d.has_arc(seq[t], seq[t + 1]) for t in range(length)):
+        if all((rows[seq[t]] >> seq[t + 1]) & 1 for t in range(length)):
             out[seq[0]][seq[-1]] += 1
     return out
 
 
+def random_rows(rng, n):
+    return tuple(rng.getrandbits(n) for _ in range(n))
+
+
 class TestSccs:
     def test_cycle(self):
-        rep = sccs(Digraph.from_matrix(Matrix01.cycle(3)))
-        assert len(rep.components) == 1
-        comp = rep.components[0]
-        assert comp.vertices == (0, 1, 2)
-        assert comp.kind is ComponentKind.CYCLE
-        assert comp.cycle_length == 3
+        assert strong_components(Matrix01.cycle(3).rows) == [((0, 1, 2), "cycle")]
 
     def test_upper_triangular_singletons(self):
         a = Matrix01.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-        rep = sccs(Digraph.from_matrix(a))
-        assert [c.vertices for c in rep.components] == [(2,), (1,), (0,)]
-        assert all(c.kind is ComponentKind.TRIVIAL_ACYCLIC for c in rep.components)
+        assert strong_components(a.rows) == [((2,), "acyclic"), ((1,), "acyclic"), ((0,), "acyclic")]
 
     def test_all_ones_is_non_cycle(self):
-        rep = sccs(Digraph.from_matrix(Matrix01.ones(2)))
-        assert rep.components[0].kind is ComponentKind.NON_CYCLE
-        assert rep.components[0].vertices == (0, 1)
+        assert strong_components(Matrix01.ones(2).rows) == [((0, 1), "non-cycle")]
 
     def test_self_loop_is_cycle_of_length_one(self):
-        rep = sccs(Digraph.from_matrix(Matrix01.from_lists([[1]])))
-        assert rep.components[0].kind is ComponentKind.CYCLE
-        assert rep.components[0].cycle_length == 1
+        assert strong_components((1,)) == [((0,), "cycle")]
 
     def test_order_is_reverse_topological(self):
         # arcs must go from later-listed components to earlier-listed ones
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(1, 6)
-            d = Digraph(n, tuple(rng.getrandbits(n) for _ in range(n)))
-            rep = sccs(d)
-            position = {}
-            for idx, comp in enumerate(rep.components):
-                for v in comp.vertices:
-                    position[v] = idx
+            rows = random_rows(rng, n)
+            comps = strong_components(rows)
+            position = {v: idx for idx, (vertices, _) in enumerate(comps) for v in vertices}
             for u in range(n):
                 for v in range(n):
-                    if d.has_arc(u, v) and position[u] != position[v]:
+                    if (rows[u] >> v) & 1 and position[u] != position[v]:
                         assert position[u] > position[v]
-            covered = sorted(v for c in rep.components for v in c.vertices)
-            assert covered == list(range(n))
+            assert sorted(position) == list(range(n))
 
     def test_tie_break_smallest_vertex(self):
         # two isolated vertices are incomparable; order by smallest index
-        rep = sccs(Digraph.from_matrix(Matrix01.zero(3)))
-        assert [c.vertices for c in rep.components] == [(0,), (1,), (2,)]
+        assert [c for c, _ in strong_components(Matrix01.zero(3).rows)] == [(0,), (1,), (2,)]
 
     def test_cycle_components_have_unit_degrees(self):
         rng = random.Random(13)
         for _ in range(200):
             n = rng.randint(1, 6)
-            d = Digraph(n, tuple(rng.getrandbits(n) for _ in range(n)))
-            for comp in sccs(d).components:
-                if comp.kind is ComponentKind.CYCLE:
-                    mask = 0
-                    for v in comp.vertices:
-                        mask |= 1 << v
-                    assert comp.cycle_length == len(comp.vertices)
-                    for v in comp.vertices:
-                        assert (d.succ[v] & mask).bit_count() == 1
-                    indeg = {v: 0 for v in comp.vertices}
-                    for v in comp.vertices:
-                        indeg[(d.succ[v] & mask).bit_length() - 1] += 1
+            rows = random_rows(rng, n)
+            for vertices, kind in strong_components(rows):
+                if kind == "cycle":
+                    mask = sum(1 << v for v in vertices)
+                    indeg = {v: 0 for v in vertices}
+                    for v in vertices:
+                        assert (rows[v] & mask).bit_count() == 1
+                        indeg[(rows[v] & mask).bit_length() - 1] += 1
                     assert all(c == 1 for c in indeg.values())
 
 
 class TestCountWalks:
     def test_length_one_is_adjacency(self):
         a = Matrix01.from_lists([[0, 1], [1, 1]])
-        assert count_walks(Digraph.from_matrix(a), 1) == a.to_lists()
+        assert exact_power(a, 1) == a.to_lists()
 
     def test_cycle_returns_identity(self):
-        d = Digraph.from_matrix(Matrix01.cycle(3))
-        assert count_walks(d, 3) == Matrix01.identity(3).to_lists()
+        assert exact_power(Matrix01.cycle(3), 3) == Matrix01.identity(3).to_lists()
 
     def test_complete_with_loops(self):
-        d = Digraph.from_matrix(Matrix01.ones(2))
-        expected = walks_by_enumeration(d, 2)
+        a = Matrix01.ones(2)
+        expected = walks_by_enumeration(a.rows, 2)
         assert expected == [[2, 2], [2, 2]]
-        assert count_walks(d, 2) == expected
+        assert exact_power(a, 2) == expected
 
     def test_against_enumeration(self):
         rng = random.Random(5)
         for _ in range(60):
             n = rng.randint(1, 4)
-            d = Digraph(n, tuple(rng.getrandbits(n) for _ in range(n)))
+            rows = random_rows(rng, n)
             length = rng.randint(1, 4)
-            assert count_walks(d, length) == walks_by_enumeration(d, length)
+            assert exact_power(Matrix01(n, rows), length) == walks_by_enumeration(rows, length)
 
     def test_additivity(self):
         rng = random.Random(6)
         for _ in range(40):
             n = rng.randint(1, 5)
-            d = Digraph(n, tuple(rng.getrandbits(n) for _ in range(n)))
-            a = rng.randint(1, 3)
-            b = rng.randint(1, 3)
-            wa = count_walks(d, a)
-            wb = count_walks(d, b)
-            prod = [
-                [sum(wa[i][t] * wb[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            assert count_walks(d, a + b) == prod
-
-    def test_matches_sat_power(self):
-        rng = random.Random(8)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            a = Matrix01(n, tuple(rng.getrandbits(n) for _ in range(n)))
-            length = rng.randint(1, 6)
-            walks = count_walks(Digraph.from_matrix(a), length)
-            capped = [[min(v, 2) for v in row] for row in walks]
-            assert capped == sat_power(a, length).to_lists()
+            a = Matrix01(n, random_rows(rng, n))
+            p = rng.randint(1, 3)
+            q = rng.randint(1, 3)
+            wp = exact_power(a, p)
+            wq = exact_power(a, q)
+            prod = [[sum(wp[i][t] * wq[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+            assert exact_power(a, p + q) == prod
 
     def test_rejects_non_positive_length(self):
         with pytest.raises(ValueError):
-            count_walks(Digraph.from_matrix(Matrix01.zero(1)), 0)
+            exact_power(Matrix01.zero(1), 0)
 
     def test_overflow(self):
         with pytest.raises(OverflowError):
-            count_walks(Digraph.from_matrix(Matrix01.ones(6)), 26)
+            exact_power(Matrix01.ones(6), 26)
 
 
 class TestHasPath:
+    """``reach``: the walks of length >= 1 that the component reference rests on."""
+
     def test_disjoint_blocks(self):
-        a = Matrix01.from_lists([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        assert not has_path(Digraph.from_matrix(a), {0, 1}, {2})
+        closure = reach(Matrix01.from_lists([[0, 1, 0], [1, 0, 0], [0, 0, 0]]).rows)
+        assert closure == [0b011, 0b011, 0]
 
     def test_single_arc(self):
-        a = Matrix01.from_lists([[0, 1], [0, 0]])
-        d = Digraph.from_matrix(a)
-        assert has_path(d, {0}, {1})
-        assert not has_path(d, {1}, {0})
-
-    def test_empty_source_set(self):
-        assert not has_path(Digraph.from_matrix(Matrix01.ones(2)), set(), {0})
+        assert reach(Matrix01.from_lists([[0, 1], [0, 0]]).rows) == [0b10, 0]
 
     def test_requires_length_at_least_one(self):
         # a vertex does not reach itself without an arc
-        d = Digraph.from_matrix(Matrix01.zero(2))
-        assert not has_path(d, {0}, {0})
-        loop = Digraph.from_matrix(Matrix01.from_lists([[1]]))
-        assert has_path(loop, {0}, {0})
+        assert reach(Matrix01.zero(2).rows) == [0, 0]
+        assert reach((1,)) == [1]
 
     def test_transitive(self):
-        a = Matrix01.from_lists([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert has_path(Digraph.from_matrix(a), {0}, {2})
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            has_path(Digraph.from_matrix(Matrix01.zero(2)), {2}, {0})
+        assert reach(Matrix01.from_lists([[0, 1, 0], [0, 0, 1], [0, 0, 0]]).rows) == [0b110, 0b100, 0]

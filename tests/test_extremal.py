@@ -93,8 +93,8 @@ class TestConstruct:
         b = construct_extremal(5, 2, ExtremalParams("B", 1, 2, (1, 1), (0,)))
         assert nnz(b) == gamma(5)
         assert is_extremal(b, 2)
-        rev = Permutation(tuple(reversed(range(5))))
-        mirrored = permute(b, rev).transpose()
+        rev = permute(b, Permutation(tuple(reversed(range(5)))))
+        mirrored = Matrix01.from_lists(list(zip(*rev.to_lists())))
         assert is_extremal(mirrored, 2)
         d = decompose(mirrored, 2)
         assert (d.source_count, d.sink_count) == (2, 1)

@@ -20,11 +20,9 @@ from kidempotent.oracle import (
     census,
     enumerate_k_idempotent,
     matrix_from_index,
-    max_nnz_census,
     serialize_census,
     structural_count,
     upper_triangular_check,
-    verify_characterization,
 )
 from kidempotent import cli, oracle, structure
 from kidempotent.extremal import _family_matrices, allowed_boundary_counts, gamma, is_extremal
@@ -367,12 +365,16 @@ class TestArgmaxObjects:
         built = []
         post_init = Permutation.__post_init__
         monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p) or post_init(p))
-        assert census(n, k).max_density_ok
+        shapes = []
+        fits = oracle._fits_maximum_form
+        monkeypatch.setattr(oracle, "_fits_maximum_form", lambda *blocks: shapes.append(blocks) or fits(*blocks))
+        report = census(n, k)
+        assert report.max_density_ok
         assert built == []
         monkeypatch.undo()
-        _, _, argmax, forms, _ = oracle._sweep(n, k)
-        assert forms == [structure._canonical_form(a.rows, n, k) for a in argmax]
-        assert [decompose(a, k).original_matrix() for a in argmax] == argmax
+        forms = [structure._canonical_form(a.rows, n, k) for a in report.argmax]
+        assert shapes == [(r, s, x, y) for r, _, s, x, y, _, _ in forms]
+        assert [decompose(a, k).original_matrix() for a in report.argmax] == list(report.argmax)
 
 
 # n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route
@@ -411,7 +413,6 @@ class TestCountClosesOrderFive:
         report = census(5, 2, allow_order_5=True)
         assert not report.characterization_ok
         assert report.mismatches == ()
-        assert not verify_characterization(5, 2, allow_order_5=True).characterization_ok
         assert cli.main(["census", "--n", "5", "--k", "2", "--max-order-5"]) == 1
         assert "characterization_ok=false\n" in capsys.readouterr().out
 
@@ -437,14 +438,18 @@ class TestCountClosesOrderFive:
 
 class TestCharacterization:
     @pytest.mark.parametrize("n,k", [(0, 2), (1, 2), (1, 5), (2, 2), (2, 3), (3, 2), (3, 4)])
-    def test_ok_small(self, n, k):
-        result = verify_characterization(n, k)
-        assert result.characterization_ok
-        assert result.mismatches == ()
+    def test_ok_small(self, get_census, n, k):
+        if n == 0:
+            # the census starts at order 1; the empty matrix is the one member
+            (empty,) = enumerate_k_idempotent(0, k)
+            assert decompose(empty, k).original_matrix() == empty
+            return
+        report = get_census(n, k)
+        assert report.characterization_ok
+        assert report.mismatches == ()
 
-    def test_total_matches_enumeration(self):
-        result = verify_characterization(3, 3)
-        assert result.total_k_idempotent == sum(1 for _ in enumerate_k_idempotent(3, 3))
+    def test_total_matches_enumeration(self, get_census):
+        assert get_census(3, 3).total_k_idempotent == sum(1 for _ in enumerate_k_idempotent(3, 3))
 
 
 class TestStructuralRejection:
@@ -476,27 +481,31 @@ class TestStructuralRejection:
 
 
 class TestMaxNnzCensus:
-    def test_small_values(self):
-        best, argmax = max_nnz_census(3, 2)
-        assert best == 4
-        assert all(nnz(m) == 4 for m in argmax)
-        best, argmax = max_nnz_census(1, 2)
-        assert best == 1
-        assert argmax == (Matrix01.from_lists([[1]]),)
+    def test_small_values(self, get_census):
+        report = get_census(3, 2)
+        assert report.max_nnz == 4
+        assert all(nnz(m) == 4 for m in report.argmax)
+        report = get_census(1, 2)
+        assert report.max_nnz == 1
+        assert report.argmax == (Matrix01.from_lists([[1]]),)
 
-    def test_order_four(self):
-        best, _ = max_nnz_census(4, 3)
-        assert best == 6
-
-    def test_rejects_order_zero(self):
-        with pytest.raises(ValueError):
-            max_nnz_census(0, 2)
+    def test_order_four(self, get_census):
+        assert get_census(4, 3).max_nnz == 6
 
 
 class TestUpperTriangular:
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 5), (5, 7), (0, 2), (1, 3)])
     def test_only_zero_passes(self, n, k):
         assert upper_triangular_check(n, k)
+
+    def test_planted_member_fails_the_census(self, monkeypatch, capsys):
+        # a scan that tested no candidate would still report true
+        planted = (0b010, 0, 0)
+        accepts = oracle._rows_k_idempotent
+        monkeypatch.setattr(oracle, "_rows_k_idempotent", lambda rows, k: rows == planted or accepts(rows, k))
+        assert census(3, 2).upper_triangular_ok is False
+        assert cli.main(["census", "--n", "3", "--k", "2"]) == 1
+        assert "upper_triangular_ok=false\n" in capsys.readouterr().out
 
 
 class TestCensus:
@@ -544,13 +553,11 @@ ARGUMENT_RULES = {
     "decompose k": lambda: decompose(Matrix01.cycle(3), 1),
     "compose k": lambda: compose(0, (1,), 0, [], [[]], 1),
     "is_extremal k": lambda: is_extremal(Matrix01.cycle(3), 0),
-    "verify_characterization order above limit": lambda: verify_characterization(6, 2, allow_order_5=True),
-    "verify_characterization order 5 without flag": lambda: verify_characterization(5, 2),
     "upper_triangular_check negative order": lambda: upper_triangular_check(-1, 2),
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
     "census order 5 without flag": lambda: census(5, 2),
-    "max_nnz_census order 0": lambda: max_nnz_census(0, 2),
+    "census order above limit": lambda: census(6, 2, allow_order_5=True),
     "structural_count negative order": lambda: structural_count(-1, 2),
     "structural_count k": lambda: structural_count(3, 1),
     "gamma order 0": lambda: gamma(0),
@@ -566,18 +573,3 @@ def test_argument_rules_raise_argument_range_error(call):
     with pytest.raises(ValueError) as info:
         call()
     assert isinstance(info.value, ArgumentRangeError)
-
-
-class TestWalkAgreement:
-    def test_seeded_sample(self):
-        # saturating powers agree with capped walk counts on random digraphs
-        from kidempotent.digraph import Digraph, count_walks
-
-        rng = random.Random(101)
-        for _ in range(1000):
-            n = rng.randint(0, 6)
-            a = Matrix01(n, tuple(rng.getrandbits(n) if n else 0 for _ in range(n)))
-            k = rng.randint(2, 6)
-            walks = count_walks(Digraph.from_matrix(a), k)
-            capped = [[min(v, 2) for v in row] for row in walks]
-            assert capped == sat_power(a, k).to_lists()

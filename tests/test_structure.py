@@ -1,14 +1,15 @@
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import count, product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_power, random_decomposition
-from kidempotent.digraph import ComponentKind, Digraph, sccs
-from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute, unpack_row
+from conftest import block_power, random_decomposition, strong_components
+from kidempotent.matrix01 import Matrix01, Permutation, _sat_mul_rows, exact_power, nnz, permute, unpack_row
 from kidempotent.structure import (
     _analyze_rows,
     _canonical_form,
@@ -183,7 +184,8 @@ class TestDecompose:
 def digraph_certification(a):
     """The digraph statement of the canonical form, rule by rule.
 
-    A transcription through the public :func:`sccs`, independent of
+    A transcription through :func:`conftest.strong_components`, which
+    computes the components from their definition, independent of
     ``_analyze_rows``. Returns (sources, cycle vertex sets, sinks), or
     None when a rule fails:
 
@@ -201,10 +203,10 @@ def digraph_certification(a):
         return (a.rows[i] >> j) & 1
 
     cycles, trivial = [], []
-    for comp in sccs(Digraph.from_matrix(a)).components:
-        if comp.kind is ComponentKind.NON_CYCLE:
+    for vertices, kind in strong_components(a.rows):
+        if kind == "non-cycle":
             return None
-        (cycles if comp.kind is ComponentKind.CYCLE else trivial).append(comp.vertices)
+        (cycles if kind == "cycle" else trivial).append(vertices)
     sources, sinks = [], []
     for (v,) in trivial:
         has_in = any(arc(u, v) for u in range(n))
@@ -589,6 +591,24 @@ class TestCanonicalForm:
         check_canonical_form(Matrix01(n, rows), k)
 
 
+def minimal_exponent(rows):
+    """Minimal k >= 2 with A^k = A, from the saturating powers alone, or None.
+
+    The powers A, A^2, ... take finitely many values, so a first A^t
+    equals an earlier A^i. Some k >= 2 has A^k = A exactly when i = 1,
+    and then t is the least such k and the valid k are those with t - 1
+    dividing k - 1. No bound on k is assumed.
+    """
+    a = (rows, (0,) * len(rows))
+    seen = {a: 1}
+    power = a
+    for t in count(2):
+        power = _sat_mul_rows(*power, *a)
+        if power in seen:
+            return t if seen[power] == 1 else None
+        seen[power] = t
+
+
 class TestIdempotencyIndex:
     def test_examples(self):
         assert idempotency_index(Matrix01.identity(3)) == 2
@@ -607,6 +627,16 @@ class TestIdempotencyIndex:
                         direct = k
                         break
                 assert idempotency_index(a) == direct
+
+    def test_power_route_minimum_on_every_order_four_matrix(self):
+        # every exponent at once: equal minima give equal sets of valid k
+        found = Counter()
+        for n in (0, 1, 2, 3, 4):
+            for rows in product(range(1 << n), repeat=n):
+                k = minimal_exponent(rows)
+                assert k == idempotency_index(Matrix01(n, rows))
+                found[n, k] += 1
+        assert [found[4, k] for k in (2, 3, 4, 5, None)] == [452, 471, 128, 6, 64_479]
 
     def test_composite_cycle_lengths(self):
         a = Matrix01.from_lists(
