@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 from conftest import reach, strong_components
-from kidempotent.matrix01 import Matrix01, exact_power
+from kidempotent.matrix01 import Matrix01, exact_power, sat_power
 
 
 def walks_by_enumeration(rows, length):
@@ -110,6 +110,15 @@ class TestCountWalks:
             wq = exact_power(a, q)
             prod = [[sum(wp[i][t] * wq[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
             assert exact_power(a, p + q) == prod
+
+    def test_matches_sat_power(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            a = Matrix01(n, random_rows(rng, n))
+            length = rng.randint(1, 6)
+            capped = [[min(v, 2) for v in row] for row in exact_power(a, length)]
+            assert capped == sat_power(a, length).to_lists()
 
     def test_rejects_non_positive_length(self):
         with pytest.raises(ValueError):

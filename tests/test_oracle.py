@@ -492,6 +492,10 @@ class TestMaxNnzCensus:
     def test_order_four(self, get_census):
         assert get_census(4, 3).max_nnz == 6
 
+    def test_rejects_order_zero(self, get_census):
+        with pytest.raises(ValueError):
+            get_census(0, 2).max_nnz
+
 
 class TestUpperTriangular:
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 5), (5, 7), (0, 2), (1, 3)])
@@ -547,6 +551,18 @@ class TestCensus:
             census(5, 2)
 
 
+class TestWalkAgreement:
+    def test_seeded_sample(self):
+        # saturating powers agree with capped walk counts on random digraphs
+        rng = random.Random(101)
+        for _ in range(1000):
+            n = rng.randint(0, 6)
+            a = Matrix01(n, tuple(rng.getrandbits(n) if n else 0 for _ in range(n)))
+            k = rng.randint(2, 6)
+            capped = [[min(v, 2) for v in row] for row in exact_power(a, k)]
+            assert capped == sat_power(a, k).to_lists()
+
+
 # Every argument rule of the library, one call that breaks it.
 ARGUMENT_RULES = {
     "power_failure k": lambda: power_failure(Matrix01.cycle(3), 1),
@@ -558,6 +574,8 @@ ARGUMENT_RULES = {
     "census k": lambda: census(3, 1),
     "census order 5 without flag": lambda: census(5, 2),
     "census order above limit": lambda: census(6, 2, allow_order_5=True),
+    "max_nnz_census order 0": lambda: census(0, 2).max_nnz,
+    "verify_characterization order 5 without flag": lambda: census(5, 2).characterization_ok,
     "structural_count negative order": lambda: structural_count(-1, 2),
     "structural_count k": lambda: structural_count(3, 1),
     "gamma order 0": lambda: gamma(0),
