@@ -378,42 +378,64 @@ def _lane_patterns(width: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def _lane_mul(a, b, n: int):
+def _lane_cols(b, n: int):
+    """Column table of the bit-sliced right factor ``b`` of :func:`_lane_mul`.
+
+    Entry j lists (t, ge1, ge2) for each row t whose entry (t, j) has a
+    ge1 plane that is not zero; the second field says whether ``b`` has
+    a ge2 plane that is not zero.
+    """
+    b1, b2 = b
+    cols = [[(t, b1[t * n + j], b2[t * n + j]) for t in range(n) if b1[t * n + j]] for j in range(n)]
+    return cols, any(b2)
+
+
+def _lane_mul(a, right, n: int):
     """Saturating product of two bit-sliced matrices.
 
     A bit-sliced matrix is a (ge1, ge2) pair of flat row-major lists of
-    n*n entry planes; lane x of every plane belongs to the same matrix.
-    The combination rule is that of :func:`_sat_mul_rows`, applied to all
-    lanes at once. A middle index t adds nothing where either factor's
-    ge1 plane is zero (a ge2 plane lies inside its ge1 plane), so such
-    terms are skipped; when neither factor has a ge2 plane, as in the
-    square of a 0/1 matrix, the ge2 terms are left out of the loop.
+    n*n entry planes; lane x of every plane belongs to the same matrix,
+    and every ge2 plane lies inside its ge1 plane. ``right`` is the
+    :func:`_lane_cols` table of the right factor, so a factor used
+    twice is tabled once. The combination rule is that of
+    :func:`_sat_mul_rows`, applied to all lanes at once. A middle index
+    t adds nothing where either factor's ge1 plane is zero, so such
+    terms are skipped. When neither factor has a ge2 plane, as in the
+    square of a 0/1 matrix, the ge2 terms are left out of the loop;
+    otherwise a term with x = a[i, t] and y = b[t, j] adds
+    (acc1 | x2 | y2) & x1 & y1 to the ge2 plane, which equals
+    (acc1 & x1 & y1) | (x2 & y1) | (x1 & y2) because x2 lies inside x1
+    and y2 inside y1. Every product keeps that precondition.
     """
     a1, a2 = a
-    b1, b2 = b
-    cols = [[(t, b1[t * n + j], b2[t * n + j]) for t in range(n) if b1[t * n + j]] for j in range(n)]
-    plain = not any(a2) and not any(b2)
+    cols, twos = right
     c1 = []
     c2 = []
-    for i in range(n):
-        row1 = a1[i * n : i * n + n]
-        row2 = a2[i * n : i * n + n]
-        for col in cols:
-            acc1 = acc2 = 0
-            if plain:
+    if not twos and not any(a2):
+        for i in range(n):
+            row1 = a1[i * n : i * n + n]
+            for col in cols:
+                acc1 = acc2 = 0
                 for t, y1, _ in col:
                     x1 = row1[t]
                     if x1:
                         term = x1 & y1
                         acc2 |= acc1 & term
                         acc1 |= term
-            else:
-                for t, y1, y2 in col:
-                    x1 = row1[t]
-                    if x1:
-                        term = x1 & y1
-                        acc2 |= (acc1 & term) | (row2[t] & y1) | (x1 & y2)
-                        acc1 |= term
+                c1.append(acc1)
+                c2.append(acc2)
+        return c1, c2
+    for i in range(n):
+        row1 = a1[i * n : i * n + n]
+        row2 = a2[i * n : i * n + n]
+        for col in cols:
+            acc1 = acc2 = 0
+            for t, y1, y2 in col:
+                x1 = row1[t]
+                if x1:
+                    term = x1 & y1
+                    acc2 |= (acc1 | row2[t] | y2) & term
+                    acc1 |= term
             c1.append(acc1)
             c2.append(acc2)
     return c1, c2
@@ -427,13 +449,17 @@ def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
     entry of matrix base + x: a fixed lane pattern when e < width, and
     all-ones or zero by bit e of ``base`` otherwise. The power is plain
     repeated squaring by :func:`_power`, without the core peel of
-    :func:`_sat_power_rows`, since each lane has its own core. Bit x of
-    the result is set when matrix base + x is k-idempotent.
+    :func:`_sat_power_rows`, since each lane has its own core. The
+    column table of A is built once: it serves the first squaring and
+    every product by A. Bit x of the result is set when matrix base + x
+    is k-idempotent.
     """
     full = (1 << (1 << width)) - 1
     patterns = _lane_patterns(width)
     a = [patterns[e] if e < width else full if (base >> e) & 1 else 0 for e in range(n * n)]
-    p1, p2 = _power((a, [0] * len(a)), k, lambda x, y: _lane_mul(x, y, n))
+    pair = (a, [0] * len(a))
+    a_cols = _lane_cols(pair, n)
+    p1, p2 = _power(pair, k, lambda x, y: _lane_mul(x, a_cols if y is pair else _lane_cols(y, n), n))
     bad = 0
     for entry, q1, q2 in zip(a, p1, p2):
         bad |= (q1 ^ entry) | q2

@@ -14,12 +14,12 @@ up to 2**16 consecutive indices, one per bit lane (see
 :func:`kidempotent.matrix01._sat_member_lanes`), and a depth-first
 search skips every block whose fixed index bits already force A^k != A
 (see :func:`_member_blocks`). Deciding all 2**25 order-5 matrices takes
-0.09 s at k = 2 and 0.53 s at k = 7 on a 2-core Xeon VM with Python
-3.11, against 0.25 s and 1.33 s without the search and the sparse lane
-product (measured side by side) and 183 s and 726 s one matrix at a
-time. The structural route still runs per matrix: on every matrix up to
-order 4, as one ``map`` whose accepted index set is compared with the
-member set, and on the members only at order 5. There the member count
+0.06 s at k = 2 and 0.34 s at k = 7 on a 2-core Xeon VM with Python
+3.11 (fastest of 12), against 0.25 s and 1.33 s without the search and
+the sparse lane product and 183 s and 726 s one matrix at a time. The
+structural route still runs per matrix: on every matrix up to order 4,
+as one ``map`` whose accepted index set is compared with the member
+set, and on the members only at order 5. There the member count
 must also equal :func:`structural_count`, the number of matrices of the
 canonical form, so the two sets are equal without visiting a non-member.
 Only members are walked: each is relabeled once into canonical order,
@@ -28,8 +28,9 @@ canonical rows. The density shape of each argmax member is decided on
 those blocks; no matrix object is built except for the reported argmax
 and mismatches, and no permutation or decomposition object at all.
 ``census(3, k)`` takes 1.17-1.44 ms for k = 2..7, ``census(4, 2)`` 86
-ms, ``census(4, 7)`` 91 ms, ``census(5, 2)`` 0.19 s and ``census(5, 7)``
-0.82 s on the same machine (fastest of 160, 32 and 4 calls).
+ms and ``census(4, 7)`` 91 ms on the same machine (fastest of 160 and 32
+calls); ``census(5, 2)`` takes 0.22 s and ``census(5, 7)`` 0.84 s
+(fastest of 4, on a slower stretch of the host).
 """
 
 from __future__ import annotations
@@ -119,9 +120,10 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int,
     range is then one lane power whatever its bits, so short ranges of
     one width cost the same wherever they lie. Tested, a 2**10-index
     order-5 range costs 6-26 microseconds when pruned and that plus a
-    50-320 microsecond lane power when not; seeded passes of 32 such
-    ranges pruned 23 to 31 of them, and their cost varied 2.4-fold from
-    seed to seed.
+    lane power when not; seeded passes of 32 such ranges pruned 23 to
+    31 of them, and their cost varied 2.4-fold from seed to seed. The
+    lane power of such a range takes 19-34 microseconds at k = 2 and
+    63-123 at k = 7 (fastest of 10 on each of 64 seeded ranges).
     """
     if start >= stop:
         return
@@ -175,7 +177,7 @@ def enumerate_k_idempotent(
     Membership is decided bit-sliced, up to 2**16 indices per saturating
     power, and blocks of 2**16 or more indices whose fixed index bits
     already rule out A^k = A are skipped: all 2**25 order-5 matrices take
-    0.09 s at k = 2 and 0.53 s at k = 7.
+    0.06 s at k = 2 and 0.34 s at k = 7.
     """
     _check_args(n, k, allow_order_5)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
