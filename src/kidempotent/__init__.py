@@ -45,7 +45,6 @@ from .oracle import (
     matrix_from_index,
     serialize_census,
     structural_count,
-    upper_triangular_check,
 )
 from .structure import (
     CanonicalDecomposition,

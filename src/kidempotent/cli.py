@@ -112,7 +112,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_census(args) -> int:
-    report = census(args.n, args.k, allow_order_5=args.max_order_5)
+    report = census(args.n, args.k)
     print(serialize_census(report), end="")
     ok = report.characterization_ok and report.upper_triangular_ok and report.max_density_ok
     return 0 if ok else 1
@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="exhaustively verify one (n, k) pair")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-order-5", action="store_true", dest="max_order_5")
 
     p = sub.add_parser("index", help="print the minimal k with A^k = A")
     p.add_argument("file", nargs="?")

@@ -4,10 +4,11 @@ Every 0-1 matrix of a small order is enumerated and tested two
 independent ways: the saturating power route decides A^k = A directly,
 and the structural route decides whether the canonical block
 certification accepts. The census records both verdicts, the density
-maximum with all matrices attaining it, and the strictly upper
-triangular scan. Enumeration is indexed so that bit j of the index is
-entry (j div n, j mod n); any index sub-range can be swept on its own
-and the merged result equals the serial stream.
+maximum with all matrices attaining it, and whether a nonzero strictly
+upper triangular matrix is a member, read off the same member walk.
+Orders 0 to 5 are accepted. Enumeration is indexed so that bit j of the
+index is entry (j div n, j mod n); any index sub-range can be swept on
+its own and the merged result equals the serial stream.
 
 The power route is bit-sliced: one saturating power decides a block of
 up to 2**16 consecutive indices, one per bit lane (see
@@ -48,7 +49,6 @@ from .structure import (
     _build_rows,
     _canonical_form,
     _require_k,
-    _rows_k_idempotent,
 )
 
 __all__ = [
@@ -58,13 +58,12 @@ __all__ = [
     "matrix_from_index",
     "serialize_census",
     "structural_count",
-    "upper_triangular_check",
 ]
 
-# Enumerating all matrices of order 5 means 2^25 candidates; callers must
-# opt in explicitly. Orders above 5 are out of scope.
-FREE_ORDER_LIMIT = 4
 ORDER_LIMIT = 5
+# Up to this order the census certifies every index by the structural
+# route; above it only the members, and the member count closes the check.
+FULL_WALK_LIMIT = 4
 
 # Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
 # narrower than a leaf are not tested. Full order-5 sweeps took 0.11 s at
@@ -76,12 +75,10 @@ ORDER_LIMIT = 5
 _LANE_BITS = 16
 
 
-def _check_args(n: int, k: int, allow_order_5: bool) -> None:
+def _check_args(n: int, k: int) -> None:
     _require_k(k)
     if not 0 <= n <= ORDER_LIMIT:
         raise ArgumentRangeError(f"order must be between 0 and {ORDER_LIMIT}")
-    if n > FREE_ORDER_LIMIT and not allow_order_5:
-        raise ArgumentRangeError("order 5 enumeration requires allow_order_5=True (--max-order-5)")
 
 
 def matrix_from_index(n: int, index: int) -> Matrix01:
@@ -178,8 +175,11 @@ def enumerate_k_idempotent(
     power, and blocks of 2**16 or more indices whose fixed index bits
     already rule out A^k = A are skipped: all 2**25 order-5 matrices take
     0.06 s at k = 2 and 0.34 s at k = 7.
+
+    ``allow_order_5`` is ignored: order 5 needs no opt-in. It is kept so
+    that callers written for the old opt-in still run.
     """
-    _check_args(n, k, allow_order_5)
+    _check_args(n, k)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
     if not 0 <= start <= stop <= 1 << (n * n):
         raise ValueError("bad index range")
@@ -269,11 +269,13 @@ def _sweep(n: int, k: int) -> CensusReport:
     member, as the relabel is a bijection. An index's bits are its
     matrix's entries, so its count of ones is its bit count. The density
     shape of each argmax member is decided on the blocks of its
-    :func:`_canonical_form`. Matrices are built only for the final argmax
-    and the mismatches, these in ascending index order.
+    :func:`_canonical_form`. A nonzero member whose index has no bit on or
+    below the diagonal is strictly upper triangular, and breaks the
+    triangular lemma. Matrices are built only for the final argmax and
+    the mismatches, these in ascending index order.
     """
     size = 1 << (n * n)
-    if n <= FREE_ORDER_LIMIT:
+    if n <= FULL_WALK_LIMIT:
         # n * n <= _LANE_BITS: one unpruned block decides every index
         ((_, _, flags),) = _member_blocks(n, k, 0, size)
         candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
@@ -288,11 +290,16 @@ def _sweep(n: int, k: int) -> CensusReport:
             for base, _, flags in _member_blocks(n, k, 0, size)
             for x in map(base.__add__, _ones(flags))
         )
+    # the index bits of the entries on or below the diagonal
+    lower = sum(((2 << i) - 1) << (i * n) for i in range(n))
+    upper_triangular_ok = True
     total = 0
     best = -1
     argmax: list[tuple[int, tuple | None]] = []
     for x, form in walk:
         total += 1
+        if x and not x & lower:
+            upper_triangular_ok = False
         # form is (r, cycle_lengths, s, X, Y, canonical_rows, to_canonical)
         if form is None or _build_rows(*form[:5]) != form[5]:
             bad.add(x)
@@ -315,8 +322,8 @@ def _sweep(n: int, k: int) -> CensusReport:
         # The rebuilt members lie in the canonical set. Up to order 4 every
         # non-member was also rejected; at order 5 none was visited, and a
         # member count equal to the size of the canonical set shows the sets equal.
-        characterization_ok=not bad and (n <= FREE_ORDER_LIMIT or total == structural_count(n, k)),
-        upper_triangular_ok=upper_triangular_check(n, k),
+        characterization_ok=not bad and (n <= FULL_WALK_LIMIT or total == structural_count(n, k)),
+        upper_triangular_ok=upper_triangular_ok,
         # Lists first: tuple() of a generator grows the tuple by resizing,
         # which raised the peak RSS of repeated order-3 censuses by 0.6 MB.
         mismatches=tuple([matrix_from_index(n, x) for x in sorted(bad)]),
@@ -324,32 +331,19 @@ def _sweep(n: int, k: int) -> CensusReport:
     )
 
 
-def upper_triangular_check(n: int, k: int) -> bool:
-    """True when the only strictly upper triangular k-idempotent matrix is zero."""
-    _check_args(n, k, allow_order_5=True)
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bits in range(1, 1 << len(positions)):
-        rows = [0] * n
-        for t, (i, j) in enumerate(positions):
-            if (bits >> t) & 1:
-                rows[i] |= 1 << j
-        if _rows_k_idempotent(tuple(rows), k):
-            return False
-    return True
-
-
-def census(n: int, k: int, *, allow_order_5: bool = False) -> CensusReport:
+def census(n: int, k: int) -> CensusReport:
     """Full census of order n under exponent k.
 
     Covers the member count, the two-route characterization check with
     reconstruction (closed by :func:`structural_count` at order 5), the
     density maximum against gamma(n) with the shape of every argmax, and
-    the strictly upper triangular scan. Two runs with the same arguments
-    produce bit-identical serialized reports.
+    the lemma that no nonzero strictly upper triangular matrix is a
+    member. Two runs with the same arguments produce bit-identical
+    serialized reports.
     """
     if n < 1:
         raise ArgumentRangeError("census requires order >= 1")
-    _check_args(n, k, allow_order_5)
+    _check_args(n, k)
     return _sweep(n, k)
 
 

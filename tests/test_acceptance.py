@@ -12,7 +12,7 @@ from pathlib import Path
 from conftest import block_power, random_decomposition
 from kidempotent.extremal import construct_extremal, extremal_families, gamma, is_extremal, matches_maximum_form
 from kidempotent.matrix01 import Matrix01, exact_power, permute, sat_power
-from kidempotent.oracle import enumerate_k_idempotent, upper_triangular_check
+from kidempotent.oracle import enumerate_k_idempotent
 from kidempotent.structure import (
     CanonicalDecomposition,
     decompose,
@@ -79,10 +79,9 @@ def test_criterion_3_maximum_density(get_census):
     report(3, "maximum density", ok)
 
 
-def test_criterion_4_upper_triangular_lemma():
-    ok = all(
-        upper_triangular_check(n, k) for n in range(0, 6) for k in range(2, 8)
-    )
+def test_criterion_4_upper_triangular_lemma(get_census):
+    # order 0 has no nonzero matrix
+    ok = all(get_census(n, k).upper_triangular_ok for n in range(1, 6) for k in range(2, 8))
     report(4, "strictly upper triangular lemma", ok)
 
 

@@ -194,9 +194,10 @@ class TestCensusCommand:
         assert lines["max_nnz"] == "4"
         assert lines["characterization_ok"] == "true"
 
-    def test_order_five_needs_flag(self):
-        code, _ = run_cli(["census", "--n", "5", "--k", "2"])
-        assert code == 2
+    def test_order_five_needs_no_flag(self):
+        code, out = run_cli(["census", "--n", "5", "--k", "2"])
+        assert code == 0
+        assert "total_k_idempotent=5682\n" in out
 
 
 class TestInstalledEntryPoint:
@@ -281,7 +282,6 @@ ARGUMENT_ERRORS = [
     (["census", "--n", "0", "--k", "2"], "", lambda: census(0, 2)),
     (["census", "--n", "6", "--k", "2"], "", lambda: census(6, 2)),
     (["census", "--n", "3", "--k", "1"], "", lambda: census(3, 1)),
-    (["census", "--n", "5", "--k", "2"], "", lambda: census(5, 2)),
 ]
 
 

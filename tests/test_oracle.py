@@ -23,7 +23,6 @@ from kidempotent.oracle import (
     matrix_from_index,
     serialize_census,
     structural_count,
-    upper_triangular_check,
 )
 from kidempotent import cli, oracle, structure
 from kidempotent.extremal import _family_matrices, allowed_boundary_counts, gamma, is_extremal
@@ -78,8 +77,7 @@ class TestEnumeration:
         assert merged == serial
 
     def test_argument_checks(self):
-        with pytest.raises(ValueError):
-            list(enumerate_k_idempotent(5, 2))
+        # the ignored keyword opens no order above 5
         with pytest.raises(ValueError):
             list(enumerate_k_idempotent(6, 2, allow_order_5=True))
         with pytest.raises(ValueError):
@@ -174,7 +172,7 @@ class TestLaneKernel:
         size = 1 << (n * n)
         start = data.draw(st.integers(0, size), label="start")
         stop = data.draw(st.integers(start, min(size, start + 3000)), label="stop")
-        found = list(enumerate_k_idempotent(n, k, allow_order_5=True, index_range=(start, stop)))
+        found = list(enumerate_k_idempotent(n, k, index_range=(start, stop)))
         assert found == scalar_members(n, k, start, stop)
 
     def test_edges(self):
@@ -188,7 +186,7 @@ class TestLaneKernel:
         assert list(enumerate_k_idempotent(4, 7, index_range=(identity, identity + 1))) == [Matrix01.identity(4)]
         assert list(enumerate_k_idempotent(2, 2, index_range=(15, 16))) == []
         last = (1 << 25) - 1
-        assert list(enumerate_k_idempotent(5, 2, allow_order_5=True, index_range=(last, last + 1))) == []
+        assert list(enumerate_k_idempotent(5, 2, index_range=(last, last + 1))) == []
 
 
 def unpruned_members(n, k):
@@ -224,9 +222,13 @@ class TestPrunedSearch:
 
 class TestOrderFive:
     def test_golden_counts(self):
-        for line in GOLDEN_N5.read_text().splitlines():
-            n, k, expected = (int(v) for v in line.split())
-            assert sum(1 for _ in enumerate_k_idempotent(n, k, allow_order_5=True)) == expected, (n, k)
+        # One line through the public stream; it builds a Matrix01 per
+        # member, 123,084 over all eight lines. test_census_text[5-*] pins
+        # all eight counts through census, on the same power route.
+        line = GOLDEN_N5.read_text().splitlines()[0]
+        n, k, expected = (int(v) for v in line.split())
+        assert (n, k) == (5, 2)
+        assert sum(1 for _ in enumerate_k_idempotent(n, k)) == expected
 
 
 def golden_lines():
@@ -257,9 +259,9 @@ class TestCandidates:
         assert seen == [oracle._index_rows(n, x) for x in range(1 << (n * n))]
 
     @pytest.mark.parametrize("n,k,total", golden_lines())
-    def test_census_text(self, n, k, total):
+    def test_census_text(self, get_census, n, k, total):
         g = gamma(n)
-        assert serialize_census(census(n, k, allow_order_5=True)) == (
+        assert serialize_census(get_census(n, k)) == (
             f"n={n}\nk={k}\ntotal_k_idempotent={total}\ngamma={g}\nmax_nnz={g}\n"
             f"argmax_count={ARGMAX_COUNTS[n][k]}\nmax_density_ok=true\ncharacterization_ok=true\n"
             "upper_triangular_ok=true\nmismatches=0\n"
@@ -416,10 +418,10 @@ class TestCountClosesOrderFive:
     def test_wrong_count_fails(self, monkeypatch, capsys):
         count = oracle.structural_count
         monkeypatch.setattr(oracle, "structural_count", lambda n, k: count(n, k) + 1)
-        report = census(5, 2, allow_order_5=True)
+        report = census(5, 2)
         assert not report.characterization_ok
         assert report.mismatches == ()
-        assert cli.main(["census", "--n", "5", "--k", "2", "--max-order-5"]) == 1
+        assert cli.main(["census", "--n", "5", "--k", "2"]) == 1
         assert "characterization_ok=false\n" in capsys.readouterr().out
 
     def test_order_four_does_not_count(self, monkeypatch):
@@ -504,15 +506,21 @@ class TestMaxNnzCensus:
 
 
 class TestUpperTriangular:
+    # test_criterion_4_upper_triangular_lemma reads all of n = 1..5, k = 2..7
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 5), (5, 7), (0, 2), (1, 3)])
-    def test_only_zero_passes(self, n, k):
-        assert upper_triangular_check(n, k)
+    def test_only_zero_passes(self, get_census, n, k):
+        if n == 0:
+            # the census starts at order 1; order 0 has no nonzero matrix
+            assert list(enumerate_k_idempotent(0, k)) == [Matrix01(0, ())]
+            return
+        assert get_census(n, k).upper_triangular_ok
 
     def test_planted_member_fails_the_census(self, monkeypatch, capsys):
-        # a scan that tested no candidate would still report true
-        planted = (0b010, 0, 0)
-        accepts = oracle._rows_k_idempotent
-        monkeypatch.setattr(oracle, "_rows_k_idempotent", lambda rows, k: rows == planted or accepts(rows, k))
+        # a census that tested no member for the lemma would still report
+        # true: the power route now also accepts index 2, entry (0, 1)
+        # alone, in the one block of order 3
+        lanes = oracle._sat_member_lanes
+        monkeypatch.setattr(oracle, "_sat_member_lanes", lambda n, k, base, width: lanes(n, k, base, width) | 1 << 2)
         assert census(3, 2).upper_triangular_ok is False
         assert cli.main(["census", "--n", "3", "--k", "2"]) == 1
         assert "upper_triangular_ok=false\n" in capsys.readouterr().out
@@ -552,10 +560,6 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(0, 2)
 
-    def test_rejects_order_five_without_flag(self):
-        with pytest.raises(ValueError):
-            census(5, 2)
-
 
 class TestWalkAgreement:
     def test_seeded_sample(self):
@@ -575,13 +579,11 @@ ARGUMENT_RULES = {
     "decompose k": lambda: decompose(Matrix01.cycle(3), 1),
     "compose k": lambda: compose(0, (1,), 0, [], [[]], 1),
     "is_extremal k": lambda: is_extremal(Matrix01.cycle(3), 0),
-    "upper_triangular_check negative order": lambda: upper_triangular_check(-1, 2),
+    "enumerate_k_idempotent negative order": lambda: list(enumerate_k_idempotent(-1, 2)),
+    "enumerate_k_idempotent order above limit": lambda: list(enumerate_k_idempotent(6, 2)),
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
-    "census order 5 without flag": lambda: census(5, 2),
-    "census order above limit": lambda: census(6, 2, allow_order_5=True),
-    "max_nnz_census order 0": lambda: census(0, 2).max_nnz,
-    "verify_characterization order 5 without flag": lambda: census(5, 2).characterization_ok,
+    "census order above limit": lambda: census(6, 2),
     "structural_count negative order": lambda: structural_count(-1, 2),
     "structural_count k": lambda: structural_count(3, 1),
     "gamma order 0": lambda: gamma(0),
