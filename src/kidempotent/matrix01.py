@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -326,19 +326,22 @@ def _power(base, m: int, mul):
 def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Repeated squaring in the saturating semiring; m must be >= 1.
 
-    For m >= 3, when the core (the vertices with both an in-arc and an
+    For m >= 3, when the core C (the vertices with both an in-arc and an
     out-arc) is a proper subset of the vertices with arcs and A cut to
     it, M, has at most one 1 per row, as in every k-idempotent matrix,
-    only the core is powered: every inner vertex of a walk of length m
-    lies in the core, so A^m = A[:, core] (M^(m-2) A[core, :]). M is the
-    map f from i to the column of its 1 (-1 for none): f^(m-2) is powered
-    by composing index lists, and row i of M^(m-2) A is row f^(m-2)(i) of
-    A, or 0, with no 2+ entry. Any other A is powered whole. The identity
-    is exact over the integers, so both planes match plain squaring; it
-    needs no structural fact, such as a permutation or cycle test.
+    only the core is powered. M is the map f from i to the column of its
+    1 (-1 for none), powered by composing index lists. Every inner vertex
+    of a walk of length m lies in C, so A^m = A[:, C] (M^(m-1) +
+    M^(m-2) A[C, ~C]): row c of the right factor is bit f^(m-1)(c) OR'd
+    with the arcs leaving C of row f^(m-2)(c) of A. Where that is bit c
+    alone, as at most core points of a k-idempotent A, bit c of each
+    row passes straight through; one product walks the other, live bits,
+    and the parts are added with saturation. Any other A is powered
+    whole. The identity is exact over the integers and what passes
+    through is read off the powered map, so both planes match plain
+    squaring without any structural fact, such as a cycle test.
     """
     zeros = (0,) * len(rows)
-    mul = lambda a, b: _sat_mul_rows(*a, *b)
     if m >= 3:
         has_in = has_out = 0
         for i, row in enumerate(rows):
@@ -349,12 +352,27 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
         if core != has_out | has_in:
             inner = tuple(row & core if (core >> i) & 1 else 0 for i, row in enumerate(rows))
             if max(map(int.bit_count, inner)) <= 1:
-                then = lambda g, h: list(map((*h, -1).__getitem__, g))  # i -> h[g[i]], and -1 -> -1
-                f = _power([row.bit_length() - 1 for row in inner], m - 2, then)
-                right = (tuple(map((*rows, 0).__getitem__, f)), zeros)
-                to_core = tuple(row & core for row in rows)
-                return mul((to_core, zeros), right)
-    return _power((rows, zeros), m, mul)
+                # i -> h[g[i]]; maps end in -1, so -1 -> -1. A peel needs n >= 2: no one-item getter.
+                then = lambda g, h: itemgetter(*g)(h)
+                f = [*(row.bit_length() - 1 for row in inner), -1]
+                before = _power(f, m - 2, then)
+                leaving = has_in ^ core
+                right = [row & leaving for row in itemgetter(*before)((*rows, 0))]
+                through = live = 0
+                for c, t in enumerate(then(before, f)):
+                    if t >= 0:
+                        right[c] |= 1 << t
+                    r = right[c]
+                    if r == 1 << c:
+                        through |= r
+                    elif r:
+                        live |= 1 << c
+                q1, q2 = _sat_mul_rows([row & live for row in rows], zeros, right, zeros)
+                if not through:
+                    return q1, q2
+                passed = [row & through for row in rows]
+                return tuple(map(or_, q1, passed)), tuple([y2 | (y1 & x) for y1, y2, x in zip(q1, q2, passed)])
+    return _power((rows, zeros), m, lambda a, b: _sat_mul_rows(*a, *b))
 
 
 @lru_cache(maxsize=None)
@@ -472,12 +490,13 @@ def sat_power(a: Matrix01, m: int) -> SatMatrix:
     Each entry equals min(2, exact A^m entry). Computed by repeated
     squaring, which is valid because capping at 2 is a semiring
     homomorphism from the non-negative integers. For m >= 3, when the
-    core M (vertices with both in- and out-arcs) is a proper subset of
-    the vertices with arcs and has at most one 1 per row, only M is
-    powered, as an index map, and the result is A[:, core]
-    (M^(m-2) A[core, :]), as every walk's inner vertices lie in the
-    core; any other A is squared whole. That is plain algebra on zero
-    rows and columns, so this stays independent of the structural route.
+    core C (vertices with both in- and out-arcs) is a proper subset of
+    the vertices with arcs and has at most one 1 per row, only C is
+    powered, as an index map; a row's bits at core points that the map
+    fixes, and that lead out of C nowhere, pass straight through, and
+    one product walks the rest. Any other A is squared whole. That is
+    plain algebra on zero rows and columns, so this stays independent of
+    the structural route.
     """
     if m < 1:
         raise ValueError("power must be at least 1")

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -231,31 +233,61 @@ class TestCorePeel:
             Matrix01.cycle(5).rows,  # all core: no peel
             Matrix01.ones(4).rows,
             (0b0110, 0b1010, 0b1100, 0),  # source 0, sink 3, core {1, 2} with loops
+            (0b0110, 0b1000, 0b1000, 0b1000),  # core 1 and 2 both -> 3 -> 3: the walk alone gives (0, 3) = 2+
+            (0b1010, 0b1000, 0, 0b1000),  # 1 -> 3 meets the pass-through of 3 -> 3 at (0, 3)
+            (0b00010, 0b00100, 0b01000, 0b10010, 0),  # 1 -> 2 -> 3 -> 1, sink 4: every core point moves under f^2
+            (0b0010, 0b0100, 0b1000, 0),  # 1 -> 2, which has only a sink arc: f^2(1) = -1, f(1) is live at m = 3
         ],
     )
     def test_fixed_shapes(self, rows):
         for m in PEEL_EXPONENTS:
             assert _sat_power_rows(rows, m) == plain_power(rows, m)
 
-    def test_member_and_near_miss(self):
+    @pytest.mark.parametrize("n, k", [(60, 7), (60, 720721), (240, 7), (240, 720721)])
+    def test_member_and_near_miss(self, n, k):
         rng = random.Random(4)
-        k = 720721
-        d = random_decomposition(rng, 60, k)
+        d = random_decomposition(rng, n, k)
         while not (d.source_count and d.sink_count and d.cycle_total):
-            d = random_decomposition(rng, 60, k)
+            d = random_decomposition(rng, n, k)
         rows = d.original_matrix().rows
         p1, p2 = _sat_power_rows(rows, k)
         assert (p1, p2) == plain_power(rows, k)
         assert p1 == rows and not any(p2)
         pos = d.sigma.mapping
-        u = next(v for v in range(60) if pos[v] < d.source_count)
-        t = next(v for v in range(60) if pos[v] >= 60 - d.sink_count)
+        u = next(v for v in range(n) if pos[v] < d.source_count)
+        t = next(v for v in range(n) if pos[v] >= n - d.sink_count)
         flipped = list(rows)
         flipped[u] ^= 1 << t
         flipped = tuple(flipped)
         q1, q2 = _sat_power_rows(flipped, k)
         assert (q1, q2) == plain_power(flipped, k)
         assert q1 != flipped or any(q2)
+
+    def test_member_walks_only_live_bits(self, monkeypatch):
+        """The one product of a member's power gets only core bits whose f^(k-2)-image has sink arcs."""
+        rng = random.Random(240)
+        k = 720721
+        d = random_decomposition(rng, 240, k)
+        while not (d.source_count and d.sink_count and d.cycle_total):
+            d = random_decomposition(rng, 240, k)
+        rows = d.original_matrix().rows
+        has_out = sum(1 << i for i, row in enumerate(rows) if row)
+        core = has_out & functools.reduce(operator.or_, rows)
+        # f^(k-1) fixes the core of a member, so f^(k-2) is the inverse of f there.
+        pred = {(row & core).bit_length() - 1: c for c, row in enumerate(rows) if (core >> c) & 1}
+        assert sorted(pred) == [c for c in range(240) if (core >> c) & 1]
+        live = sum(1 << c for c, p in pred.items() if rows[p] & ~core)
+        assert any(row & core & ~live for row in rows)  # some source-to-core arc is not live
+        lefts = []
+
+        def spy(a1, a2, b1, b2):
+            lefts.append(a1)
+            return _sat_mul_rows(a1, a2, b1, b2)
+
+        monkeypatch.setattr(matrix01, "_sat_mul_rows", spy)
+        assert _sat_power_rows(rows, k) == (rows, (0,) * 240)
+        assert len(lefts) == 1
+        assert all(not bits & ~live for bits in lefts[0])
 
 
 # Addition and multiplication in the saturating semiring {0, 1, 2+}.
