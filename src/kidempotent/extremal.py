@@ -15,7 +15,10 @@ corner entry counts the one 1 of a Y column, and in variant B it is the
 full Y row that the one X bit selects. For odd n the allowed boundary
 count is (n-1)/2; for even n both n/2 and n/2 - 1 work. This module
 evaluates gamma, constructs and recognizes the maximum-density shapes,
-and enumerates every parameter family that attains the bound.
+and enumerates every parameter family that attains the bound. The
+enumeration composes each candidate once and verifies all of them in
+one bit-sliced power, one lane per matrix; :func:`construct_extremal`
+checks a single family directly, on the row route.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ from itertools import product
 from operator import or_
 from typing import Sequence
 
-from .matrix01 import Matrix01, Permutation, nnz
+from .matrix01 import Matrix01, _lanes_k_idempotent, nnz, row_string
 from .structure import (
     ArgumentRangeError,
     CanonicalDecomposition,
-    _compose_rows,
+    _build_rows,
+    _decomposition_lines,
     _require_k,
     is_k_idempotent,
-    serialize_decomposition,
 )
 
 __all__ = [
@@ -121,39 +124,37 @@ def _family_blocks(params: ExtremalParams) -> tuple[list[int], list[int]]:
     return x_rows, y_rows
 
 
-def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
-    """Compose the family's matrix in canonical layout and verify it.
-
-    The parameter algebra is never trusted: the result is re-checked by
-    :func:`is_extremal`, a direct k-idempotency test and a direct count
-    of ones against gamma(n). Raises :class:`InvalidParams` for
-    parameters outside the allowed shapes and :class:`ValidationFailed`
-    when a degenerate corner composes to something below the bound.
-    """
+def _family_rows(n: int, k: int, params: ExtremalParams) -> tuple[int, ...]:
+    """The family's composed rows, corner checked; raises :class:`InvalidParams` outside the allowed shapes."""
     if n < 1:
         raise InvalidParams("order must be positive")
     _require_k(k)
-    r = params.source_count
-    s = params.sink_count
-    m = sum(params.cycle_lengths)
+    r, s, m = params.source_count, params.sink_count, sum(params.cycle_lengths)
     if r + m + s != n:
         raise InvalidParams("block sizes do not add up to the order")
     fixed = r if params.variant == "A" else s
     if fixed not in allowed_boundary_counts(n):
-        raise InvalidParams(
-            f"count {fixed} not in the allowed set {allowed_boundary_counts(n)}"
-        )
+        raise InvalidParams(f"count {fixed} not in the allowed set {allowed_boundary_counts(n)}")
     for length in params.cycle_lengths:
         if length < 1 or (k - 1) % length:
             raise InvalidParams(f"cycle length {length} does not divide k-1 = {k - 1}")
-    expected_len = s if params.variant == "A" else r
-    if len(params.pattern) != expected_len:
+    if len(params.pattern) != (s if params.variant == "A" else r):
         raise InvalidParams("pattern length does not match the one-per-line block")
     if any(not 0 <= p < m for p in params.pattern):
         raise InvalidParams("pattern index outside the cycle block")
+    return _build_rows(r, params.cycle_lengths, s, *_family_blocks(params))
 
-    x_rows, y_rows = _family_blocks(params)
-    matrix = Matrix01(n, _compose_rows(r, params.cycle_lengths, s, x_rows, y_rows, k))
+
+def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
+    """Compose the family's matrix in canonical layout and verify it.
+
+    The parameter algebra is never trusted: the result is re-checked by
+    :func:`is_extremal`, a direct k-idempotency test on the row route and
+    a direct count of ones against gamma(n). Raises :class:`InvalidParams`
+    for parameters outside the allowed shapes and :class:`ValidationFailed`
+    when a degenerate corner composes to something below the bound.
+    """
+    matrix = Matrix01(n, _family_rows(n, k, params))
     if not is_extremal(matrix, k):
         raise ValidationFailed("composed matrix misses the density bound")
     return matrix
@@ -210,13 +211,17 @@ def _cycle_multisets(m: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, Matrix01]]:
-    """The families of :func:`extremal_families`, each with its composed matrix."""
+def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, tuple[int, ...]]]:
+    """The families of :func:`extremal_families`, each with its composed rows.
+
+    Each candidate is composed once by :func:`_family_rows`; repeated rows
+    are dropped. One bit-sliced power decides A^k = A for all of them, and
+    a candidate that passes is kept when it has gamma(n) ones.
+    """
     if n < 1:
         raise ArgumentRangeError("order must be positive")
     _require_k(k)
-    seen: set[tuple[int, ...]] = set()
-    families: list[tuple[ExtremalParams, Matrix01]] = []
+    candidates: dict[tuple[int, ...], ExtremalParams] = {}
     for variant in ("A", "B"):
         for count in allowed_boundary_counts(n):
             multisets = []
@@ -232,43 +237,32 @@ def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, Matrix01]]:
                     r, s = other, count
                 for pattern in product(range(m), repeat=other):
                     params = ExtremalParams(variant, r, s, cycles, pattern)
-                    try:
-                        matrix = construct_extremal(n, k, params)
-                    except (InvalidParams, ValidationFailed):
-                        continue
-                    if matrix.rows in seen:
-                        continue
-                    seen.add(matrix.rows)
-                    families.append((params, matrix))
-    return families
+                    candidates.setdefault(_family_rows(n, k, params), params)
+    flags, top = _lanes_k_idempotent(n, k, list(candidates)), gamma(n)
+    kept = [(p, rows) for i, (rows, p) in enumerate(candidates.items()) if flags >> i & 1]
+    return [(p, rows) for p, rows in kept if sum(map(int.bit_count, rows)) == top]
 
 
 def extremal_families(n: int, k: int) -> list[ExtremalParams]:
     """Every parameter family whose composed matrix attains gamma(n).
 
     Candidates are generated over variants, allowed boundary counts,
-    cycle multisets and one-per-line patterns, then filtered through
-    :func:`construct_extremal`. Families whose composed matrices repeat
-    an earlier family's matrix entry-for-entry are dropped, so each
-    returned family owns a distinct labeled matrix in canonical layout
-    (distinctness up to relabeling is not attempted). The order is
-    deterministic: variant, then boundary count, then the cycle multiset
-    compared in descending-sorted form, then the pattern.
+    cycle multisets and one-per-line patterns, composed with the checks
+    of :func:`construct_extremal`, verified together by one bit-sliced
+    power and kept at gamma(n) ones. Families whose composed matrices
+    repeat an earlier family's matrix entry-for-entry are dropped, so
+    each returned family owns a distinct labeled matrix in canonical
+    layout (distinctness up to relabeling is not attempted). The order
+    is deterministic: variant, then boundary count, then the cycle
+    multiset compared in descending-sorted form, then the pattern.
     """
     return [params for params, _ in _family_matrices(n, k)]
 
 
 def family_line(n: int, k: int, params: ExtremalParams) -> str:
-    """One-line rendering: variant tag followed by the decomposition fields."""
+    """One-line rendering: variant tag followed by the decomposition fields, with the identity sigma."""
     x_rows, y_rows = _family_blocks(params)
-    d = CanonicalDecomposition(
-        n=n,
-        k=k,
-        source_count=params.source_count,
-        cycle_lengths=params.cycle_lengths,
-        sink_count=params.sink_count,
-        source_to_cycle=tuple(x_rows),
-        cycle_to_sink=tuple(y_rows),
-        sigma=Permutation.identity(n),
-    )
-    return " ".join([f"variant={params.variant}", *serialize_decomposition(d).splitlines()])
+    r, s = params.source_count, params.sink_count
+    texts = [row_string(row, n - r - s) for row in x_rows], [row_string(row, s) for row in y_rows]
+    fields = _decomposition_lines(n, k, r, s, params.cycle_lengths, ",".join(map(str, range(n))), *texts)
+    return " ".join([f"variant={params.variant}", *fields])

@@ -465,16 +465,42 @@ def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
     Bit e of an index is entry (e div n, e mod n) and ``base`` is a
     multiple of 2**width. Entry e becomes one int whose lane x holds that
     entry of matrix base + x: a fixed lane pattern when e < width, and
-    all-ones or zero by bit e of ``base`` otherwise. The power is plain
-    repeated squaring by :func:`_power`, without the core peel of
-    :func:`_sat_power_rows`, since each lane has its own core. The
-    column table of A is built once: it serves the first squaring and
-    every product by A. Bit x of the result is set when matrix base + x
-    is k-idempotent.
+    all-ones or zero by bit e of ``base`` otherwise. Bit x of the result
+    is set when matrix base + x is k-idempotent.
     """
     full = (1 << (1 << width)) - 1
     patterns = _lane_patterns(width)
     a = [patterns[e] if e < width else full if (base >> e) & 1 else 0 for e in range(n * n)]
+    return _lane_flags(a, k, n, full)
+
+
+def _lanes_k_idempotent(n: int, k: int, row_tuples: Sequence[Sequence[int]]) -> int:
+    """Bit i set when matrix i, of order n >= 1 and given by its rows, has A^k = A; one lane each.
+
+    Each matrix's rows, packed as an index, are written out in binary,
+    last matrix first. In the joined text, every n*n-th character from
+    position p on is the plane of entry n*n - 1 - p, as a binary numeral.
+    """
+    if not row_tuples:
+        return 0
+    size, spec, texts = n * n, f"0{n * n}b", []
+    for rows in reversed(row_tuples):
+        packed = 0
+        for row in reversed(rows):
+            packed = packed << n | row
+        texts.append(format(packed, spec))
+    text = "".join(texts)
+    return _lane_flags([int(text[p::size], 2) for p in reversed(range(size))], k, n, (1 << len(texts)) - 1)
+
+
+def _lane_flags(a: list[int], k: int, n: int, full: int) -> int:
+    """Lanes of the bit-sliced 0/1 matrix ``a`` (n*n entry planes) where A^k = A, within ``full``.
+
+    The power is plain repeated squaring by :func:`_power`, without the
+    core peel of :func:`_sat_power_rows`, since each lane has its own
+    core. The column table of A is built once: it serves the first
+    squaring and every product by A.
+    """
     pair = (a, [0] * len(a))
     a_cols = _lane_cols(pair, n)
     p1, p2 = _power(pair, k, lambda x, y: _lane_mul(x, a_cols if y is pair else _lane_cols(y, n), n))
@@ -542,10 +568,8 @@ def to_text(a: Matrix01) -> str:
     '0'/'1' with no separators, and the text ends with exactly one
     newline. The order-0 matrix is the single line "0".
     """
-    lines = [str(a.n)]
-    for row in a.rows:
-        lines.append(row_string(row, a.n))
-    return "\n".join(lines) + "\n"
+    spec = f"0{a.n}b"
+    return "\n".join([str(a.n), *[format(row, spec)[::-1] for row in a.rows]]) + "\n"
 
 
 def from_text(text: str) -> Matrix01:

@@ -489,20 +489,15 @@ def serialize_decomposition(d: CanonicalDecomposition) -> str:
     width ``cycle_total`` and Y rows of width ``sink_count``; there are
     exactly ``source_count`` X lines and ``cycle_total`` Y lines.
     """
-    lines = [
-        f"n={d.n}",
-        f"k={d.k}",
-        f"r={d.source_count}",
-        f"s={d.sink_count}",
-        "cycle_lengths=" + ",".join(map(str, d.cycle_lengths)),
-        "sigma=" + ",".join(map(str, d.sigma.mapping)),
-    ]
-    m = d.cycle_total
-    for row in d.source_to_cycle:
-        lines.append("X=" + row_string(row, m))
-    for row in d.cycle_to_sink:
-        lines.append("Y=" + row_string(row, d.sink_count))
-    return "\n".join(lines) + "\n"
+    m, s, sigma = d.cycle_total, d.sink_count, ",".join(map(str, d.sigma.mapping))
+    texts = [row_string(row, m) for row in d.source_to_cycle], [row_string(row, s) for row in d.cycle_to_sink]
+    return "\n".join(_decomposition_lines(d.n, d.k, d.source_count, s, d.cycle_lengths, sigma, *texts)) + "\n"
+
+
+def _decomposition_lines(n: int, k: int, r: int, s: int, cycle_lengths, sigma: str, x_texts, y_texts) -> list[str]:
+    """The lines of :func:`serialize_decomposition`, with sigma and the X and Y rows already written out."""
+    head = [f"n={n}", f"k={k}", f"r={r}", f"s={s}", "cycle_lengths=" + ",".join(map(str, cycle_lengths))]
+    return head + ["sigma=" + sigma] + ["X=" + text for text in x_texts] + ["Y=" + text for text in y_texts]
 
 
 def _parse_int(value: str, what: str) -> int:

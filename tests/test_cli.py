@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kidempotent.cli import main
-from kidempotent.extremal import _family_matrices, gamma
+from kidempotent.extremal import _family_matrices, construct_extremal, extremal_families, family_line, gamma
 from kidempotent.matrix01 import Matrix01, from_text, to_text
 from kidempotent.oracle import census
 from kidempotent.structure import ArgumentRangeError, decompose, parse_decomposition, power_failure
@@ -183,6 +184,36 @@ class TestExtremalCommand:
         out1 = run_cli(["extremal", "--n", "4", "--k", "3"])
         out2 = run_cli(["extremal", "--n", "4", "--k", "3"])
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            (10, 7, "b830062202b3c6ab5b1329d638af8379ba837865c56ee481f6eae877b4167f4b"),
+            (12, 2, "79833a48c87c7c09916dde4288898df1c3ac23124c7e19369d5142344ca38f8b"),
+        ],
+    )
+    def test_output_pinned(self, n, k, digest):
+        code, out = run_cli(["extremal", "--n", str(n), "--k", str(k)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            (10, 7, "4c24d0f36f03b57840fdd11e79352586eacbc81a3e79cc241c896a2004792e4f"),
+            (12, 2, "efe9273d3ef75d163a14a7d69c148b950e3f92d4554ed5d040328acdfdf6a741"),
+        ],
+    )
+    def test_family_list_pinned(self, n, k, digest):
+        fields = [(p.variant, p.source_count, p.sink_count, p.cycle_lengths, p.pattern) for p in extremal_families(n, k)]
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_output_equals_per_family_rendering(self, n):
+        # each block as family_line and to_text render a family built and checked by construct_extremal
+        for k in (2, 3, 7):
+            blocks = [family_line(n, k, p) + "\n" + to_text(construct_extremal(n, k, p)) for p in extremal_families(n, k)]
+            assert run_cli(["extremal", "--n", str(n), "--k", str(k)]) == (0, "\n".join(blocks))
 
 
 class TestCensusCommand:

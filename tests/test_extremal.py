@@ -3,8 +3,10 @@ from itertools import permutations
 
 import pytest
 
+from kidempotent import extremal
 from kidempotent.extremal import (
     ExtremalParams,
+    _family_matrices,
     _fits_maximum_form,
     InvalidParams,
     ValidationFailed,
@@ -23,6 +25,7 @@ from kidempotent.structure import (
     ProductNotZeroOne,
     _canonical_form,
     decompose,
+    is_k_idempotent,
     parse_decomposition,
 )
 
@@ -159,6 +162,59 @@ class TestFamilies:
                 d = parse_decomposition(rest.replace(" ", "\n") + "\n")
                 m = construct_extremal(n, k, p)
                 assert d == decompose(m, k)
+
+
+class TestBatchedChecks:
+    """Each check that _family_matrices groups into one batch can still drop a family."""
+
+    N, K = 5, 3
+
+    def spy(self, monkeypatch, target, replace):
+        """Compose the target family's rows as ``replace(rows)``; return the lane flags seen."""
+        build, lanes, seen = extremal._build_rows, extremal._lanes_k_idempotent, {}
+
+        def compose(*blocks):
+            rows = build(*blocks)
+            return replace(rows) if rows == target else rows
+
+        def verify(n, k, row_tuples):
+            flags = lanes(n, k, row_tuples)
+            seen.update({rows: flags >> i & 1 for i, rows in enumerate(row_tuples)})
+            return flags
+
+        monkeypatch.setattr(extremal, "_build_rows", compose)
+        monkeypatch.setattr(extremal, "_lanes_k_idempotent", verify)
+        return seen
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_power_check_drops_a_flipped_family(self, monkeypatch, moved):
+        # One flipped entry; or, moved, a 1 flipped off as well, so the count stays gamma(n)
+        # and only the power check can drop the family.
+        n, k = self.N, self.K
+        families = _family_matrices(n, k)
+        target = families[4][1]
+        cells = range(n * n)
+        ones = [e for e in cells if target[e // n] >> e % n & 1]
+        flips = [(e, one) for e in cells if e not in ones for one in ones] if moved else [(e,) for e in cells]
+
+        def flip(rows, entries):
+            rows = list(rows)
+            for e in entries:
+                rows[e // n] ^= 1 << e % n
+            return tuple(rows)
+
+        flipped = next(flip(target, f) for f in flips if not is_k_idempotent(Matrix01(n, flip(target, f)), k))
+        assert (sum(map(int.bit_count, flipped)) == gamma(n)) == moved
+        seen = self.spy(monkeypatch, target, lambda rows: flipped)
+        assert _family_matrices(n, k) == families[:4] + families[5:]
+        assert seen[flipped] == 0
+
+    def test_count_check_drops_the_zero_matrix(self, monkeypatch):
+        families = _family_matrices(self.N, self.K)
+        target, zero = families[7][1], (0,) * self.N
+        seen = self.spy(monkeypatch, target, lambda rows: zero)
+        assert _family_matrices(self.N, self.K) == families[:7] + families[8:]
+        assert seen[zero] == 1  # k-idempotent, with 0 ones
 
 
 class TestEqualityCharacterization:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_decomposition
 from kidempotent import matrix01
+from kidempotent.structure import is_k_idempotent
 from kidempotent.matrix01 import (
     Matrix01,
     MatrixFormatError,
@@ -17,6 +18,7 @@ from kidempotent.matrix01 import (
     from_text,
     nnz,
     _parse_row,
+    _lanes_k_idempotent,
     _power,
     _relabel_rows,
     _sat_mul_rows,
@@ -288,6 +290,47 @@ class TestCorePeel:
         assert _sat_power_rows(rows, k) == (rows, (0,) * 240)
         assert len(lefts) == 1
         assert all(not bits & ~live for bits in lefts[0])
+
+
+def batch_cases(rng, n, k, count):
+    """``count`` seeded row tuples of order n: random matrices, planted members and one-bit near-misses."""
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 3
+        if kind == 0:
+            density = rng.choice((0.1, 0.3, 0.6))
+            cases.append(tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)))
+            continue
+        rows = random_decomposition(rng, n, k).original_matrix().rows
+        if kind == 2:
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows = rows[:i] + (rows[i] ^ 1 << j,) + rows[i + 1 :]
+        cases.append(rows)
+    return cases
+
+
+def row_route_flags(n, k, cases):
+    return sum(is_k_idempotent(Matrix01(n, rows), k) << i for i, rows in enumerate(cases))
+
+
+class TestLaneBatch:
+    """One bit-sliced power over listed matrices agrees bit for bit with the row route."""
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 720721])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_agrees_with_row_route(self, n, k):
+        cases = batch_cases(random.Random(100 * n + k % 97), n, k, 65)
+        flags = _lanes_k_idempotent(n, k, cases)
+        assert flags == row_route_flags(n, k, cases)
+        assert all(flags >> i & 1 for i in range(1, 65, 3))  # every planted member
+        if n > 1:
+            assert flags != (1 << 65) - 1
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 552])
+    def test_lane_counts(self, count):
+        for n, k in [(3, 2), (10, 7), (12, 720721)]:
+            cases = batch_cases(random.Random(count), n, k, count)
+            assert _lanes_k_idempotent(n, k, cases) == row_route_flags(n, k, cases)
 
 
 # Addition and multiplication in the saturating semiring {0, 1, 2+}.
