@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from .extremal import _family_matrices, gamma
+from .extremal import _families_text, _family_matrices, gamma
 from .matrix01 import Matrix01, MatrixFormatError, from_text, to_text
 from .oracle import census, serialize_census
 from .structure import (
@@ -30,7 +30,6 @@ from .structure import (
     DecompositionFormatError,
     ProductNotZeroOne,
     StructureError,
-    _decomposition_lines,
     decompose,
     idempotency_index,
     parse_decomposition,
@@ -105,17 +104,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    n, k = args.n, args.k
-    spec, sigma, blocks = f"0{n}b", ",".join(map(str, range(n))), []
-    for params, rows in _family_matrices(n, k):
-        # The line of family_line, with X and Y read off the matrix text: a source row holds its X row
-        # in columns r..n-s-1, a cycle row its Y row from column n-s on.
-        texts = [format(row, spec)[::-1] for row in rows]
-        r, s = params.source_count, params.sink_count
-        x, y = [text[r : n - s] for text in texts[:r]], [text[n - s :] for text in texts[r : n - s]]
-        fields = _decomposition_lines(n, k, r, s, params.cycle_lengths, sigma, x, y)
-        blocks.append("\n".join([" ".join([f"variant={params.variant}", *fields]), str(n), *texts, ""]))
-    print("\n".join(blocks), end="")
+    print(_families_text(args.n, args.k, _family_matrices(args.n, args.k)), end="")
     return 0
 
 

@@ -29,7 +29,7 @@ from itertools import product
 from operator import or_
 from typing import Sequence
 
-from .matrix01 import Matrix01, _lanes_k_idempotent, nnz, row_string
+from .matrix01 import Matrix01, _lanes_k_idempotent, nnz
 from .structure import (
     ArgumentRangeError,
     CanonicalDecomposition,
@@ -259,10 +259,22 @@ def extremal_families(n: int, k: int) -> list[ExtremalParams]:
     return [params for params, _ in _family_matrices(n, k)]
 
 
+def _families_text(n: int, k: int, families: Sequence[tuple[ExtremalParams, tuple[int, ...]]]) -> str:
+    """The ``extremal`` listing of (params, rows) pairs: each family's line, then its matrix text.
+
+    X and Y are read off the matrix text: a source row holds its X row in
+    columns r..n-s-1, a cycle row its Y row from column n-s on.
+    """
+    spec, sigma, blocks = f"0{n}b", ",".join(map(str, range(n))), []
+    for params, rows in families:
+        texts = [format(row, spec)[::-1] for row in rows]
+        r, s = params.source_count, params.sink_count
+        x, y = [text[r : n - s] for text in texts[:r]], [text[n - s :] for text in texts[r : n - s]]
+        fields = _decomposition_lines(n, k, r, s, params.cycle_lengths, sigma, x, y)
+        blocks.append("\n".join([" ".join([f"variant={params.variant}", *fields]), str(n), *texts, ""]))
+    return "\n".join(blocks)
+
+
 def family_line(n: int, k: int, params: ExtremalParams) -> str:
-    """One-line rendering: variant tag followed by the decomposition fields, with the identity sigma."""
-    x_rows, y_rows = _family_blocks(params)
-    r, s = params.source_count, params.sink_count
-    texts = [row_string(row, n - r - s) for row in x_rows], [row_string(row, s) for row in y_rows]
-    fields = _decomposition_lines(n, k, r, s, params.cycle_lengths, ",".join(map(str, range(n))), *texts)
-    return " ".join([f"variant={params.variant}", *fields])
+    """Variant tag, then the decomposition fields with identity sigma; raises :class:`InvalidParams`."""
+    return _families_text(n, k, [(params, _family_rows(n, k, params))]).split("\n", 1)[0]

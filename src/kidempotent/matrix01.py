@@ -588,14 +588,10 @@ def from_text(text: str) -> Matrix01:
         raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
     body = lines[1:]
     # One pass over all rows: '0', '1' and newlines only, and n characters a
-    # line. On any failure the loop below finds the first bad row.
+    # line. It fails only on a row that _parse_row rejects, so the first such
+    # row is the one reported.
     tail = text[len(head) + 1 :]
     if tail.isascii() and not tail.encode("ascii").translate(None, b"01\n") and all(len(line) == n for line in body):
         return Matrix01(n, tuple(int(line[::-1], 2) for line in body))
-    rows = []
-    for i, line in enumerate(body):
-        row = _parse_row(line, n)
-        if row is None:
-            raise MatrixFormatError(f"bad row on line {i + 2}")
-        rows.append(row)
-    return Matrix01(n, tuple(rows))
+    first = next(i for i, line in enumerate(body) if _parse_row(line, n) is None)
+    raise MatrixFormatError(f"bad row on line {first + 2}")

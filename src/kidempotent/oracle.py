@@ -13,25 +13,27 @@ its own and the merged result equals the serial stream.
 The power route is bit-sliced: one saturating power decides a block of
 up to 2**16 consecutive indices, one per bit lane (see
 :func:`kidempotent.matrix01._sat_member_lanes`), and a depth-first
-search skips every block whose fixed index bits already force A^k != A
-(see :func:`_member_blocks`). Deciding all 2**25 order-5 matrices takes
-0.06 s at k = 2 and 0.34 s at k = 7 on a 2-core Xeon VM with Python
-3.11 (fastest of 12), against 0.25 s and 1.33 s without the search and
-the sparse lane product and 183 s and 726 s one matrix at a time. The
-structural route still runs per matrix: on every matrix up to order 4,
-as one ``map`` whose accepted index set is compared with the member
-set, and on the members only at order 5. There the member count
-must also equal :func:`structural_count`, the number of matrices of the
-canonical form, so the two sets are equal without visiting a non-member.
-Only members are walked: each is relabeled once into canonical order,
-and the rows composed from its X and Y blocks are compared with its
-canonical rows. The density shape of each argmax member is decided on
-those blocks; no matrix object is built except for the reported argmax
-and mismatches, and no permutation or decomposition object at all.
-``census(3, k)`` takes 1.17-1.44 ms for k = 2..7, ``census(4, 2)`` 86
-ms and ``census(4, 7)`` 91 ms on the same machine (fastest of 160 and 32
-calls); ``census(5, 2)`` takes 0.22 s and ``census(5, 7)`` 0.84 s
-(fastest of 4, on a slower stretch of the host).
+search skips every block whose fixed index bits already force A^k != A.
+That search, :func:`_member_blocks`, yields the member indices in
+ascending order, and both the public stream and the census read them
+from it. Deciding all 2**25 order-5 matrices takes 0.06 s at k = 2 and
+0.34 s at k = 7 on a 2-core Xeon VM with Python 3.11 (fastest of 12),
+against 0.25 s and 1.33 s without the search and the sparse lane product
+and 183 s and 726 s one matrix at a time. The structural route still
+runs per matrix: on every matrix up to order 4, as one ``map`` whose
+accepted index set is compared with the member set, and on the members
+only at order 5. There the member count must also equal
+:func:`structural_count`, the number of matrices of the canonical form,
+so the two sets are equal without visiting a non-member. The census
+walks the member stream once: each member is relabeled once into
+canonical order, and the rows composed from its X and Y blocks are
+compared with its canonical rows. The density shape of each argmax
+member is decided on those blocks; no matrix object is built except for
+the reported argmax and mismatches, and no permutation or decomposition
+object at all. ``census(3, k)`` takes 1.17-1.44 ms for k = 2..7,
+``census(4, 2)`` 86 ms and ``census(4, 7)`` 91 ms on the same machine
+(fastest of 160 and 32 calls); ``census(5, 2)`` takes 0.22 s and
+``census(5, 7)`` 0.84 s (fastest of 4, on a slower stretch of the host).
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ ORDER_LIMIT = 5
 FULL_WALK_LIMIT = 4
 
 # Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
-# narrower than a leaf are not tested. Full order-5 sweeps took 0.11 s at
-# k = 2 and 0.82 s at k = 7 with 2**16 lanes, 0.11 s and 0.87 s with
-# 2**14, and 0.14 s and 0.89 s with 2**12 (fastest of 6, interleaved, on
-# a slow stretch of the host): narrower leaves prune more blocks but make
-# more calls, with no net gain. Before the search, 2**16 beat 2**12 and
+# narrower than a leaf are not tested. Full order-5 sweeps took 0.050 s at
+# k = 2 and 0.27 s at k = 7 with 2**16 lanes, 0.047 s and 0.31 s with
+# 2**14, and 0.055 s and 0.33 s with 2**12 (fastest of 12, interleaved,
+# on a 2-core Xeon VM): narrower leaves prune more blocks but make more
+# calls, with no net gain. Before the search, 2**16 beat 2**12 and
 # 2**20, whose peak memory was 40 MB against 17 MB.
 _LANE_BITS = 16
 
@@ -93,13 +95,8 @@ def _index_rows(n: int, index: int) -> tuple[int, ...]:
     return tuple((index >> (i * n)) & mask for i in range(n))
 
 
-def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int, int, str]]:
-    """Power-route verdicts on [start, stop), by a depth-first pruned search.
-
-    Yields (base, size, flags) for aligned blocks [base, base + size) in
-    ascending order: ``flags[x]`` is "1" when index base + x lies in the
-    range and its matrix is k-idempotent, "0" otherwise. A pruned node
-    yields ``flags == ""``: none of its indices is a member.
+def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
+    """The k-idempotent indices in [start, stop), ascending, by a depth-first pruned search.
 
     The search starts at the smallest aligned node that holds the range.
     A node of 2**d indices has its index bits at or above d decided; its
@@ -107,11 +104,13 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int,
     0. Each matrix A in the node satisfies A >= B entrywise, and
     saturating powers are entrywise monotone, so A^k >= B^k. Hence when
     B^k has an entry of 2 or more, or a 1 where B has a decided 0, no A
-    in the node satisfies A^k = A, and the node is pruned unsplit. The
-    test is one :func:`_sat_power_rows` call, so it uses the power route
-    only and the structural route stays an independent check. A node
-    that survives is split, down to blocks of up to 2**_LANE_BITS lanes
-    (narrower when the range is shorter), each decided by one lane power.
+    in the node satisfies A^k = A, and the node is pruned unsplit: it
+    yields nothing. The test is one :func:`_excluded` call, so it uses
+    the power route only and the structural route stays an independent
+    check. A node that survives is split, down to leaves of up to
+    2**_LANE_BITS lanes (narrower when the range is shorter), each
+    decided by one :func:`_sat_member_lanes` power. The search makes no
+    other call, so wrapping these two counts pruned nodes and leaves.
 
     Nodes of fewer than 2**_LANE_BITS indices are not tested. A short
     range is then one lane power whatever its bits, so short ranges of
@@ -130,17 +129,20 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int,
     while nodes:
         base, d = nodes.pop()
         size = 1 << d
-        if base >= stop or base + size <= start:
-            continue
         # B = 0 never prunes: 0^k = 0.
-        if base and d >= _LANE_BITS and _excluded(n, k, base, d):
-            yield base, size, ""
-        elif d > width:
+        if base >= stop or base + size <= start or (base and d >= _LANE_BITS and _excluded(n, k, base, d)):
+            continue
+        if d > width:
             nodes += [(base + size // 2, d - 1), (base, d - 1)]
-        else:
-            members = _sat_member_lanes(n, k, base, d)
-            members &= (1 << min(stop - base, size)) - (1 << max(start - base, 0))
-            yield base, size, format(members, f"0{size}b")[::-1]
+            continue
+        members = _sat_member_lanes(n, k, base, d)
+        members &= (1 << min(stop - base, size)) - (1 << max(start - base, 0))
+        # flags[x] is "1" when base + x is a member in the range
+        flags = format(members, f"0{size}b")[::-1]
+        x = flags.find("1")
+        while x >= 0:
+            yield base + x
+            x = flags.find("1", x + 1)
 
 
 def _excluded(n: int, k: int, base: int, d: int) -> bool:
@@ -148,14 +150,6 @@ def _excluded(n: int, k: int, base: int, d: int) -> bool:
     p1, p2 = _sat_power_rows(_index_rows(n, base), k)
     reached = sum(row << (i * n) for i, row in enumerate(p1))
     return any(p2) or (reached & ~base) >> d != 0
-
-
-def _ones(flags: str) -> Iterator[int]:
-    """Positions of "1" in ``flags``, ascending."""
-    x = flags.find("1")
-    while x >= 0:
-        yield x
-        x = flags.find("1", x + 1)
 
 
 def enumerate_k_idempotent(
@@ -171,6 +165,7 @@ def enumerate_k_idempotent(
     that disjoint ranges can be processed independently and merged in
     range order without changing the stream.
 
+    Each member index of :func:`_member_blocks` is decoded into its rows.
     Membership is decided bit-sliced, up to 2**16 indices per saturating
     power, and blocks of 2**16 or more indices whose fixed index bits
     already rule out A^k = A are skipped: all 2**25 order-5 matrices take
@@ -183,9 +178,7 @@ def enumerate_k_idempotent(
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
     if not 0 <= start <= stop <= 1 << (n * n):
         raise ValueError("bad index range")
-    for base, _, flags in _member_blocks(n, k, start, stop):
-        for x in _ones(flags):
-            yield Matrix01(n, _index_rows(n, base + x))
+    yield from map(Matrix01, repeat(n), map(_index_rows, repeat(n), _member_blocks(n, k, start, stop)))
 
 
 def structural_count(n: int, k: int) -> int:
@@ -256,40 +249,38 @@ class CensusReport:
 
 
 def _sweep(n: int, k: int) -> CensusReport:
-    """The census of order n >= 1, from one pass over all matrices of order n.
+    """The census of order n >= 1, from one pass over the member stream of order n.
 
-    The power route decides every index. Up to order 4 the structural
-    route certifies every index in index order, as one ``map`` over
-    ``itertools.product`` (each tuple reversed puts the fastest-varying
-    row at row 0), and each index it accepts that the power route does
-    not is a mismatch. At order 5 it runs on the members only, and the
-    check is closed by a count. Only the members are walked: each one's
-    blocks are composed by :func:`_build_rows` and compared with its
-    canonical rows, the same as comparing the rebuilt matrix with the
-    member, as the relabel is a bijection. An index's bits are its
-    matrix's entries, so its count of ones is its bit count. The density
-    shape of each argmax member is decided on the blocks of its
-    :func:`_canonical_form`. A nonzero member whose index has no bit on or
-    below the diagonal is strictly upper triangular, and breaks the
-    triangular lemma. Matrices are built only for the final argmax and
-    the mismatches, these in ascending index order.
+    The power route decides every index, and one walk pairs each member
+    of :func:`_member_blocks` with its :func:`_canonical_form`. Up to
+    order 4 the form is looked up in one ``map`` of the structural route
+    over every index, in index order over ``itertools.product`` (each
+    tuple reversed puts the fastest-varying row at row 0), and each index
+    it accepts that the power route does not is a mismatch. At order 5
+    the form is computed from the member's index, no member list is
+    kept, and the check is closed by a count. Each member's blocks are
+    composed by :func:`_build_rows` and compared with its canonical rows,
+    the same as comparing the rebuilt matrix with the member, as the
+    relabel is a bijection. An index's bits are its matrix's entries, so
+    its count of ones is its bit count. The density shape of each argmax
+    member is decided on the blocks of its form. A nonzero member whose
+    index has no bit on or below the diagonal is strictly upper
+    triangular, and breaks the triangular lemma. Matrices are built only
+    for the final argmax and the mismatches, these in ascending index
+    order.
     """
     size = 1 << (n * n)
+    members = _member_blocks(n, k, 0, size)
     if n <= FULL_WALK_LIMIT:
-        # n * n <= _LANE_BITS: one unpruned block decides every index
-        ((_, _, flags),) = _member_blocks(n, k, 0, size)
         candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
         forms = list(map(_canonical_form, candidates, repeat(n), repeat(k)))
-        members = list(_ones(flags))
+        members = list(members)
+        form_of = forms.__getitem__
         bad = set(compress(range(size), map(is_not, forms, repeat(None)))).difference(members)
-        walk = zip(members, map(forms.__getitem__, members))
     else:
+        form_of = lambda x: _canonical_form(_index_rows(n, x), n, k)
         bad = set()
-        walk = (
-            (x, _canonical_form(_index_rows(n, x), n, k))
-            for base, _, flags in _member_blocks(n, k, 0, size)
-            for x in map(base.__add__, _ones(flags))
-        )
+    walk = ((x, form_of(x)) for x in members)
     # the index bits of the entries on or below the diagonal
     lower = sum(((2 << i) - 1) << (i * n) for i in range(n))
     upper_triangular_ok = True

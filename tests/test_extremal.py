@@ -163,6 +163,19 @@ class TestFamilies:
                 m = construct_extremal(n, k, p)
                 assert d == decompose(m, k)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ExtremalParams("A", 1, 1, (1,), (0,)),  # r + m + s = 3, not the order 5
+            ExtremalParams("A", 2, 1, (1, 1), (-1,)),  # pattern index outside the cycle block
+        ],
+    )
+    def test_family_line_rejects_invalid_params(self, params):
+        # family_line renders only what construct_extremal accepts
+        for build in (construct_extremal, family_line):
+            with pytest.raises(InvalidParams):
+                build(5, 7, params)
+
 
 class TestBatchedChecks:
     """Each check that _family_matrices groups into one batch can still drop a family."""

@@ -191,8 +191,20 @@ class TestLaneKernel:
 
 def unpruned_members(n, k):
     """All 2**(n*n) indices decided by one lane power, with no node test."""
-    mask = _sat_member_lanes(n, k, 0, n * n)
-    return [matrix_from_index(n, x) for x in range(1 << (n * n)) if (mask >> x) & 1]
+    return [matrix_from_index(n, x) for x in unpruned_indices(n, k, 0, 1 << (n * n), n * n)]
+
+
+def unpruned_indices(n, k, start, stop, d):
+    """The members in [start, stop), by one lane power per aligned block of 2**d indices."""
+    out = []
+    for base in range(start >> d << d, stop, 1 << d):
+        mask = _sat_member_lanes(n, k, base, d)
+        out += [base + x for x in range(1 << d) if (mask >> x) & 1 and start <= base + x < stop]
+    return out
+
+
+def matrix_index(a):
+    return sum(row << (i * a.n) for i, row in enumerate(a.rows))
 
 
 class TestPrunedSearch:
@@ -213,11 +225,38 @@ class TestPrunedSearch:
         assert not oracle._excluded(2, 3, 0b0110, 1)
 
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_full_range_equals_unpruned_route(self, monkeypatch, k):
+    def test_full_range_equals_unpruned_route(self, monkeypatch, get_census, k):
+        # an order-5 member from the golden census, fetched before the leaves shrink;
+        # seeded so that every range below prunes a node
+        rng = random.Random(10 + k)
+        five = matrix_index(rng.choice(get_census(5, k).argmax))
         # 16-lane leaves make the search test and prune nodes at n = 3, 4
         monkeypatch.setattr(oracle, "_LANE_BITS", 4)
         for n in range(5):
             assert list(enumerate_k_idempotent(n, k)) == unpruned_members(n, k), (n, k)
+        fours = [matrix_index(a) for a in rng.sample(unpruned_members(4, k), 2)]
+        verdicts = []
+        excluded = oracle._excluded
+
+        def record(*node):
+            verdicts.append(excluded(*node))
+            return verdicts[-1]
+
+        monkeypatch.setattr(oracle, "_excluded", record)
+        # (n, lane bits, start, stop): unaligned ranges at n = 3 and 4 with
+        # 16-lane leaves, and a window of about 2**13 indices centred on an
+        # order-5 member with 2**10-lane leaves
+        ranges = [(3, 4, rng.randrange(1, 128), rng.randrange(385, 512))]
+        ranges += [(4, 4, x - half, x + half) for x, half in zip(fours, [1 << 9, 1 << 12])]
+        ranges.append((5, 10, five - (1 << 12), five + (1 << 12)))
+        for n, lane_bits, start, stop in ranges:
+            start, stop = max(0, start - rng.randrange(64)), min(1 << (n * n), stop + rng.randrange(64))
+            monkeypatch.setattr(oracle, "_LANE_BITS", lane_bits)
+            verdicts.clear()
+            found = [matrix_index(a) for a in enumerate_k_idempotent(n, k, index_range=(start, stop))]
+            assert found == unpruned_indices(n, k, start, stop, min(n * n, 13)), (n, k, start, stop)
+            # the range exercised both a pruned node and a leaf with a member
+            assert found and any(verdicts), (n, k, start, stop, len(found))
 
 
 class TestOrderFive:
