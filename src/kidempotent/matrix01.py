@@ -328,18 +328,17 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
 
     For m >= 3, when the core C (the vertices with both an in-arc and an
     out-arc) is a proper subset of the vertices with arcs and A cut to
-    it, M, has at most one 1 per row, as in every k-idempotent matrix,
-    only the core is powered. M is the map f from i to the column of its
-    1 (-1 for none), powered by composing index lists. Every inner vertex
-    of a walk of length m lies in C, so A^m = A[:, C] (M^(m-1) +
-    M^(m-2) A[C, ~C]): row c of the right factor is bit f^(m-1)(c) OR'd
-    with the arcs leaving C of row f^(m-2)(c) of A. Where that is bit c
-    alone, as at most core points of a k-idempotent A, bit c of each
-    row passes straight through; one product walks the other, live bits,
-    and the parts are added with saturation. Any other A is powered
-    whole. The identity is exact over the integers and what passes
-    through is read off the powered map, so both planes match plain
-    squaring without any structural fact, such as a cycle test.
+    it has at most one 1 per row, as in every k-idempotent matrix, only
+    the core is powered: as the map f from i to the column of that 1
+    (-1 for none), by composing index lists. Every inner vertex of a
+    walk of length m lies in C, so A^m = A[:, C] R, where row c of R is
+    row f^(m-2)(c) of A (zero where f^(m-2)(c) is -1). Where that row is
+    bit c alone, as at most core points of a k-idempotent A, bit c of
+    each row of A passes straight through; one product walks the other,
+    live, bits, and the parts are added with saturation. Any other A is
+    powered whole. The identity is exact over the integers and what
+    passes through is read off R, so both planes match plain squaring
+    without any structural fact, such as a cycle test.
     """
     zeros = (0,) * len(rows)
     if m >= 3:
@@ -355,21 +354,14 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
                 # i -> h[g[i]]; maps end in -1, so -1 -> -1. A peel needs n >= 2: no one-item getter.
                 then = lambda g, h: itemgetter(*g)(h)
                 f = [*(row.bit_length() - 1 for row in inner), -1]
-                before = _power(f, m - 2, then)
-                leaving = has_in ^ core
-                right = [row & leaving for row in itemgetter(*before)((*rows, 0))]
+                right = then(_power(f, m - 2, then), (*rows, 0))
                 through = live = 0
-                for c, t in enumerate(then(before, f)):
-                    if t >= 0:
-                        right[c] |= 1 << t
-                    r = right[c]
+                for c, r in enumerate(right):
                     if r == 1 << c:
                         through |= r
                     elif r:
                         live |= 1 << c
                 q1, q2 = _sat_mul_rows([row & live for row in rows], zeros, right, zeros)
-                if not through:
-                    return q1, q2
                 passed = [row & through for row in rows]
                 return tuple(map(or_, q1, passed)), tuple([y2 | (y1 & x) for y1, y2, x in zip(q1, q2, passed)])
     return _power((rows, zeros), m, lambda a, b: _sat_mul_rows(*a, *b))
@@ -515,14 +507,9 @@ def sat_power(a: Matrix01, m: int) -> SatMatrix:
 
     Each entry equals min(2, exact A^m entry). Computed by repeated
     squaring, which is valid because capping at 2 is a semiring
-    homomorphism from the non-negative integers. For m >= 3, when the
-    core C (vertices with both in- and out-arcs) is a proper subset of
-    the vertices with arcs and has at most one 1 per row, only C is
-    powered, as an index map; a row's bits at core points that the map
-    fixes, and that lead out of C nowhere, pass straight through, and
-    one product walks the rest. Any other A is squared whole. That is
-    plain algebra on zero rows and columns, so this stays independent of
-    the structural route.
+    homomorphism from the non-negative integers. :func:`_sat_power_rows`
+    may power only the core of A, but that is plain algebra on zero rows
+    and columns, so this stays independent of the structural route.
     """
     if m < 1:
         raise ValueError("power must be at least 1")

@@ -17,16 +17,14 @@ search skips every block whose fixed index bits already force A^k != A.
 That search, :func:`_member_blocks`, yields the member indices in
 ascending order, and both the public stream and the census read them
 from it. Deciding all 2**25 order-5 matrices takes 0.06 s at k = 2 and
-0.34 s at k = 7 on a 2-core Xeon VM with Python 3.11 (fastest of 12),
-against 0.25 s and 1.33 s without the search and the sparse lane product
-and 183 s and 726 s one matrix at a time. The structural route still
-runs per matrix: on every matrix up to order 4, as one ``map`` whose
-accepted index set is compared with the member set, and on the members
-only at order 5. There the member count must also equal
-:func:`structural_count`, the number of matrices of the canonical form,
-so the two sets are equal without visiting a non-member. The census
-walks the member stream once: each member is relabeled once into
-canonical order, and the rows composed from its X and Y blocks are
+0.34 s at k = 7 on a 2-core Xeon VM with Python 3.11 (fastest of 12).
+The structural route still runs per matrix: on every matrix up to order
+4, as one ``map`` whose accepted index set is compared with the member
+set, and on the members only at order 5. There the member count must
+also equal :func:`structural_count`, the number of matrices of the
+canonical form, so the two sets are equal without visiting a non-member.
+The census walks the member stream once: each member is relabeled once
+into canonical order, and the rows composed from its X and Y blocks are
 compared with its canonical rows. The density shape of each argmax
 member is decided on those blocks; no matrix object is built except for
 the reported argmax and mismatches, and no permutation or decomposition

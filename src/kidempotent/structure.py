@@ -185,14 +185,15 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
       source row's sink bits are the saturating OR of the sink bits of
       c's cycle predecessor over its core bits c, with no sink hit twice.
 
-    Both rules are checked in the original labels, the corner rule by
-    :func:`_corner_rows` once the core is known to be a permutation.
-    Nothing points into a source, so a core row is its cycle successor
-    plus sink bits: filed under the successor, they are the rows of
-    P^T Y. Only the core points whose predecessor has sink bits are
-    filed, and the X rows are masked to them, so the corner check visits
-    only the source-to-core arcs that carry a sink term, and nothing is
-    relabeled before a rejection.
+    Both rules are checked in the original labels, in one pass over the
+    rows, then the corner rule by :func:`_corner_rows` once the core is
+    known to be a permutation. Nothing points into a source, so a core
+    row is its cycle successor plus sink bits: the pass checks the one
+    successor and files the sink bits under it, as the rows of P^T Y.
+    Only the core points whose predecessor has sink bits are filed, and
+    the X rows are masked to them, so the corner check visits only the
+    source-to-core arcs that carry a sink term, and nothing is relabeled
+    before a rejection.
 
     Sources and sinks are ascending; the orbits are sorted by (length,
     smallest vertex), each starting at its smallest vertex and following
@@ -207,6 +208,10 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
             has_out |= 1 << v
     core = has_in & has_out
     image = 0
+    # live: the core points c whose predecessor has sink bits, the only
+    # rows of P^T Y that the corner product reads.
+    live = 0
+    through = {}
     sources: list[int] = []
     sinks: list[int] = []
     for v, row in enumerate(rows):
@@ -215,21 +220,14 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
             if succ.bit_count() != 1:
                 return None
             image |= succ
+            if row != succ:
+                through[succ.bit_length() - 1] = row ^ succ
+                live |= succ
         else:
             (sources if row else sinks).append(v)
     if image != core:
         return None
     if sources:
-        # live: the core points c whose predecessor has sink bits, the
-        # only rows of P^T Y that the product reads.
-        live = 0
-        through = {}
-        for v, row in enumerate(rows):
-            if (core >> v) & 1:
-                succ = row & core
-                if row != succ:
-                    through[succ.bit_length() - 1] = row ^ succ
-                    live |= succ
         try:
             # the witness is not reported, so its column offset is moot
             corner = _corner_rows([rows[u] & live for u in sources], through, 0)
@@ -288,7 +286,7 @@ class CanonicalDecomposition:
         return tuple([row >> shift for row in self._canonical_rows()[: self.source_count]])
 
     def _canonical_rows(self) -> tuple[int, ...]:
-        return _compose_rows(
+        rows = _compose_rows(
             self.source_count,
             self.cycle_lengths,
             self.sink_count,
@@ -296,6 +294,9 @@ class CanonicalDecomposition:
             self.cycle_to_sink,
             self.k,
         )
+        if len(rows) != self.n:
+            raise ValueError("r + cycle total + s must equal n")
+        return rows
 
     def canonical_matrix(self) -> Matrix01:
         """The composed block matrix, in canonical layout."""

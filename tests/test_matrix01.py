@@ -378,7 +378,7 @@ class TestSaturating:
 
     def test_exhaustive_quotient_small(self):
         # sat_power must equal the capped exact power on every matrix here
-        for n in (1, 2):
+        for n in (1, 2, 3):
             for a in all_matrices(n):
                 for m in range(1, 7):
                     assert sat_power(a, m).to_lists() == min2(exact_power(a, m))

@@ -563,18 +563,23 @@ class TestRebuild:
 
     def test_errors_are_those_of_compose(self):
         d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
-        broken = {
-            ArgumentRangeError: replace(d, k=1),
-            CycleLengthInvalid: replace(d, cycle_lengths=(2,), source_to_cycle=(1,), cycle_to_sink=(1, 0)),
-            ProductNotZeroOne: replace(d, n=4, cycle_lengths=(1, 1), source_to_cycle=(3,), cycle_to_sink=(1, 1),
-                                       sigma=Permutation.identity(4)),
-            ValueError: replace(d, source_to_cycle=()),
-        }
-        for kind, bad in broken.items():
+        broken = [
+            (ArgumentRangeError, replace(d, k=1)),
+            (CycleLengthInvalid, replace(d, cycle_lengths=(2,), source_to_cycle=(1,), cycle_to_sink=(1, 0))),
+            (ProductNotZeroOne, replace(d, n=4, cycle_lengths=(1, 1), source_to_cycle=(3,), cycle_to_sink=(1, 1),
+                                        sigma=Permutation.identity(4))),
+            (ValueError, replace(d, source_to_cycle=())),
+            # blocks that add up to 3 and to 1, not to n
+            (ValueError, replace(d, n=4)),
+            (ValueError, CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,)))),
+        ]
+        for kind, bad in broken:
             with pytest.raises(kind) as composed:
                 bad.canonical_matrix()
             with pytest.raises(kind) as rebuilt:
                 bad.original_matrix()
+            with pytest.raises(kind):
+                bad.source_to_sink()
             assert type(rebuilt.value) is type(composed.value) and str(rebuilt.value) == str(composed.value)
             assert getattr(rebuilt.value, "witness", None) == getattr(composed.value, "witness", None)
         with pytest.raises(ValueError, match="permutation order differs from matrix order"):
