@@ -22,7 +22,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 from .extremal import _families_text, _family_matrices, gamma
-from .matrix01 import Matrix01, MatrixFormatError, from_text, to_text
+from .matrix01 import MatrixFormatError, from_text, to_text
 from .oracle import census, serialize_census
 from .structure import (
     ArgumentRangeError,
@@ -47,17 +47,13 @@ def _read_input(path: str | None) -> str:
         return handle.read()
 
 
-def _load_matrix(path: str | None) -> Matrix01:
-    return from_text(_read_input(path))
-
-
 def _usage_error(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
 
 
 def cmd_check(args) -> int:
-    matrix = _load_matrix(args.file)
+    matrix = from_text(_read_input(args.file))
     failure = power_failure(matrix, args.k)
     if failure is None:
         print("k-idempotent")
@@ -68,7 +64,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    matrix = _load_matrix(args.file)
+    matrix = from_text(_read_input(args.file))
     result = decompose(matrix, args.k)
     if isinstance(result, StructureError):
         i, j = result.witness
@@ -116,7 +112,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_index(args) -> int:
-    matrix = _load_matrix(args.file)
+    matrix = from_text(_read_input(args.file))
     value = idempotency_index(matrix)
     if value is None:
         print("none")

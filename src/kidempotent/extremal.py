@@ -16,14 +16,15 @@ full Y row that the one X bit selects. For odd n the allowed boundary
 count is (n-1)/2; for even n both n/2 and n/2 - 1 work. This module
 evaluates gamma, constructs and recognizes the maximum-density shapes,
 and enumerates every parameter family that attains the bound. The
-enumeration composes each candidate once and verifies all of them in
-one bit-sliced power, one lane per matrix; :func:`construct_extremal`
+enumeration checks each (variant, boundary count, cycle multiset) group
+once, composes each candidate once and verifies all of them in one
+bit-sliced power, one lane per matrix; :func:`construct_extremal`
 checks a single family directly, on the row route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -103,46 +104,44 @@ class ExtremalParams:
         if self.source_count < 0 or self.sink_count < 0:
             raise ValueError("block sizes must be non-negative")
 
-    @property
-    def order(self) -> int:
-        return self.source_count + sum(self.cycle_lengths) + self.sink_count
 
-
-def _family_blocks(params: ExtremalParams) -> tuple[list[int], list[int]]:
-    """Bit-packed X and Y rows realizing the family."""
-    r = params.source_count
-    s = params.sink_count
-    m = sum(params.cycle_lengths)
-    if params.variant == "A":
+def _family_blocks(variant: str, r: int, s: int, m: int, pattern: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Bit-packed X and Y rows realizing the family with this pattern."""
+    if variant == "A":
         x_rows = [(1 << m) - 1] * r
         y_rows = [0] * m
-        for col, row_idx in enumerate(params.pattern):
+        for col, row_idx in enumerate(pattern):
             y_rows[row_idx] |= 1 << col
     else:
         y_rows = [(1 << s) - 1] * m
-        x_rows = [1 << col for col in params.pattern]
+        x_rows = [1 << col for col in pattern]
     return x_rows, y_rows
+
+
+def _check_group(n: int, k: int, variant: str, r: int, s: int, cycle_lengths: Sequence[int]) -> None:
+    """Raise :class:`InvalidParams` unless (variant, r, s, cycle lengths) is an allowed shape of order n."""
+    if n < 1:
+        raise InvalidParams("order must be positive")
+    _require_k(k)
+    if r + sum(cycle_lengths) + s != n:
+        raise InvalidParams("block sizes do not add up to the order")
+    fixed = r if variant == "A" else s
+    if fixed not in allowed_boundary_counts(n):
+        raise InvalidParams(f"count {fixed} not in the allowed set {allowed_boundary_counts(n)}")
+    for length in cycle_lengths:
+        if length < 1 or (k - 1) % length:
+            raise InvalidParams(f"cycle length {length} does not divide k-1 = {k - 1}")
 
 
 def _family_rows(n: int, k: int, params: ExtremalParams) -> tuple[int, ...]:
     """The family's composed rows, corner checked; raises :class:`InvalidParams` outside the allowed shapes."""
-    if n < 1:
-        raise InvalidParams("order must be positive")
-    _require_k(k)
-    r, s, m = params.source_count, params.sink_count, sum(params.cycle_lengths)
-    if r + m + s != n:
-        raise InvalidParams("block sizes do not add up to the order")
-    fixed = r if params.variant == "A" else s
-    if fixed not in allowed_boundary_counts(n):
-        raise InvalidParams(f"count {fixed} not in the allowed set {allowed_boundary_counts(n)}")
-    for length in params.cycle_lengths:
-        if length < 1 or (k - 1) % length:
-            raise InvalidParams(f"cycle length {length} does not divide k-1 = {k - 1}")
-    if len(params.pattern) != (s if params.variant == "A" else r):
+    variant, r, s, cycles, pattern = astuple(params)
+    _check_group(n, k, variant, r, s, cycles)
+    if len(pattern) != (s if variant == "A" else r):
         raise InvalidParams("pattern length does not match the one-per-line block")
-    if any(not 0 <= p < m for p in params.pattern):
+    if not set(pattern).issubset(range(sum(cycles))):
         raise InvalidParams("pattern index outside the cycle block")
-    return _build_rows(r, params.cycle_lengths, s, *_family_blocks(params))
+    return _build_rows(r, cycles, s, *_family_blocks(variant, r, s, sum(cycles), pattern))
 
 
 def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
@@ -211,17 +210,19 @@ def _cycle_multisets(m: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, tuple[int, ...]]]:
-    """The families of :func:`extremal_families`, each with its composed rows.
+def _family_matrices(n: int, k: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """The families of :func:`extremal_families`: their :class:`ExtremalParams` fields, in order, and rows.
 
-    Each candidate is composed once by :func:`_family_rows`; repeated rows
-    are dropped. One bit-sliced power decides A^k = A for all of them, and
-    a candidate that passes is kept when it has gamma(n) ones.
+    Each (variant, boundary count, cycle multiset) group is checked once
+    by :func:`_check_group`, and each of its patterns composed once by
+    :func:`_build_rows`; repeated rows are dropped. One bit-sliced power
+    decides A^k = A for all of them, and a candidate that passes is kept
+    when it has gamma(n) ones. No :class:`ExtremalParams` is built here.
     """
     if n < 1:
         raise ArgumentRangeError("order must be positive")
     _require_k(k)
-    candidates: dict[tuple[int, ...], ExtremalParams] = {}
+    candidates: dict[tuple[int, ...], tuple] = {}
     for variant in ("A", "B"):
         for count in allowed_boundary_counts(n):
             multisets = []
@@ -231,16 +232,14 @@ def _family_matrices(n: int, k: int) -> list[tuple[ExtremalParams, tuple[int, ..
             for cycles in multisets:
                 m = sum(cycles)
                 other = n - count - m
-                if variant == "A":
-                    r, s = count, other
-                else:
-                    r, s = other, count
+                r, s = (count, other) if variant == "A" else (other, count)
+                _check_group(n, k, variant, r, s, cycles)
                 for pattern in product(range(m), repeat=other):
-                    params = ExtremalParams(variant, r, s, cycles, pattern)
-                    candidates.setdefault(_family_rows(n, k, params), params)
+                    rows = _build_rows(r, cycles, s, *_family_blocks(variant, r, s, m, pattern))
+                    candidates.setdefault(rows, (variant, r, s, cycles, pattern))
     flags, top = _lanes_k_idempotent(n, k, list(candidates)), gamma(n)
-    kept = [(p, rows) for i, (rows, p) in enumerate(candidates.items()) if flags >> i & 1]
-    return [(p, rows) for p, rows in kept if sum(map(int.bit_count, rows)) == top]
+    kept = [(fields, rows) for i, (rows, fields) in enumerate(candidates.items()) if flags >> i & 1]
+    return [(fields, rows) for fields, rows in kept if sum(map(int.bit_count, rows)) == top]
 
 
 def extremal_families(n: int, k: int) -> list[ExtremalParams]:
@@ -256,25 +255,31 @@ def extremal_families(n: int, k: int) -> list[ExtremalParams]:
     is deterministic: variant, then boundary count, then the cycle
     multiset compared in descending-sorted form, then the pattern.
     """
-    return [params for params, _ in _family_matrices(n, k)]
+    return [ExtremalParams(*fields) for fields, _ in _family_matrices(n, k)]
 
 
-def _families_text(n: int, k: int, families: Sequence[tuple[ExtremalParams, tuple[int, ...]]]) -> str:
-    """The ``extremal`` listing of (params, rows) pairs: each family's line, then its matrix text.
+def _families_text(n: int, k: int, families: Sequence[tuple[tuple, tuple[int, ...]]]) -> str:
+    """The ``extremal`` listing of :func:`_family_matrices` pairs: each family's line, then its matrix text.
 
     X and Y are read off the matrix text: a source row holds its X row in
-    columns r..n-s-1, a cycle row its Y row from column n-s on.
+    columns r..n-s-1, a cycle row its Y row from column n-s on. The
+    fields before X are written once for each run of families with the
+    same variant, block sizes and cycle lengths, and each distinct row
+    value is formatted once.
     """
-    spec, sigma, blocks = f"0{n}b", ",".join(map(str, range(n))), []
-    for params, rows in families:
-        texts = [format(row, spec)[::-1] for row in rows]
-        r, s = params.source_count, params.sink_count
-        x, y = [text[r : n - s] for text in texts[:r]], [text[n - s :] for text in texts[r : n - s]]
-        fields = _decomposition_lines(n, k, r, s, params.cycle_lengths, sigma, x, y)
-        blocks.append("\n".join([" ".join([f"variant={params.variant}", *fields]), str(n), *texts, ""]))
+    spec, sigma, order = f"0{n}b", ",".join(map(str, range(n))), str(n)
+    texts: dict[int, str] = {}
+    blocks, group, head = [], None, ""
+    for (variant, r, s, cycles, _), rows in families:
+        if group != (variant, r, s, cycles):
+            group = (variant, r, s, cycles)
+            head = " ".join([f"variant={variant}", *_decomposition_lines(n, k, r, s, cycles, sigma, (), ())])
+        lines = [texts[row] if row in texts else texts.setdefault(row, format(row, spec)[::-1]) for row in rows]
+        x, y = [" X=" + text[r : n - s] for text in lines[:r]], [" Y=" + text[n - s :] for text in lines[r : n - s]]
+        blocks.append("\n".join(["".join([head, *x, *y]), order, *lines, ""]))
     return "\n".join(blocks)
 
 
 def family_line(n: int, k: int, params: ExtremalParams) -> str:
     """Variant tag, then the decomposition fields with identity sigma; raises :class:`InvalidParams`."""
-    return _families_text(n, k, [(params, _family_rows(n, k, params))]).split("\n", 1)[0]
+    return _families_text(n, k, [(astuple(params), _family_rows(n, k, params))]).split("\n", 1)[0]

@@ -330,15 +330,16 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
     out-arc) is a proper subset of the vertices with arcs and A cut to
     it has at most one 1 per row, as in every k-idempotent matrix, only
     the core is powered: as the map f from i to the column of that 1
-    (-1 for none), by composing index lists. Every inner vertex of a
-    walk of length m lies in C, so A^m = A[:, C] R, where row c of R is
-    row f^(m-2)(c) of A (zero where f^(m-2)(c) is -1). Where that row is
-    bit c alone, as at most core points of a k-idempotent A, bit c of
-    each row of A passes straight through; one product walks the other,
-    live, bits, and the parts are added with saturation. Any other A is
-    powered whole. The identity is exact over the integers and what
-    passes through is read off R, so both planes match plain squaring
-    without any structural fact, such as a cycle test.
+    (-1 for none), by composing index lists over the points of C alone.
+    Every inner vertex of a walk of length m lies in C, so
+    A^m = A[:, C] R, where row c of R is row f^(m-2)(c) of A (zero where
+    f^(m-2)(c) is -1). Where that row is bit c alone, as at most core
+    points of a k-idempotent A, bit c of each row of A passes straight
+    through; one product walks the other, live, bits, and the parts are
+    added with saturation. Any other A is powered whole. The identity is
+    exact over the integers and what passes through is read off R, so
+    both planes match plain squaring without any structural fact, such
+    as a cycle test.
     """
     zeros = (0,) * len(rows)
     if m >= 3:
@@ -349,19 +350,23 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
                 has_in |= row
         core = has_out & has_in
         if core != has_out | has_in:
-            inner = tuple(row & core if (core >> i) & 1 else 0 for i, row in enumerate(rows))
-            if max(map(int.bit_count, inner)) <= 1:
-                # i -> h[g[i]]; maps end in -1, so -1 -> -1. A peel needs n >= 2: no one-item getter.
+            points = [c for c in range(len(rows)) if core >> c & 1]
+            inner = [rows[c] & core for c in points]
+            if max(map(int.bit_count, inner), default=0) <= 1:
+                # i -> h[g[i]] on point indices. End marks -1 keep lists 2 long: itemgetter gives tuples.
                 then = lambda g, h: itemgetter(*g)(h)
-                f = [*(row.bit_length() - 1 for row in inner), -1]
-                right = then(_power(f, m - 2, then), (*rows, 0))
+                index = dict(zip([-1, *points], range(-1, len(points))))
+                f = [*(index[row.bit_length() - 1] for row in inner), -1, -1]
+                right = then(_power(f, m - 2, then), [*map(rows.__getitem__, points), 0, 0])
                 through = live = 0
-                for c, r in enumerate(right):
+                walked = [0] * len(rows)  # R by vertex, at the live points only
+                for c, r in zip(points, right):
                     if r == 1 << c:
                         through |= r
                     elif r:
                         live |= 1 << c
-                q1, q2 = _sat_mul_rows([row & live for row in rows], zeros, right, zeros)
+                        walked[c] = r
+                q1, q2 = _sat_mul_rows([row & live for row in rows], zeros, walked, zeros)
                 passed = [row & through for row in rows]
                 return tuple(map(or_, q1, passed)), tuple([y2 | (y1 & x) for y1, y2, x in zip(q1, q2, passed)])
     return _power((rows, zeros), m, lambda a, b: _sat_mul_rows(*a, *b))

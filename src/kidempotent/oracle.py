@@ -16,22 +16,18 @@ up to 2**16 consecutive indices, one per bit lane (see
 search skips every block whose fixed index bits already force A^k != A.
 That search, :func:`_member_blocks`, yields the member indices in
 ascending order, and both the public stream and the census read them
-from it. Deciding all 2**25 order-5 matrices takes 0.06 s at k = 2 and
-0.34 s at k = 7 on a 2-core Xeon VM with Python 3.11 (fastest of 12).
-The structural route still runs per matrix: on every matrix up to order
-4, as one ``map`` whose accepted index set is compared with the member
-set, and on the members only at order 5. There the member count must
-also equal :func:`structural_count`, the number of matrices of the
-canonical form, so the two sets are equal without visiting a non-member.
+from it. The structural route still runs per matrix: on every matrix
+up to order 4, as one ``map`` whose accepted index set is compared with
+the member set, and on the members only at order 5. There the member
+count must also equal :func:`structural_count`, the number of matrices
+of the canonical form, so the two sets are equal without visiting a
+non-member.
 The census walks the member stream once: each member is relabeled once
 into canonical order, and the rows composed from its X and Y blocks are
 compared with its canonical rows. The density shape of each argmax
 member is decided on those blocks; no matrix object is built except for
 the reported argmax and mismatches, and no permutation or decomposition
-object at all. ``census(3, k)`` takes 1.17-1.44 ms for k = 2..7,
-``census(4, 2)`` 86 ms and ``census(4, 7)`` 91 ms on the same machine
-(fastest of 160 and 32 calls); ``census(5, 2)`` takes 0.22 s and
-``census(5, 7)`` 0.84 s (fastest of 4, on a slower stretch of the host).
+object at all. The README's performance notes give the timings.
 """
 
 from __future__ import annotations
@@ -115,9 +111,7 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
     one width cost the same wherever they lie. Tested, a 2**10-index
     order-5 range costs 6-26 microseconds when pruned and that plus a
     lane power when not; seeded passes of 32 such ranges pruned 23 to
-    31 of them, and their cost varied 2.4-fold from seed to seed. The
-    lane power of such a range takes 19-34 microseconds at k = 2 and
-    63-123 at k = 7 (fastest of 10 on each of 64 seeded ranges).
+    31 of them, and their cost varied 2.4-fold from seed to seed.
     """
     if start >= stop:
         return
@@ -164,10 +158,6 @@ def enumerate_k_idempotent(
     range order without changing the stream.
 
     Each member index of :func:`_member_blocks` is decoded into its rows.
-    Membership is decided bit-sliced, up to 2**16 indices per saturating
-    power, and blocks of 2**16 or more indices whose fixed index bits
-    already rule out A^k = A are skipped: all 2**25 order-5 matrices take
-    0.06 s at k = 2 and 0.34 s at k = 7.
 
     ``allow_order_5`` is ignored: order 5 needs no opt-in. It is kept so
     that callers written for the old opt-in still run.

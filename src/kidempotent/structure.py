@@ -488,9 +488,16 @@ def serialize_decomposition(d: CanonicalDecomposition) -> str:
 
     The derived corner block is never serialized. X rows are strings of
     width ``cycle_total`` and Y rows of width ``sink_count``; there are
-    exactly ``source_count`` X lines and ``cycle_total`` Y lines.
+    exactly ``source_count`` X lines and ``cycle_total`` Y lines. Blocks,
+    sigma or row counts that do not fit n raise ``ValueError`` instead.
     """
     m, s, sigma = d.cycle_total, d.sink_count, ",".join(map(str, d.sigma.mapping))
+    if d.source_count + m + s != d.n:
+        raise ValueError("r + cycle total + s must equal n")
+    if len(d.sigma) != d.n:
+        raise ValueError("sigma length differs from n")
+    if (len(d.source_to_cycle), len(d.cycle_to_sink)) != (d.source_count, m):
+        raise ValueError("X and Y row counts must equal r and the cycle total")
     texts = [row_string(row, m) for row in d.source_to_cycle], [row_string(row, s) for row in d.cycle_to_sink]
     return "\n".join(_decomposition_lines(d.n, d.k, d.source_count, s, d.cycle_lengths, sigma, *texts)) + "\n"
 
@@ -517,30 +524,43 @@ def _parse_int_list(value: str, what: str) -> tuple[int, ...]:
 
 
 def parse_decomposition(text: str) -> CanonicalDecomposition:
-    """Parse the serialization produced by :func:`serialize_decomposition`."""
+    """Parse the serialization produced by :func:`serialize_decomposition`.
+
+    The X rows, then the Y rows, are checked in one pass each: c rows of
+    width w, each joined with its newline, must be c runs of the key, "=",
+    w digits and a newline. Only a failed pass walks them to name a line.
+    """
     if not text.endswith("\n"):
         raise DecompositionFormatError("decomposition text must end with a newline")
     lines = text[:-1].split("\n")
-    pos = 0
 
-    def take(key: str) -> str:
-        nonlocal pos
+    def take(pos: int, key: str) -> str:
         if pos >= len(lines) or not lines[pos].startswith(key + "="):
             raise DecompositionFormatError(f"expected '{key}=' on line {pos + 1}")
-        value = lines[pos][len(key) + 1 :]
-        pos += 1
-        return value
+        return lines[pos][len(key) + 1 :]
 
-    n = _parse_int(take("n"), "n")
-    k = _parse_int(take("k"), "k")
+    def take_rows(start: int, count: int, key: str, width: int) -> tuple[int, ...]:
+        block = lines[start : start + count]
+        joined, step = "\n".join([*block, ""]), width + 3
+        # the key, "=" and newline of each line, in that order; every other character a digit
+        fixed = joined[::step] + joined[1::step] + joined[step - 1 :: step]
+        digits = joined.count("0") + joined.count("1")
+        if len(joined) != count * step or fixed != key * count + "=" * count + "\n" * count or digits != count * width:
+            for pos in range(start, start + count):
+                if _parse_row(take(pos, key), width) is None:
+                    raise DecompositionFormatError(f"bad {key} row on line {pos + 1}")
+        return tuple([int(line[:1:-1] or "0", 2) for line in block])
+
+    n = _parse_int(take(0, "n"), "n")
+    k = _parse_int(take(1, "k"), "k")
     if k < 2:
         raise DecompositionFormatError("k must be at least 2")
-    r = _parse_int(take("r"), "r")
-    s = _parse_int(take("s"), "s")
-    cycle_lengths = _parse_int_list(take("cycle_lengths"), "cycle length")
+    r = _parse_int(take(2, "r"), "r")
+    s = _parse_int(take(3, "s"), "s")
+    cycle_lengths = _parse_int_list(take(4, "cycle_lengths"), "cycle length")
     if any(length < 1 for length in cycle_lengths):
         raise DecompositionFormatError("cycle lengths must be positive")
-    mapping = _parse_int_list(take("sigma"), "sigma entry")
+    mapping = _parse_int_list(take(5, "sigma"), "sigma entry")
     m = sum(cycle_lengths)
     if r + m + s != n:
         raise DecompositionFormatError("r + cycle total + s must equal n")
@@ -550,24 +570,7 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
         sigma = Permutation(mapping)
     except ValueError as exc:
         raise DecompositionFormatError(str(exc)) from None
-
-    def take_row(key: str, width: int) -> int:
-        row = _parse_row(take(key), width)
-        if row is None:
-            raise DecompositionFormatError(f"bad {key} row on line {pos}")
-        return row
-
-    x_rows = tuple(take_row("X", m) for _ in range(r))
-    y_rows = tuple(take_row("Y", s) for _ in range(m))
-    if pos != len(lines):
+    x_rows, y_rows = take_rows(6, r, "X", m), take_rows(6 + r, m, "Y", s)
+    if 6 + r + m != len(lines):
         raise DecompositionFormatError("unexpected trailing content")
-    return CanonicalDecomposition(
-        n=n,
-        k=k,
-        source_count=r,
-        cycle_lengths=cycle_lengths,
-        sink_count=s,
-        source_to_cycle=x_rows,
-        cycle_to_sink=y_rows,
-        sigma=sigma,
-    )
+    return CanonicalDecomposition(n, k, r, cycle_lengths, s, x_rows, y_rows, sigma)

@@ -1,12 +1,14 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
-from kidempotent import extremal
+from kidempotent import cli, extremal
 from kidempotent.extremal import (
     ExtremalParams,
     _family_matrices,
+    _family_rows,
     _fits_maximum_form,
     InvalidParams,
     ValidationFailed,
@@ -175,6 +177,33 @@ class TestFamilies:
         for build in (construct_extremal, family_line):
             with pytest.raises(InvalidParams):
                 build(5, 7, params)
+
+
+class TestGroupedFamilies:
+    """The listing composes candidates per (variant, boundary count, cycle multiset) group."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_rows_equal_the_checking_route(self, k):
+        for n in range(1, 10):
+            families = _family_matrices(n, k)
+            assert families
+            for fields, rows in families:
+                assert rows == _family_rows(n, k, ExtremalParams(*fields))
+
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            (10, 7, "b830062202b3c6ab5b1329d638af8379ba837865c56ee481f6eae877b4167f4b"),
+            (9, 2, "f49336315307e7906ce34101a445170f31fa452cb7f01dbe0d48be31043400a1"),
+            (8, 3, "6b7ea8183c622942353f22ed49b6b9ee74415bbb426f229adc1f3836557e9c39"),
+            (6, 4, "2a1255182f2f1aa62b126c8ca9bad0c830cc7d259d7fbcf22eef2dbf9bd5537d"),
+            (1, 2, "a1cabf303ff7360d7022795cacf9827ee1ec8f16834892f410ac3fb3f77bf1ed"),
+        ],
+    )
+    def test_listing_digest(self, capsys, n, k, digest):
+        # digests of the per-family route, one row-route power per family
+        assert cli.main(["extremal", "--n", str(n), "--k", str(k)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestBatchedChecks:

@@ -180,6 +180,21 @@ def plain_power(rows, m):
     return _power((rows, (0,) * len(rows)), m, lambda a, b: _sat_mul_rows(*a, *b))
 
 
+def exact_power_by_squaring(a, m):
+    """Exact integer A^m by binary powering, for exponents where ``exact_power``'s m - 1 products are too slow."""
+    n = a.n
+
+    def mul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    result = base = a.to_lists()
+    for bit in bin(m)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 PEEL_EXPONENTS = [*range(1, 9), 13, 720721]
 
 
@@ -228,7 +243,7 @@ class TestCorePeel:
             (),
             (0,),
             (1,),
-            (0b110, 0b100, 0),  # nilpotent: empty core
+            (0b110, 0b100, 0),  # nilpotent: core {1}, whose row has no core bit
             (0b00110, 0b01000, 0b01000, 0b11000, 0),  # core 1, 2 -> 3 -> 3: source 0 reaches 3 and 4 twice
             (0b010, 0b100, 0),  # core {1} with no core bit
             (0b1110, 0b1100, 0b1000, 0),
@@ -244,6 +259,25 @@ class TestCorePeel:
     def test_fixed_shapes(self, rows):
         for m in PEEL_EXPONENTS:
             assert _sat_power_rows(rows, m) == plain_power(rows, m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (0b10, 0),  # empty core with an arc: the map over core points holds its end marks alone
+            (0b1100, 0b1000, 0, 0),  # empty core, two sources into two sinks
+            (0b110, 0b100, 0),  # one-point core {1}, whose row has no core bit
+            (0b110, 0b110, 0),  # one-point core {1} with a loop and a sink arc
+            (0b010, 0b010, 0),  # one-point core {1} with a loop and no sink
+        ],
+    )
+    def test_edge_cores(self, rows):
+        """Empty and one-point cores, the shortest point maps, against plain squaring and the capped exact power."""
+        a = Matrix01(len(rows), rows)
+        for m in (*range(3, 8), 720721):
+            planes = _sat_power_rows(rows, m)
+            assert planes == plain_power(rows, m)
+            exact = exact_power(a, m) if m < 8 else exact_power_by_squaring(a, m)
+            assert SatMatrix(a.n, *planes).to_lists() == min2(exact)
 
     @pytest.mark.parametrize("n, k", [(60, 7), (60, 720721), (240, 7), (240, 720721)])
     def test_member_and_near_miss(self, n, k):

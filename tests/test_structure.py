@@ -720,6 +720,89 @@ class TestSerialization:
         with pytest.raises(DecompositionFormatError):
             parse_decomposition(text)
 
+    def test_serializes_only_blocks_that_fit(self):
+        d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
+        broken = [
+            # blocks that add up to 1, not to n = 5: no text that parse_decomposition rejects
+            (CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,))), "r + cycle total + s must equal n"),
+            (replace(d, n=4), "r + cycle total + s must equal n"),
+            (replace(d, sigma=Permutation.identity(4)), "sigma length differs from n"),
+            (replace(d, source_to_cycle=()), "X and Y row counts must equal r and the cycle total"),
+            (replace(d, source_to_cycle=(1, 1)), "X and Y row counts must equal r and the cycle total"),
+            (replace(d, cycle_to_sink=(1, 0)), "X and Y row counts must equal r and the cycle total"),
+        ]
+        for bad, message in broken:
+            with pytest.raises(ValueError) as raised:
+                serialize_decomposition(bad)
+            assert str(raised.value) == message
+
+
+class TestParseMessages:
+    """Seeded corruptions of the X and Y rows of an order-12 decomposition, each named exactly.
+
+    Lines are counted from 1: six header lines, then r X rows, then m Y
+    rows. A bad row is named by its own line; a missing or misplaced
+    prefix by the line where the expected key was not found.
+    """
+
+    @staticmethod
+    def valid_lines():
+        rng = random.Random(12)
+        d = random_decomposition(rng, 12, 7)
+        while not (d.source_count > 1 and d.cycle_total > 1 and d.sink_count > 1):
+            d = random_decomposition(rng, 12, 7)
+        return d, serialize_decomposition(d)[:-1].split("\n")
+
+    @pytest.mark.parametrize("key", ["X", "Y"])
+    @pytest.mark.parametrize(
+        "kind", ["bad_char", "non_ascii", "wrong_width", "missing_prefix", "missing_row", "extra_row"]
+    )
+    def test_exact_message(self, kind, key):
+        d, valid = self.valid_lines()
+        r, m = d.source_count, d.cycle_total
+        assert parse_decomposition("\n".join(valid) + "\n") == d
+        first, count = (6, r) if key == "X" else (6 + r, m)
+        for seed in range(8):
+            rng = random.Random(seed)
+            lines = list(valid)
+            i = first + rng.randrange(count)  # index of the corrupted line; it is line i + 1
+            line = lines[i]
+            j = rng.randrange(2, len(line))  # a digit of the row
+            bad_row = f"bad {key} row on line {i + 1}"
+            if kind == "bad_char":
+                lines[i] = line[:j] + rng.choice("2a +_-.") + line[j + 1 :]
+                expected = bad_row
+            elif kind == "non_ascii":
+                lines[i] = line[:j] + rng.choice("\u00e9\u0661\uff11") + line[j + 1 :]
+                expected = bad_row
+            elif kind == "wrong_width":
+                lines[i] = line + rng.choice("01") if rng.random() < 0.5 else line[:-1]
+                expected = bad_row
+            elif kind == "missing_prefix":
+                lines[i] = rng.choice(["", key.lower() + "=", key + ":", "Z=", "XY"[key == "X"] + "="]) + line[2:]
+                expected = f"expected '{key}=' on line {i + 1}"
+            elif kind == "missing_row":
+                del lines[i]
+                # the last row of the block is looked for one line early, or past the end
+                expected = f"expected 'X=' on line {6 + r}" if key == "X" else f"expected 'Y=' on line {6 + r + m}"
+            else:
+                lines.insert(i, line)
+                expected = f"expected 'Y=' on line {7 + r}" if key == "X" else "unexpected trailing content"
+            with pytest.raises(DecompositionFormatError) as raised:
+                parse_decomposition("\n".join(lines) + "\n")
+            assert str(raised.value) == expected, (seed, lines[i] if i < len(lines) else None)
+
+    @pytest.mark.parametrize("key", ["X", "Y"])
+    def test_shifted_row_boundary(self, key):
+        # A row one digit short, its digit moved to the start of the next row: the block keeps
+        # its length, its digit count and every key and "=" at its place; only a newline moves.
+        d, lines = self.valid_lines()
+        i = 6 if key == "X" else 6 + d.source_count
+        lines[i], lines[i + 1] = lines[i][:-1], lines[i][-1] + lines[i + 1]
+        with pytest.raises(DecompositionFormatError) as raised:
+            parse_decomposition("\n".join(lines) + "\n")
+        assert str(raised.value) == f"bad {key} row on line {i + 1}"
+
 
 class TestUpperTriangularLemma:
     def test_exhaustive(self):
