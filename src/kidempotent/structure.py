@@ -261,6 +261,10 @@ class CanonicalDecomposition:
     derived as the exact product X P^T Y. ``sigma`` maps each original
     index to its canonical position, so permuting the composed canonical
     matrix by ``sigma`` reproduces the original matrix exactly.
+
+    An ill-shaped instance is refused when built (``ValueError``): the
+    sizes must add up to n, sigma must have n entries, X must be r x m
+    and Y m x s. The k rules are checked when rows are composed.
     """
 
     n: int
@@ -271,6 +275,24 @@ class CanonicalDecomposition:
     source_to_cycle: tuple[int, ...]
     cycle_to_sink: tuple[int, ...]
     sigma: Permutation
+
+    def __post_init__(self) -> None:
+        r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
+        x_rows, y_rows = self.source_to_cycle, self.cycle_to_sink
+        if r < 0 or s < 0:
+            raise ValueError("block sizes must be non-negative")
+        if min(self.cycle_lengths, default=1) < 1:
+            raise ValueError("cycle lengths must be positive")
+        if r + m + s != self.n:
+            raise ValueError("r + cycle total + s must equal n")
+        if len(self.sigma) != self.n:
+            raise ValueError("sigma length differs from n")
+        if (len(x_rows), len(y_rows)) != (r, m):
+            raise ValueError("X and Y row counts must equal r and the cycle total")
+        if min(x_rows, default=0) < 0 or max(x_rows, default=0) >> m:
+            raise ValueError("source block row exceeds cycle width")
+        if min(y_rows, default=0) < 0 or max(y_rows, default=0) >> s:
+            raise ValueError("cycle block row exceeds sink width")
 
     @property
     def cycle_total(self) -> int:
@@ -286,17 +308,13 @@ class CanonicalDecomposition:
         return tuple([row >> shift for row in self._canonical_rows()[: self.source_count]])
 
     def _canonical_rows(self) -> tuple[int, ...]:
-        rows = _compose_rows(
-            self.source_count,
-            self.cycle_lengths,
-            self.sink_count,
-            self.source_to_cycle,
-            self.cycle_to_sink,
-            self.k,
-        )
-        if len(rows) != self.n:
-            raise ValueError("r + cycle total + s must equal n")
-        return rows
+        """The composed rows; the shape was checked at construction, so only the k rules remain."""
+        _require_k(self.k)
+        for length in self.cycle_lengths:
+            if (self.k - 1) % length:
+                raise CycleLengthInvalid(length, self.k)
+        blocks = self.source_to_cycle, self.cycle_to_sink
+        return _build_rows(self.source_count, self.cycle_lengths, self.sink_count, *blocks)
 
     def canonical_matrix(self) -> Matrix01:
         """The composed block matrix, in canonical layout."""
@@ -387,48 +405,14 @@ def idempotency_index(a: Matrix01) -> int | None:
     return result + 1
 
 
-def _compose_rows(
-    source_count: int,
-    cycle_lengths: Sequence[int],
-    sink_count: int,
-    x_rows: Sequence[int],
-    y_rows: Sequence[int],
-    k: int,
-) -> tuple[int, ...]:
-    """The rows of :func:`compose`, from bit-packed X and Y rows.
-
-    Checks k, the block sizes, each cycle length against k - 1 and the
-    width of every X and Y row, then builds by :func:`_build_rows`.
-    """
-    _require_k(k)
-    if source_count < 0 or sink_count < 0:
-        raise ValueError("block sizes must be non-negative")
-    for length in cycle_lengths:
-        if length < 1:
-            raise ValueError("cycle lengths must be positive")
-        if (k - 1) % length:
-            raise CycleLengthInvalid(length, k)
-    m = sum(cycle_lengths)
-    if len(x_rows) != source_count:
-        raise ValueError("source block row count mismatch")
-    if len(y_rows) != m:
-        raise ValueError("cycle block row count mismatch")
-    for row in x_rows:
-        if not 0 <= row < 1 << m:
-            raise ValueError("source block row exceeds cycle width")
-    for row in y_rows:
-        if not 0 <= row < 1 << sink_count:
-            raise ValueError("cycle block row exceeds sink width")
-    return _build_rows(source_count, cycle_lengths, sink_count, x_rows, y_rows)
-
-
 def _build_rows(
     source_count: int, cycle_lengths: Sequence[int], sink_count: int, x_rows: Sequence[int], y_rows: Sequence[int]
 ) -> tuple[int, ...]:
-    """The composed rows, unchecked: the blocks must pass the checks of :func:`_compose_rows`.
+    """The composed rows, unchecked: the blocks must have the shape that
+    :class:`CanonicalDecomposition` checks when it is built.
 
     Every composed matrix and derived corner is built here. The blocks of
-    :func:`_canonical_form` pass those checks by construction; only the
+    :func:`_canonical_form` have that shape by construction; only the
     corner is checked, by :func:`_corner_rows` on the rows of P^T Y. Only
     the core points whose predecessor has a nonzero Y row add to X P^T Y,
     so X is masked to them.
@@ -463,11 +447,13 @@ def compose(
 
     The result is guaranteed k-idempotent. The X and Y blocks are given
     as nested 0/1 sequences of shapes (source_count x total cycle
-    length) and (total cycle length x sink_count). Raises
+    length) and (total cycle length x sink_count), packed into a
+    :class:`CanonicalDecomposition` with the identity sigma. Raises
     :class:`CycleLengthInvalid` when a cycle length does not divide k-1,
     :class:`ProductNotZeroOne` when the derived corner block is not 0-1,
     and ``ValueError`` on dimension mismatches.
     """
+    _require_k(k)
     m = sum(cycle_lengths)
     x_rows = []
     for row in source_to_cycle:
@@ -479,8 +465,9 @@ def compose(
         if len(row) != sink_count:
             raise ValueError("cycle block row width mismatch")
         y_rows.append(pack_row(row))
-    rows = _compose_rows(source_count, cycle_lengths, sink_count, x_rows, y_rows, k)
-    return Matrix01(len(rows), rows)
+    n = source_count + m + sink_count
+    blocks = (source_count, tuple(cycle_lengths), sink_count, tuple(x_rows), tuple(y_rows))
+    return CanonicalDecomposition(n, k, *blocks, Permutation.identity(n)).canonical_matrix()
 
 
 def serialize_decomposition(d: CanonicalDecomposition) -> str:
@@ -488,16 +475,9 @@ def serialize_decomposition(d: CanonicalDecomposition) -> str:
 
     The derived corner block is never serialized. X rows are strings of
     width ``cycle_total`` and Y rows of width ``sink_count``; there are
-    exactly ``source_count`` X lines and ``cycle_total`` Y lines. Blocks,
-    sigma or row counts that do not fit n raise ``ValueError`` instead.
+    exactly ``source_count`` X lines and ``cycle_total`` Y lines.
     """
     m, s, sigma = d.cycle_total, d.sink_count, ",".join(map(str, d.sigma.mapping))
-    if d.source_count + m + s != d.n:
-        raise ValueError("r + cycle total + s must equal n")
-    if len(d.sigma) != d.n:
-        raise ValueError("sigma length differs from n")
-    if (len(d.source_to_cycle), len(d.cycle_to_sink)) != (d.source_count, m):
-        raise ValueError("X and Y row counts must equal r and the cycle total")
     texts = [row_string(row, m) for row in d.source_to_cycle], [row_string(row, s) for row in d.cycle_to_sink]
     return "\n".join(_decomposition_lines(d.n, d.k, d.source_count, s, d.cycle_lengths, sigma, *texts)) + "\n"
 

@@ -364,11 +364,9 @@ class TestCompose:
             compose(1, [1], 1, [[1, 0]], [[1]], 2)
 
     def test_derived_corner_checks_widths(self):
-        # an X row wider than the cycle total is refused, not clipped
-        d = CanonicalDecomposition(3, 2, 1, (1,), 1, (0b11,), (1,), Permutation.identity(3))
-        for derive in (d.source_to_sink, d.canonical_matrix):
-            with pytest.raises(ValueError, match="exceeds cycle width"):
-                derive()
+        # an X row wider than the cycle total is refused when built, not clipped
+        with pytest.raises(ValueError, match="exceeds cycle width"):
+            CanonicalDecomposition(3, 2, 1, (1,), 1, (0b11,), (1,), Permutation.identity(3))
 
     def test_composed_matrices_are_k_idempotent(self):
         rng = random.Random(17)
@@ -565,13 +563,10 @@ class TestRebuild:
         d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
         broken = [
             (ArgumentRangeError, replace(d, k=1)),
-            (CycleLengthInvalid, replace(d, cycle_lengths=(2,), source_to_cycle=(1,), cycle_to_sink=(1, 0))),
+            (CycleLengthInvalid, replace(d, n=4, cycle_lengths=(2,), source_to_cycle=(1,), cycle_to_sink=(1, 0),
+                                         sigma=Permutation.identity(4))),
             (ProductNotZeroOne, replace(d, n=4, cycle_lengths=(1, 1), source_to_cycle=(3,), cycle_to_sink=(1, 1),
                                         sigma=Permutation.identity(4))),
-            (ValueError, replace(d, source_to_cycle=())),
-            # blocks that add up to 3 and to 1, not to n
-            (ValueError, replace(d, n=4)),
-            (ValueError, CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,)))),
         ]
         for kind, bad in broken:
             with pytest.raises(kind) as composed:
@@ -582,8 +577,19 @@ class TestRebuild:
                 bad.source_to_sink()
             assert type(rebuilt.value) is type(composed.value) and str(rebuilt.value) == str(composed.value)
             assert getattr(rebuilt.value, "witness", None) == getattr(composed.value, "witness", None)
-        with pytest.raises(ValueError, match="permutation order differs from matrix order"):
-            replace(d, sigma=Permutation.identity(4)).original_matrix()
+        # ill-shaped blocks never reach a rebuild: they are refused when built
+        shapes = [
+            (lambda: replace(d, source_to_cycle=()), "X and Y row counts must equal r and the cycle total"),
+            # blocks that add up to 3 and to 1, not to n
+            (lambda: replace(d, n=4), "r + cycle total + s must equal n"),
+            (lambda: CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,))),
+             "r + cycle total + s must equal n"),
+            (lambda: replace(d, sigma=Permutation.identity(4)), "sigma length differs from n"),
+        ]
+        for build, message in shapes:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
 
 
 class TestCanonicalForm:
@@ -721,19 +727,27 @@ class TestSerialization:
             parse_decomposition(text)
 
     def test_serializes_only_blocks_that_fit(self):
+        # a decomposition that does not fit n is refused when built, so it
+        # never reaches text that parse_decomposition rejects or reads back as other blocks
         d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
         broken = [
-            # blocks that add up to 1, not to n = 5: no text that parse_decomposition rejects
-            (CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,))), "r + cycle total + s must equal n"),
-            (replace(d, n=4), "r + cycle total + s must equal n"),
-            (replace(d, sigma=Permutation.identity(4)), "sigma length differs from n"),
-            (replace(d, source_to_cycle=()), "X and Y row counts must equal r and the cycle total"),
-            (replace(d, source_to_cycle=(1, 1)), "X and Y row counts must equal r and the cycle total"),
-            (replace(d, cycle_to_sink=(1, 0)), "X and Y row counts must equal r and the cycle total"),
+            # blocks that add up to 1, not to n = 5
+            (lambda: CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,))),
+             "r + cycle total + s must equal n"),
+            (lambda: replace(d, n=4), "r + cycle total + s must equal n"),
+            (lambda: replace(d, sigma=Permutation.identity(4)), "sigma length differs from n"),
+            (lambda: replace(d, source_to_cycle=()), "X and Y row counts must equal r and the cycle total"),
+            (lambda: replace(d, source_to_cycle=(1, 1)), "X and Y row counts must equal r and the cycle total"),
+            (lambda: replace(d, cycle_to_sink=(1, 0)), "X and Y row counts must equal r and the cycle total"),
+            # rows wider than their blocks: row_string would clip them to X=0 and Y=0
+            (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (0b10,), (1,), Permutation((0, 1, 2))),
+             "source block row exceeds cycle width"),
+            (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (1,), (0b10,), Permutation((0, 1, 2))),
+             "cycle block row exceeds sink width"),
         ]
-        for bad, message in broken:
+        for build, message in broken:
             with pytest.raises(ValueError) as raised:
-                serialize_decomposition(bad)
+                build()
             assert str(raised.value) == message
 
 
