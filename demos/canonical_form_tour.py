@@ -58,7 +58,7 @@ print("\nWhy nonzero nilpotent matrices never qualify:")
 nil = Matrix01.from_lists([[0, 1], [0, 0]])
 print(to_text(nil))
 print("minimal exponent:", idempotency_index(nil))
-print("saturating square:", sat_power(nil, 2).to_lists())
+print("saturating square:", sat_power(nil, 2))
 
 print("\nIntermediate powers may leave the 0-1 world while A^k = A holds:")
 tricky = compose(1, [3], 1, [[1, 1, 0]], [[1], [1], [0]], 4)

@@ -39,7 +39,7 @@ a = Matrix01.from_lists(
 )
 for length in (1, 2, 3, 6):
     exact = exact_power(a, length)
-    capped = sat_power(a, length).to_lists()
+    capped = sat_power(a, length)
     print(f"  length {length}: exact {exact}")
     assert [[min(v, 2) for v in row] for row in exact] == capped
 

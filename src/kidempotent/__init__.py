@@ -26,11 +26,9 @@ from .extremal import (
     matches_maximum_form,
 )
 from .matrix01 import (
-    TWO_PLUS,
     Matrix01,
     MatrixFormatError,
     Permutation,
-    SatMatrix,
     exact_power,
     from_text,
     nnz,

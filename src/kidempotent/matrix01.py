@@ -22,11 +22,9 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "INT64_MAX",
-    "TWO_PLUS",
     "Matrix01",
     "MatrixFormatError",
     "Permutation",
-    "SatMatrix",
     "exact_power",
     "from_text",
     "nnz",
@@ -39,9 +37,6 @@ __all__ = [
 ]
 
 INT64_MAX = 2**63 - 1
-
-# Saturated value standing for any exact entry >= 2.
-TWO_PLUS = 2
 
 
 class MatrixFormatError(ValueError):
@@ -152,45 +147,6 @@ class Permutation:
         return self.mapping[i]
 
 
-@dataclass(frozen=True)
-class SatMatrix:
-    """Square matrix over {0, 1, 2+} held as two bit-planes.
-
-    ``ge1`` has bit (i, j) set when the entry is at least 1, ``ge2`` when
-    it is at least 2, so ``ge2`` is always a bitwise subset of ``ge1``.
-    """
-
-    n: int
-    ge1: tuple[int, ...]
-    ge2: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ge1", tuple(self.ge1))
-        object.__setattr__(self, "ge2", tuple(self.ge2))
-        if len(self.ge1) != self.n or len(self.ge2) != self.n:
-            raise ValueError("plane length differs from the order")
-        limit = 1 << self.n
-        for p1, p2 in zip(self.ge1, self.ge2):
-            if not 0 <= p1 < limit or not 0 <= p2 < limit:
-                raise ValueError("plane has bits outside the matrix order")
-            if p2 & ~p1:
-                raise ValueError("entry marked >=2 but not >=1")
-
-    def entry(self, i: int, j: int) -> int:
-        if (self.ge2[i] >> j) & 1:
-            return TWO_PLUS
-        return (self.ge1[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
-    def is_zero_one(self) -> bool:
-        return not any(self.ge2)
-
-    def equals_matrix(self, a: Matrix01) -> bool:
-        return self.n == a.n and self.is_zero_one() and self.ge1 == a.rows
-
-
 def nnz(a: Matrix01) -> int:
     """Number of nonzero entries."""
     return sum(row.bit_count() for row in a.rows)
@@ -278,7 +234,7 @@ def _sat_mul_rows(
     b1: tuple[int, ...],
     b2: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Product of two saturating matrices given as (ge1, ge2) bit-planes.
+    """Product of two saturating matrices given as (ge1, ge2) bit-planes: the entries >= 1 and >= 2.
 
     Row combination: entry (i, j) reaches 2+ when two different middle
     indices contribute, or when either factor already contributes a 2+.
@@ -507,10 +463,12 @@ def _lane_flags(a: list[int], k: int, n: int, full: int) -> int:
     return full & ~bad
 
 
-def sat_power(a: Matrix01, m: int) -> SatMatrix:
-    """Image of the exact power A^m in the saturating semiring.
+def sat_power(a: Matrix01, m: int) -> list[list[int]]:
+    """Image of the exact power A^m in the saturating semiring, as n x n entry lists.
 
-    Each entry equals min(2, exact A^m entry). Computed by repeated
+    Each entry equals min(2, exact A^m entry): 2 where the ge2 plane of
+    :func:`_sat_power_rows` has its bit, the ge1 bit otherwise, so the
+    result has the shape of :func:`exact_power`. Computed by repeated
     squaring, which is valid because capping at 2 is a semiring
     homomorphism from the non-negative integers. :func:`_sat_power_rows`
     may power only the core of A, but that is plain algebra on zero rows
@@ -519,7 +477,7 @@ def sat_power(a: Matrix01, m: int) -> SatMatrix:
     if m < 1:
         raise ValueError("power must be at least 1")
     p1, p2 = _sat_power_rows(a.rows, m)
-    return SatMatrix(a.n, p1, p2)
+    return [[2 if y2 >> j & 1 else y1 >> j & 1 for j in range(a.n)] for y1, y2 in zip(p1, p2)]
 
 
 def exact_power(a: Matrix01, m: int) -> list[list[int]]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
+from operator import xor
 from typing import Mapping, Sequence
 
 from .matrix01 import (
@@ -117,31 +118,27 @@ class DecompositionFormatError(ValueError):
     """Decomposition text that does not follow the serialization exactly."""
 
 
-def _rows_k_idempotent(rows: tuple[int, ...], k: int) -> bool:
-    p1, p2 = _sat_power_rows(rows, k)
-    return p1 == rows and not any(p2)
-
-
 def is_k_idempotent(a: Matrix01, k: int) -> bool:
     """Whether A^k = A, decided in the saturating semiring."""
-    _require_k(k)
-    return _rows_k_idempotent(a.rows, k)
+    return power_failure(a, k) is None
 
 
 def power_failure(a: Matrix01, k: int) -> StructureError | None:
-    """None when A^k = A, otherwise the witnessed reason it is not."""
+    """None when A^k = A, otherwise the witnessed reason it is not.
+
+    Both planes of A^k are compared whole first; only a failure walks
+    the rows, to its witness.
+    """
     _require_k(k)
     p1, p2 = _sat_power_rows(a.rows, k)
-    for i in range(a.n):
-        if p2[i]:
-            j = (p2[i] & -p2[i]).bit_length() - 1
-            return StructureError(StructureErrorKind.NOT_ZERO_ONE, (i, j))
-    for i in range(a.n):
-        diff = p1[i] ^ a.rows[i]
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            return StructureError(StructureErrorKind.POWER_MISMATCH, (i, j))
-    return None
+    if any(p2):
+        kind, diffs = StructureErrorKind.NOT_ZERO_ONE, p2
+    elif p1 != a.rows:
+        kind, diffs = StructureErrorKind.POWER_MISMATCH, map(xor, p1, a.rows)
+    else:
+        return None
+    i, diff = next((i, d) for i, d in enumerate(diffs) if d)
+    return StructureError(kind, (i, (diff & -diff).bit_length() - 1))
 
 
 def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[int], m: int) -> list[int]:
@@ -251,6 +248,22 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     return sources, orbits, sinks
 
 
+def _check_header(n: int, r: int, cycle_lengths: Sequence[int], s: int, sigma_length: int, error: type) -> None:
+    """The size rules of a decomposition, raised as ``error``.
+
+    r and s must be non-negative, every cycle length positive, r + m + s
+    equal to n with m the cycle total, and sigma of n entries.
+    """
+    if r < 0 or s < 0:
+        raise error("block sizes must be non-negative")
+    if min(cycle_lengths, default=1) < 1:
+        raise error("cycle lengths must be positive")
+    if r + sum(cycle_lengths) + s != n:
+        raise error("r + cycle total + s must equal n")
+    if sigma_length != n:
+        raise error("sigma length differs from n")
+
+
 @dataclass(frozen=True)
 class CanonicalDecomposition:
     """Block data recovered from a k-idempotent matrix.
@@ -279,14 +292,7 @@ class CanonicalDecomposition:
     def __post_init__(self) -> None:
         r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
         x_rows, y_rows = self.source_to_cycle, self.cycle_to_sink
-        if r < 0 or s < 0:
-            raise ValueError("block sizes must be non-negative")
-        if min(self.cycle_lengths, default=1) < 1:
-            raise ValueError("cycle lengths must be positive")
-        if r + m + s != self.n:
-            raise ValueError("r + cycle total + s must equal n")
-        if len(self.sigma) != self.n:
-            raise ValueError("sigma length differs from n")
+        _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma), ValueError)
         if (len(x_rows), len(y_rows)) != (r, m):
             raise ValueError("X and Y row counts must equal r and the cycle total")
         if min(x_rows, default=0) < 0 or max(x_rows, default=0) >> m:
@@ -538,14 +544,9 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
     r = _parse_int(take(2, "r"), "r")
     s = _parse_int(take(3, "s"), "s")
     cycle_lengths = _parse_int_list(take(4, "cycle_lengths"), "cycle length")
-    if any(length < 1 for length in cycle_lengths):
-        raise DecompositionFormatError("cycle lengths must be positive")
     mapping = _parse_int_list(take(5, "sigma"), "sigma entry")
+    _check_header(n, r, cycle_lengths, s, len(mapping), DecompositionFormatError)
     m = sum(cycle_lengths)
-    if r + m + s != n:
-        raise DecompositionFormatError("r + cycle total + s must equal n")
-    if len(mapping) != n:
-        raise DecompositionFormatError("sigma length differs from n")
     try:
         sigma = Permutation(mapping)
     except ValueError as exc:

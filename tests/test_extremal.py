@@ -201,7 +201,8 @@ class TestGroupedFamilies:
         ],
     )
     def test_listing_digest(self, capsys, n, k, digest):
-        # digests of the per-family route, one row-route power per family
+        # digests pinned from the per-family route (one row-route power each), not from the command's
+        # one bit-sliced power; test_cli checks the command against that route's rendering
         assert cli.main(["extremal", "--n", str(n), "--k", str(k)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

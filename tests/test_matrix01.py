@@ -13,7 +13,6 @@ from kidempotent.matrix01 import (
     Matrix01,
     MatrixFormatError,
     Permutation,
-    SatMatrix,
     exact_power,
     from_text,
     nnz,
@@ -40,6 +39,15 @@ def all_matrices(n):
 
 def min2(rows):
     return [[min(v, 2) for v in row] for row in rows]
+
+
+def assert_planes(planes, n):
+    """A (ge1, ge2) pair of order n: n rows each, no bit at or above n, ge2 inside ge1."""
+    p1, p2 = planes
+    assert len(p1) == len(p2) == n
+    for y1, y2 in zip(p1, p2):
+        assert 0 <= y1 < 1 << n and 0 <= y2 < 1 << n
+        assert not y2 & ~y1
 
 
 class TestBasics:
@@ -275,9 +283,10 @@ class TestCorePeel:
         a = Matrix01(len(rows), rows)
         for m in (*range(3, 8), 720721):
             planes = _sat_power_rows(rows, m)
+            assert_planes(planes, a.n)
             assert planes == plain_power(rows, m)
             exact = exact_power(a, m) if m < 8 else exact_power_by_squaring(a, m)
-            assert SatMatrix(a.n, *planes).to_lists() == min2(exact)
+            assert sat_power(a, m) == min2(exact)
 
     @pytest.mark.parametrize("n, k", [(60, 7), (60, 720721), (240, 7), (240, 720721)])
     def test_member_and_near_miss(self, n, k):
@@ -287,6 +296,7 @@ class TestCorePeel:
             d = random_decomposition(rng, n, k)
         rows = d.original_matrix().rows
         p1, p2 = _sat_power_rows(rows, k)
+        assert_planes((p1, p2), n)
         assert (p1, p2) == plain_power(rows, k)
         assert p1 == rows and not any(p2)
         pos = d.sigma.mapping
@@ -296,6 +306,7 @@ class TestCorePeel:
         flipped[u] ^= 1 << t
         flipped = tuple(flipped)
         q1, q2 = _sat_power_rows(flipped, k)
+        assert_planes((q1, q2), n)
         assert (q1, q2) == plain_power(flipped, k)
         assert q1 != flipped or any(q2)
 
@@ -391,38 +402,30 @@ class TestSaturating:
         assert min(x * y, 2) == sat_mul(min(x, 2), min(y, 2))
 
     def test_sat_power_examples(self):
-        assert sat_power(Matrix01.identity(4), 5).equals_matrix(Matrix01.identity(4))
-        assert sat_power(Matrix01.cycle(3), 3).equals_matrix(Matrix01.identity(3))
+        assert sat_power(Matrix01.identity(4), 5) == Matrix01.identity(4).to_lists()
+        assert sat_power(Matrix01.cycle(3), 3) == Matrix01.identity(3).to_lists()
         ones = Matrix01.ones(2)
-        p = sat_power(ones, 3)
-        assert p.to_lists() == [[2, 2], [2, 2]]
+        assert sat_power(ones, 3) == [[2, 2], [2, 2]]
         assert exact_power(ones, 3) == [[4, 4], [4, 4]]
 
     def test_sat_power_of_one_is_identity_map(self):
         for a in all_matrices(2):
-            assert sat_power(a, 1).equals_matrix(a)
-
-    def test_from_matrix01_has_no_two_plus(self):
-        s = SatMatrix(3, Matrix01.ones(3).rows, (0, 0, 0))
-        assert s.is_zero_one() and s.equals_matrix(Matrix01.ones(3))
-
-    def test_plane_validation(self):
-        with pytest.raises(ValueError):
-            SatMatrix(1, (0,), (1,))
+            assert sat_power(a, 1) == a.to_lists()
 
     def test_exhaustive_quotient_small(self):
         # sat_power must equal the capped exact power on every matrix here
         for n in (1, 2, 3):
             for a in all_matrices(n):
                 for m in range(1, 7):
-                    assert sat_power(a, m).to_lists() == min2(exact_power(a, m))
+                    assert_planes(_sat_power_rows(a.rows, m), n)
+                    assert sat_power(a, m) == min2(exact_power(a, m))
 
     def test_quotient_sampled_n3(self):
         rng = random.Random(7)
         for _ in range(200):
             a = Matrix01(3, tuple(rng.getrandbits(3) for _ in range(3)))
             m = rng.randint(1, 6)
-            assert sat_power(a, m).to_lists() == min2(exact_power(a, m))
+            assert sat_power(a, m) == min2(exact_power(a, m))
 
     def test_strictly_upper_triangular_nilpotence(self):
         for n in (2, 3, 4):
@@ -432,8 +435,7 @@ class TestSaturating:
                 for t, (i, j) in enumerate(positions):
                     if (bits >> t) & 1:
                         rows[i] |= 1 << j
-                p = sat_power(Matrix01(n, tuple(rows)), n)
-                assert p.to_lists() == [[0] * n for _ in range(n)]
+                assert sat_power(Matrix01(n, tuple(rows)), n) == [[0] * n for _ in range(n)]
 
     def test_power_validation(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from kidempotent.oracle import (
 )
 from kidempotent import cli, oracle, structure
 from kidempotent.extremal import _family_matrices, allowed_boundary_counts, gamma, is_extremal
-from kidempotent.structure import ArgumentRangeError, _rows_k_idempotent, compose, decompose, power_failure
+from kidempotent.structure import ArgumentRangeError, compose, decompose, is_k_idempotent, power_failure
 
 GOLDEN = Path(__file__).parent / "golden" / "k_idempotent_counts.txt"
 GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
@@ -89,7 +89,7 @@ class TestEnumeration:
 def scalar_members(n, k, start, stop):
     """Single-matrix power route over an index range."""
     matrices = (matrix_from_index(n, index) for index in range(start, stop))
-    return [a for a in matrices if _rows_k_idempotent(a.rows, k)]
+    return [a for a in matrices if is_k_idempotent(a, k)]
 
 
 class TestLaneKernel:
@@ -146,8 +146,7 @@ class TestLaneKernel:
         mask = _sat_member_lanes(n, k, base, width)
         assert 0 <= mask < 1 << (1 << width)
         for x in range(1 << width):
-            rows = matrix_from_index(n, base + x).rows
-            assert (mask >> x) & 1 == _rows_k_idempotent(rows, k), (n, k, base + x)
+            assert (mask >> x) & 1 == is_k_idempotent(matrix_from_index(n, base + x), k), (n, k, base + x)
 
     @pytest.mark.parametrize("k", [2, 7, 720721])
     def test_mask_equals_scalar_route_on_2_10_lanes(self, k):
@@ -160,8 +159,7 @@ class TestLaneKernel:
             mask = _sat_member_lanes(5, k, base, 10)
             members += mask.bit_count()
             for x in range(1 << 10):
-                rows = matrix_from_index(5, base + x).rows
-                assert (mask >> x) & 1 == _rows_k_idempotent(rows, k), (k, base + x)
+                assert (mask >> x) & 1 == is_k_idempotent(matrix_from_index(5, base + x), k), (k, base + x)
         assert members > 0
 
     @settings(max_examples=80, deadline=None)
@@ -318,7 +316,7 @@ class TestCandidates:
         # once, in ascending index order, and the rejected member still
         # counts toward the density maximum
         clean = census(3, 2)
-        members = [x for x in range(512) if _rows_k_idempotent(oracle._index_rows(3, x), 2)]
+        members = [x for x in range(512) if is_k_idempotent(matrix_from_index(3, x), 2)]
         canonical_form = oracle._canonical_form
         # a member with a source, so that its X block is a tuple of its own;
         # the stray lies between the two members, so neither list can simply
@@ -609,7 +607,7 @@ class TestWalkAgreement:
             a = Matrix01(n, tuple(rng.getrandbits(n) if n else 0 for _ in range(n)))
             k = rng.randint(2, 6)
             capped = [[min(v, 2) for v in row] for row in exact_power(a, k)]
-            assert capped == sat_power(a, k).to_lists()
+            assert capped == sat_power(a, k)
 
 
 # Every argument rule of the library, one call that breaks it.
