@@ -61,8 +61,8 @@ ORDER_LIMIT = 5
 # route; above it only the members, and the member count closes the check.
 FULL_WALK_LIMIT = 4
 
-# Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
-# narrower than a leaf are not tested. Full order-5 sweeps took 0.050 s at
+# Leaves of the pruned search hold up to 2**_LANE_BITS lanes; every nonzero
+# node is tested, a leaf too. Full order-5 sweeps took 0.050 s at
 # k = 2 and 0.27 s at k = 7 with 2**16 lanes, 0.047 s and 0.31 s with
 # 2**14, and 0.055 s and 0.33 s with 2**12 (fastest of 12, interleaved,
 # on a 2-core Xeon VM): narrower leaves prune more blocks but make more
@@ -80,7 +80,7 @@ def _check_args(n: int, k: int) -> None:
 def matrix_from_index(n: int, index: int) -> Matrix01:
     """Decode an enumeration index; bit j of the index is entry (j div n, j mod n)."""
     if not 0 <= index < 1 << (n * n):
-        raise ValueError("index out of range")
+        raise ArgumentRangeError("index out of range")
     return Matrix01(n, _index_rows(n, index))
 
 
@@ -106,12 +106,12 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
     decided by one :func:`_sat_member_lanes` power. The search makes no
     other call, so wrapping these two counts pruned nodes and leaves.
 
-    Nodes of fewer than 2**_LANE_BITS indices are not tested. A short
-    range is then one lane power whatever its bits, so short ranges of
-    one width cost the same wherever they lie. Tested, a 2**10-index
-    order-5 range costs 6-26 microseconds when pruned and that plus a
-    lane power when not; seeded passes of 32 such ranges pruned 23 to
-    31 of them, and their cost varied 2.4-fold from seed to seed.
+    Every nonzero node is tested, down to one index, so a short range
+    costs what its bits allow: a 2**10-index order-5 range takes 6-34
+    microseconds when pruned and 32-175 when a lane power follows. Seeded
+    passes of 32 such ranges made 1 to 9 lane powers and varied 2.2-fold
+    in cost from seed to seed; that is accepted, as the dearest pass was
+    still nearly twice as fast as the cheapest pass without the test.
     """
     if start >= stop:
         return
@@ -122,7 +122,7 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
         base, d = nodes.pop()
         size = 1 << d
         # B = 0 never prunes: 0^k = 0.
-        if base >= stop or base + size <= start or (base and d >= _LANE_BITS and _excluded(n, k, base, d)):
+        if base >= stop or base + size <= start or (base and _excluded(n, k, base, d)):
             continue
         if d > width:
             nodes += [(base + size // 2, d - 1), (base, d - 1)]
@@ -165,7 +165,7 @@ def enumerate_k_idempotent(
     _check_args(n, k)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
     if not 0 <= start <= stop <= 1 << (n * n):
-        raise ValueError("bad index range")
+        raise ArgumentRangeError("bad index range")
     yield from map(Matrix01, repeat(n), map(_index_rows, repeat(n), _member_blocks(n, k, start, stop)))
 
 

@@ -1,4 +1,7 @@
 import random
+from bisect import bisect_left
+from itertools import accumulate
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -255,6 +258,33 @@ class TestPrunedSearch:
             assert found == unpruned_indices(n, k, start, stop, min(n * n, 13)), (n, k, start, stop)
             # the range exercised both a pruned node and a leaf with a member
             assert found and any(verdicts), (n, k, start, stop, len(found))
+
+    def test_short_slices_skip_ruled_out_lane_powers(self, monkeypatch):
+        # 64 aligned 2**10-index order-5 slices; the popcounts of their 15
+        # high bits are evenly spaced quantiles of Binomial(15, 1/2)
+        rng = random.Random(27)
+        cumulative = list(accumulate(comb(15, c) for c in range(16)))
+        slices = []
+        for i in range(64):
+            ones = bisect_left(cumulative, (i + 0.5) / 64 * 2**15)
+            start = sum(1 << b for b in rng.sample(range(15), ones)) << 10
+            slices.append((start, start + (1 << 10)))
+        powers = []
+        lanes = oracle._sat_member_lanes
+
+        def count(*block):
+            powers.append(block)
+            return lanes(*block)
+
+        monkeypatch.setattr(oracle, "_sat_member_lanes", count)
+        members = 0
+        for k in (2, 7, 720721):
+            for start, stop in slices:
+                found = [matrix_index(a) for a in enumerate_k_idempotent(5, k, index_range=(start, stop))]
+                assert found == unpruned_indices(5, k, start, stop, 10), (k, start)
+                members += len(found)
+        # a slice whose fixed bits force A^k != A makes no lane power
+        assert members and len(powers) < 3 * len(slices), (members, len(powers))
 
 
 class TestOrderFive:
@@ -618,6 +648,8 @@ ARGUMENT_RULES = {
     "is_extremal k": lambda: is_extremal(Matrix01.cycle(3), 0),
     "enumerate_k_idempotent negative order": lambda: list(enumerate_k_idempotent(-1, 2)),
     "enumerate_k_idempotent order above limit": lambda: list(enumerate_k_idempotent(6, 2)),
+    "enumerate_k_idempotent index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(3, 100_000))),
+    "matrix_from_index index": lambda: matrix_from_index(1, 2),
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
     "census order above limit": lambda: census(6, 2),
