@@ -362,10 +362,10 @@ def _lane_cols(b, n: int):
 
 
 def _lane_mul(a, right, n: int):
-    """Saturating product of two bit-sliced matrices.
+    """Saturating product of two bit-sliced matrices; the left one may have any number of rows.
 
     A bit-sliced matrix is a (ge1, ge2) pair of flat row-major lists of
-    n*n entry planes; lane x of every plane belongs to the same matrix,
+    entry planes, n per row; lane x of every plane belongs to the same matrix,
     and every ge2 plane lies inside its ge1 plane. ``right`` is the
     :func:`_lane_cols` table of the right factor, so a factor used
     twice is tabled once. The combination rule is that of
@@ -383,8 +383,8 @@ def _lane_mul(a, right, n: int):
     c1 = []
     c2 = []
     if not twos and not any(a2):
-        for i in range(n):
-            row1 = a1[i * n : i * n + n]
+        for i in range(0, len(a1), n or 1):  # order 0: no rows
+            row1 = a1[i : i + n]
             for col in cols:
                 acc1 = acc2 = 0
                 for t, y1, _ in col:
@@ -396,9 +396,9 @@ def _lane_mul(a, right, n: int):
                 c1.append(acc1)
                 c2.append(acc2)
         return c1, c2
-    for i in range(n):
-        row1 = a1[i * n : i * n + n]
-        row2 = a2[i * n : i * n + n]
+    for i in range(0, len(a1), n or 1):
+        row1 = a1[i : i + n]
+        row2 = a2[i : i + n]
         for col in cols:
             acc1 = acc2 = 0
             for t, y1, y2 in col:
@@ -449,17 +449,28 @@ def _lanes_k_idempotent(n: int, k: int, row_tuples: Sequence[Sequence[int]]) -> 
 def _lane_flags(a: list[int], k: int, n: int, full: int) -> int:
     """Lanes of the bit-sliced 0/1 matrix ``a`` (n*n entry planes) where A^k = A, within ``full``.
 
-    The power is plain repeated squaring by :func:`_power`, without the
-    core peel of :func:`_sat_power_rows`, since each lane has its own
-    core. The column table of A is built once: it serves the first
-    squaring and every product by A.
+    A^k = A^h A^h A^(k % 2), h = k // 2: A^h by plain repeated squaring
+    (:func:`_power`; no core peel, as each lane has its own core), the rest
+    a row at a time, last row first, until every lane has failed. An index
+    block's last rows (:func:`_sat_member_lanes`) are its fixed bits, where
+    most often every lane fails at once: 32 seeded order-5 blocks of 2**10
+    lanes at k = 2 and 7 took 1.5 ms so, 2.1 ms first row first and 2.2 ms
+    powered whole. A's column table serves every product by A.
     """
     pair = (a, [0] * len(a))
     a_cols = _lane_cols(pair, n)
-    p1, p2 = _power(pair, k, lambda x, y: _lane_mul(x, a_cols if y is pair else _lane_cols(y, n), n))
+    half = _power(pair, k // 2, lambda x, y: _lane_mul(x, a_cols if y is pair else _lane_cols(y, n), n))
+    half_cols = a_cols if half is pair else _lane_cols(half, n)
     bad = 0
-    for entry, q1, q2 in zip(a, p1, p2):
-        bad |= (q1 ^ entry) | q2
+    for i in reversed(range(n)):
+        row = slice(i * n, i * n + n)
+        power = _lane_mul((half[0][row], half[1][row]), half_cols, n)
+        if k % 2:
+            power = _lane_mul(power, a_cols, n)
+        for entry, q1, q2 in zip(a[row], *power):
+            bad |= (q1 ^ entry) | q2
+        if not full & ~bad:
+            return 0
     return full & ~bad
 
 

@@ -61,8 +61,8 @@ ORDER_LIMIT = 5
 # route; above it only the members, and the member count closes the check.
 FULL_WALK_LIMIT = 4
 
-# Leaves of the pruned search hold up to 2**_LANE_BITS lanes; every nonzero
-# node is tested, a leaf too. Full order-5 sweeps took 0.050 s at
+# Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
+# narrower than a leaf are not tested. Full order-5 sweeps took 0.050 s at
 # k = 2 and 0.27 s at k = 7 with 2**16 lanes, 0.047 s and 0.31 s with
 # 2**14, and 0.055 s and 0.33 s with 2**12 (fastest of 12, interleaved,
 # on a 2-core Xeon VM): narrower leaves prune more blocks but make more
@@ -106,12 +106,12 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
     decided by one :func:`_sat_member_lanes` power. The search makes no
     other call, so wrapping these two counts pruned nodes and leaves.
 
-    Every nonzero node is tested, down to one index, so a short range
-    costs what its bits allow: a 2**10-index order-5 range takes 6-34
-    microseconds when pruned and 32-175 when a lane power follows. Seeded
-    passes of 32 such ranges made 1 to 9 lane powers and varied 2.2-fold
-    in cost from seed to seed; that is accepted, as the dearest pass was
-    still nearly twice as fast as the cheapest pass without the test.
+    Nodes of fewer than 2**_LANE_BITS indices are not tested: a short
+    range is one lane power whatever its bits, which on a range with no
+    member mostly ends after one row (:func:`_lane_flags`). Tested, a
+    2**10-index order-5 range cost 6-34 microseconds when pruned and that
+    plus a lane power when not, so seeded passes of 32 such ranges varied
+    2.2-fold in cost from seed to seed.
     """
     if start >= stop:
         return
@@ -122,7 +122,7 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
         base, d = nodes.pop()
         size = 1 << d
         # B = 0 never prunes: 0^k = 0.
-        if base >= stop or base + size <= start or (base and _excluded(n, k, base, d)):
+        if base >= stop or base + size <= start or (base and d >= _LANE_BITS and _excluded(n, k, base, d)):
             continue
         if d > width:
             nodes += [(base + size // 2, d - 1), (base, d - 1)]

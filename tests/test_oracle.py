@@ -1,7 +1,9 @@
 import random
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate
 from math import comb
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from kidempotent.matrix01 import (
     _lane_cols,
     _lane_mul,
     _lane_patterns,
+    _power,
     _sat_member_lanes,
     _sat_mul_rows,
     exact_power,
@@ -27,7 +30,7 @@ from kidempotent.oracle import (
     serialize_census,
     structural_count,
 )
-from kidempotent import cli, oracle, structure
+from kidempotent import cli, matrix01, oracle, structure
 from kidempotent.extremal import _family_matrices, allowed_boundary_counts, gamma, is_extremal
 from kidempotent.structure import ArgumentRangeError, compose, decompose, is_k_idempotent, power_failure
 
@@ -165,6 +168,39 @@ class TestLaneKernel:
                 assert (mask >> x) & 1 == is_k_idempotent(matrix_from_index(5, base + x), k), (k, base + x)
         assert members > 0
 
+    def test_power_stops_once_every_lane_failed(self, monkeypatch):
+        # 64 aligned 2**10-index order-5 slices; the popcounts of their 15
+        # high bits are evenly spaced quantiles of Binomial(15, 1/2)
+        rng = random.Random(27)
+        cumulative = list(accumulate(comb(15, c) for c in range(16)))
+        bases = []
+        for i in range(64):
+            ones = bisect_left(cumulative, (i + 0.5) / 64 * 2**15)
+            bases.append(sum(1 << b for b in rng.sample(range(15), ones)) << 10)
+        rows = []
+        lane_mul = matrix01._lane_mul
+
+        def count(a, right, n):
+            rows.append(len(a[0]) // n)
+            return lane_mul(a, right, n)
+
+        for k in (2, 7, 720721):
+            rows.clear()
+            monkeypatch.setattr(matrix01, "_lane_mul", count)
+            masks = [_sat_member_lanes(5, k, base, 10) for base in bases]
+            monkeypatch.undo()
+            # the whole power, every row of every product
+            whole, full = [], (1 << 1024) - 1
+            for base in bases:
+                a = [*_lane_patterns(10), *(full if (base >> e) & 1 else 0 for e in range(10, 25))]
+                p1, p2 = _power((a, [0] * 25), k, lambda x, y: _lane_mul(x, _lane_cols(y, 5), 5))
+                whole.append(full & ~reduce(or_, [(q1 ^ e) | q2 for e, q1, q2 in zip(a, p1, p2)]))
+            assert masks == whole, k
+            assert any(masks), k
+            # binary powering takes k.bit_length() - 1 squarings and
+            # k.bit_count() - 1 products by A, of 5 rows each
+            assert sum(rows) < len(bases) * 5 * (k.bit_length() + k.bit_count() - 2), (k, sum(rows))
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_unaligned_ranges_equal_scalar_filter(self, data):
@@ -258,33 +294,6 @@ class TestPrunedSearch:
             assert found == unpruned_indices(n, k, start, stop, min(n * n, 13)), (n, k, start, stop)
             # the range exercised both a pruned node and a leaf with a member
             assert found and any(verdicts), (n, k, start, stop, len(found))
-
-    def test_short_slices_skip_ruled_out_lane_powers(self, monkeypatch):
-        # 64 aligned 2**10-index order-5 slices; the popcounts of their 15
-        # high bits are evenly spaced quantiles of Binomial(15, 1/2)
-        rng = random.Random(27)
-        cumulative = list(accumulate(comb(15, c) for c in range(16)))
-        slices = []
-        for i in range(64):
-            ones = bisect_left(cumulative, (i + 0.5) / 64 * 2**15)
-            start = sum(1 << b for b in rng.sample(range(15), ones)) << 10
-            slices.append((start, start + (1 << 10)))
-        powers = []
-        lanes = oracle._sat_member_lanes
-
-        def count(*block):
-            powers.append(block)
-            return lanes(*block)
-
-        monkeypatch.setattr(oracle, "_sat_member_lanes", count)
-        members = 0
-        for k in (2, 7, 720721):
-            for start, stop in slices:
-                found = [matrix_index(a) for a in enumerate_k_idempotent(5, k, index_range=(start, stop))]
-                assert found == unpruned_indices(5, k, start, stop, 10), (k, start)
-                members += len(found)
-        # a slice whose fixed bits force A^k != A makes no lane power
-        assert members and len(powers) < 3 * len(slices), (members, len(powers))
 
 
 class TestOrderFive:
