@@ -41,8 +41,9 @@ __all__ = ["entrypoint", "main"]
 
 
 def _read_input(path: str | None) -> str:
+    """The input text with CRLF and CR line ends read as LF, as a file opened in text mode reads them."""
     if path is None or path == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
     with open(path, "r", encoding="ascii") as handle:
         return handle.read()
 

@@ -105,8 +105,9 @@ class ExtremalParams:
             raise ValueError("block sizes must be non-negative")
 
 
-def _family_blocks(variant: str, r: int, s: int, m: int, pattern: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Bit-packed X and Y rows realizing the family with this pattern."""
+def _family_blocks(variant: str, r: int, s: int, cycle_lengths: tuple[int, ...], pattern: Sequence[int]) -> tuple:
+    """The block data (r, cycle_lengths, s, X, Y) of the family with this pattern."""
+    m = sum(cycle_lengths)
     if variant == "A":
         x_rows = [(1 << m) - 1] * r
         y_rows = [0] * m
@@ -115,19 +116,18 @@ def _family_blocks(variant: str, r: int, s: int, m: int, pattern: Sequence[int])
     else:
         y_rows = [(1 << s) - 1] * m
         x_rows = [1 << col for col in pattern]
-    return x_rows, y_rows
+    return r, cycle_lengths, s, x_rows, y_rows
 
 
 def _check_group(n: int, k: int, variant: str, r: int, s: int, cycle_lengths: Sequence[int]) -> None:
     """Raise :class:`InvalidParams` unless (variant, r, s, cycle lengths) is an allowed shape of order n."""
-    if n < 1:
-        raise InvalidParams("order must be positive")
+    allowed = allowed_boundary_counts(n)
     _require_k(k)
     if r + sum(cycle_lengths) + s != n:
         raise InvalidParams("block sizes do not add up to the order")
     fixed = r if variant == "A" else s
-    if fixed not in allowed_boundary_counts(n):
-        raise InvalidParams(f"count {fixed} not in the allowed set {allowed_boundary_counts(n)}")
+    if fixed not in allowed:
+        raise InvalidParams(f"count {fixed} not in the allowed set {allowed}")
     for length in cycle_lengths:
         if length < 1 or (k - 1) % length:
             raise InvalidParams(f"cycle length {length} does not divide k-1 = {k - 1}")
@@ -141,7 +141,7 @@ def _family_rows(n: int, k: int, params: ExtremalParams) -> tuple[int, ...]:
         raise InvalidParams("pattern length does not match the one-per-line block")
     if not set(pattern).issubset(range(sum(cycles))):
         raise InvalidParams("pattern index outside the cycle block")
-    return _build_rows(r, cycles, s, *_family_blocks(variant, r, s, sum(cycles), pattern))
+    return _build_rows(*_family_blocks(variant, r, s, cycles, pattern))
 
 
 def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
@@ -169,10 +169,12 @@ def is_extremal(a: Matrix01, k: int) -> bool:
 
 def matches_maximum_form(d: CanonicalDecomposition) -> bool:
     """Whether decomposed block data fits variant A or variant B; see :func:`_fits_maximum_form`."""
-    return _fits_maximum_form(d.source_count, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
+    return _fits_maximum_form(d.source_count, d.cycle_lengths, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
 
 
-def _fits_maximum_form(r: int, s: int, x_rows: Sequence[int], y_rows: Sequence[int]) -> bool:
+def _fits_maximum_form(
+    r: int, cycle_lengths: Sequence[int], s: int, x_rows: Sequence[int], y_rows: Sequence[int]
+) -> bool:
     """Whether the blocks X and Y fit variant A or B.
 
     The all-ones corner of the density theorem is not read: each shape
@@ -182,7 +184,7 @@ def _fits_maximum_form(r: int, s: int, x_rows: Sequence[int], y_rows: Sequence[i
     their conditions vacuously, which covers the degenerate corners with
     no sources or no sinks.
     """
-    m = len(y_rows)
+    m = sum(cycle_lengths)
     if r + m + s < 1:
         return False
     allowed = allowed_boundary_counts(r + m + s)
@@ -193,49 +195,43 @@ def _fits_maximum_form(r: int, s: int, x_rows: Sequence[int], y_rows: Sequence[i
     return s in allowed and all(row == full_sink for row in y_rows) and all(row.bit_count() == 1 for row in x_rows)
 
 
-def _cycle_multisets(m: int, k: int) -> list[tuple[int, ...]]:
-    """All multisets of cycle lengths dividing k-1 that sum to m, ascending."""
-    parts = [d for d in range(1, m + 1) if (k - 1) % d == 0]
+def _cycle_multisets(limit: int, k: int) -> list[tuple[int, ...]]:
+    """Ascending multisets of cycle lengths dividing k-1, total 1..limit, in listing order: depth
+    first, parts added in ascending order, none above the last, each listed before its extensions."""
+    parts = [d for d in range(1, limit + 1) if (k - 1) % d == 0]
     out: list[tuple[int, ...]] = []
 
-    def descend(remaining: int, max_part: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(sorted(acc)))
-            return
+    def descend(acc: tuple[int, ...], room: int) -> None:
         for p in parts:
-            if p <= min(remaining, max_part):
-                descend(remaining - p, p, acc + [p])
+            if p > room or (acc and p > acc[0]):
+                return
+            out.append((p, *acc))
+            descend((p, *acc), room - p)
 
-    descend(m, m, [])
+    descend((), limit)
     return out
 
 
 def _family_matrices(n: int, k: int) -> list[tuple[tuple, tuple[int, ...]]]:
     """The families of :func:`extremal_families`: their :class:`ExtremalParams` fields, in order, and rows.
 
-    Each (variant, boundary count, cycle multiset) group is checked once
-    by :func:`_check_group`, and each of its patterns composed once by
-    :func:`_build_rows`; repeated rows are dropped. One bit-sliced power
-    decides A^k = A for all of them, and a candidate that passes is kept
-    when it has gamma(n) ones. No :class:`ExtremalParams` is built here.
+    Each (variant, boundary count, cycle multiset) group, in listing order
+    from :func:`_cycle_multisets`, is checked once by :func:`_check_group`
+    and each of its patterns composed once; repeated rows are dropped. One
+    bit-sliced power decides A^k = A for all of them, and a candidate that
+    passes is kept at gamma(n) ones. No :class:`ExtremalParams` is built here.
     """
-    if n < 1:
-        raise ArgumentRangeError("order must be positive")
     _require_k(k)
     candidates: dict[tuple[int, ...], tuple] = {}
     for variant in ("A", "B"):
         for count in allowed_boundary_counts(n):
-            multisets = []
-            for m in range(1, n - count + 1):
-                multisets.extend(_cycle_multisets(m, k))
-            multisets.sort(key=lambda c: tuple(sorted(c, reverse=True)))
-            for cycles in multisets:
+            for cycles in _cycle_multisets(n - count, k):
                 m = sum(cycles)
                 other = n - count - m
                 r, s = (count, other) if variant == "A" else (other, count)
                 _check_group(n, k, variant, r, s, cycles)
                 for pattern in product(range(m), repeat=other):
-                    rows = _build_rows(r, cycles, s, *_family_blocks(variant, r, s, m, pattern))
+                    rows = _build_rows(*_family_blocks(variant, r, s, cycles, pattern))
                     candidates.setdefault(rows, (variant, r, s, cycles, pattern))
     flags, top = _lanes_k_idempotent(n, k, list(candidates)), gamma(n)
     kept = [(fields, rows) for i, (rows, fields) in enumerate(candidates.items()) if flags >> i & 1]

@@ -279,8 +279,7 @@ def _sweep(n: int, k: int) -> CensusReport:
         total += 1
         if x and not x & lower:
             upper_triangular_ok = False
-        # form is (r, cycle_lengths, s, X, Y, canonical_rows, to_canonical)
-        if form is None or _build_rows(*form[:5]) != form[5]:
+        if form is None or _build_rows(*form[0]) != form[1]:
             bad.add(x)
         count = x.bit_count()
         if count > best:
@@ -297,7 +296,7 @@ def _sweep(n: int, k: int) -> CensusReport:
         max_nnz=best,
         argmax_count=len(argmax),
         max_density_ok=best == gamma_value
-        and all(form is not None and _fits_maximum_form(form[0], form[2], form[3], form[4]) for _, form in argmax),
+        and all(form is not None and _fits_maximum_form(*form[0]) for _, form in argmax),
         # The rebuilt members lie in the canonical set. Up to order 4 every
         # non-member was also rejected; at order 5 none was visited, and a
         # member count equal to the size of the canonical set shows the sets equal.

@@ -343,13 +343,13 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
     row holds its X row above bit r, a cycle row its one core bit below
     bit r + m and its Y row above it.
 
-    Returns the plain tuple (r, cycle_lengths, s, X, Y, canonical_rows,
-    to_canonical), where ``to_canonical[v]`` is the canonical position of
-    the original index v. The sources and sinks are the non-core
-    vertices, each listed once, and the orbits cover the core once, so
-    ``to_canonical`` is a bijection and the canonical rows are the rows
-    of ``permute(A, Permutation(order))``, with ``order`` the original
-    indices listed in canonical order.
+    Returns (blocks, canonical_rows, to_canonical): ``blocks`` is
+    (r, cycle_lengths, s, X, Y), the arguments of :func:`_build_rows`,
+    and ``to_canonical[v]`` is the canonical position of the original
+    index v. Sources and sinks are the non-core vertices, each listed once,
+    and the orbits cover the core once, so ``to_canonical`` is a bijection
+    and the canonical rows are those of ``permute(A, Permutation(order))``,
+    with ``order`` the original indices listed in canonical order.
     """
     st = _analyze_rows(rows, n)
     if st is None:
@@ -370,7 +370,7 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
     cycle_mask = (1 << (shift - r)) - 1
     x_rows = tuple([(row >> r) & cycle_mask for row in canonical_rows[:r]])
     y_rows = tuple([row >> shift for row in canonical_rows[r:shift]])
-    return r, tuple(map(len, orbits)), n - shift, x_rows, y_rows, canonical_rows, to_canonical
+    return (r, tuple(map(len, orbits)), n - shift, x_rows, y_rows), canonical_rows, to_canonical
 
 
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
@@ -385,8 +385,8 @@ def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     _require_k(k)
     form = _canonical_form(a.rows, a.n, k)
     if form is not None:
-        r, cycle_lengths, s, x_rows, y_rows, _, to_canonical = form
-        return CanonicalDecomposition(a.n, k, r, cycle_lengths, s, x_rows, y_rows, Permutation(tuple(to_canonical)))
+        blocks, _, to_canonical = form
+        return CanonicalDecomposition(a.n, k, *blocks, Permutation(tuple(to_canonical)))
     failure = power_failure(a, k)
     if failure is None:
         raise RuntimeError("structural rejection of a matrix whose power matches")

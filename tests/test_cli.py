@@ -251,9 +251,9 @@ class TestInstalledEntryPoint:
 
 
 def run_cli_bytes(args, data):
-    """Invoke main() in-process with ``data`` as the raw bytes of stdin."""
+    """Invoke main() in-process with ``data`` as the raw bytes of stdin; CR is kept, as on a POSIX stdin."""
     old_stdin = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
@@ -385,6 +385,20 @@ class TestArbitraryBytes:
             code, out, err = run_cli_bytes([*command, str(path)], b"")
             assert (code, err) == (expected, "")
             assert out == run_cli_bytes(command, text.encode())[1]
+
+    def test_crlf_and_cr_stdin_in_a_fresh_process(self):
+        # a real stdin keeps CR; the reader turns CRLF and CR into LF as for a file
+        for command, text, expected in (
+            (["check", "--k", "4"], C3_TEXT, b"k-idempotent\n"),
+            (["compose"], WORKED_DECOMPOSITION, WORKED_TEXT.encode()),
+        ):
+            for end in (b"\r\n", b"\r"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "kidempotent", *command, "-"],
+                    input=text.encode().replace(b"\n", end),
+                    capture_output=True,
+                )
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
     def test_non_ascii_stdin_in_a_fresh_process(self):
         # strict UTF-8 stdin, as under a UTF-8 locale, where a text read raises

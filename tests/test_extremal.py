@@ -194,6 +194,8 @@ class TestGroupedFamilies:
         "n, k, digest",
         [
             (10, 7, "b830062202b3c6ab5b1329d638af8379ba837865c56ee481f6eae877b4167f4b"),
+            # 620 families, every cycle length divides k - 1: the most cycle multisets of any case here
+            (10, 720721, "ed4193a1c99b5d7918947ef584d6471c4432ff6bb893f0adf68ca8419a0f731c"),
             (9, 2, "f49336315307e7906ce34101a445170f31fa452cb7f01dbe0d48be31043400a1"),
             (8, 3, "6b7ea8183c622942353f22ed49b6b9ee74415bbb426f229adc1f3836557e9c39"),
             (6, 4, "2a1255182f2f1aa62b126c8ca9bad0c830cc7d259d7fbcf22eef2dbf9bd5537d"),
@@ -315,8 +317,7 @@ def reference_max_form(d):
 
 def census_rule(a, k):
     """The density shape as a census decides it: on the blocks of the canonical form."""
-    form = _canonical_form(a.rows, a.n, k)
-    return _fits_maximum_form(form[0], form[2], form[3], form[4])
+    return _fits_maximum_form(*_canonical_form(a.rows, a.n, k)[0])
 
 
 class TestBlockRule:

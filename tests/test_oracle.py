@@ -31,7 +31,15 @@ from kidempotent.oracle import (
     structural_count,
 )
 from kidempotent import cli, matrix01, oracle, structure
-from kidempotent.extremal import _family_matrices, allowed_boundary_counts, gamma, is_extremal
+from kidempotent.extremal import (
+    ExtremalParams,
+    _family_matrices,
+    allowed_boundary_counts,
+    construct_extremal,
+    family_line,
+    gamma,
+    is_extremal,
+)
 from kidempotent.structure import ArgumentRangeError, compose, decompose, is_k_idempotent, power_failure
 
 GOLDEN = Path(__file__).parent / "golden" / "k_idempotent_counts.txt"
@@ -360,7 +368,7 @@ class TestCandidates:
         # a member with a source, so that its X block is a tuple of its own;
         # the stray lies between the two members, so neither list can simply
         # be appended to the other
-        broken = next(x for x in members if x.bit_count() < 4 and canonical_form(oracle._index_rows(3, x), 3, 2)[0])
+        broken = next(x for x in members if x.bit_count() < 4 and canonical_form(oracle._index_rows(3, x), 3, 2)[0][0])
         stray = min(set(range(broken, 512)).difference(members))
         rejected = max(x for x in members if x.bit_count() == 4)
         assert broken < stray < rejected
@@ -379,7 +387,7 @@ class TestCandidates:
             return form
 
         def patched_build(*blocks):
-            if broken_form and blocks[3] is broken_form[0][3]:
+            if broken_form and blocks[3] is broken_form[0][0][3]:
                 return ()
             return build_rows(*blocks)
 
@@ -427,12 +435,13 @@ class TestEveryBlockCompared:
             form = canonical_form(rows, n, k)
             if form is None or corrupted:
                 return form
-            r, lengths, s, x_rows, y_rows, canonical_rows, to_canonical = form
+            blocks, canonical_rows, to_canonical = form
+            r, lengths, s = blocks[:3]
             bad = corrupt(r, sum(lengths), s, canonical_rows)
             if bad is None:
                 return form
             corrupted.append(Matrix01(n, rows))
-            return r, lengths, s, x_rows, y_rows, bad, to_canonical
+            return blocks, bad, to_canonical
 
         monkeypatch.setattr(oracle, "_canonical_form", corrupt_first)
         report = census(3, k)
@@ -457,7 +466,7 @@ class TestArgmaxObjects:
         assert built == []
         monkeypatch.undo()
         forms = [structure._canonical_form(a.rows, n, k) for a in report.argmax]
-        assert shapes == [(r, s, x, y) for r, _, s, x, y, _, _ in forms]
+        assert shapes == [blocks for blocks, _, _ in forms]
         assert [decompose(a, k).original_matrix() for a in report.argmax] == list(report.argmax)
 
 
@@ -668,6 +677,8 @@ ARGUMENT_RULES = {
     "allowed_boundary_counts order 0": lambda: allowed_boundary_counts(0),
     "_family_matrices order 0": lambda: _family_matrices(0, 2),
     "_family_matrices k": lambda: _family_matrices(3, 1),
+    "construct_extremal order 0": lambda: construct_extremal(0, 2, ExtremalParams("A", 0, 0, (1,), ())),
+    "family_line order 0": lambda: family_line(0, 2, ExtremalParams("A", 0, 0, (1,), ())),
 }
 
 

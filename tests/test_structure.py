@@ -497,7 +497,7 @@ def check_canonical_form(a, k):
     assert (form is not None) == is_k_idempotent(a, k)
     if form is None:
         return
-    r, lengths, s, x_rows, y_rows, canonical_rows, to_canonical = form
+    (r, lengths, s, x_rows, y_rows), canonical_rows, to_canonical = form
     assert sorted(to_canonical) == list(range(a.n))
     sources, orbits, sinks = _analyze_rows(a.rows, a.n)
     order = (*sources, *(v for orbit in orbits for v in orbit), *sinks)
