@@ -150,8 +150,9 @@ def construct_extremal(n: int, k: int, params: ExtremalParams) -> Matrix01:
     The parameter algebra is never trusted: the result is re-checked by
     :func:`is_extremal`, a direct k-idempotency test on the row route and
     a direct count of ones against gamma(n). Raises :class:`InvalidParams`
-    for parameters outside the allowed shapes and :class:`ValidationFailed`
-    when a degenerate corner composes to something below the bound.
+    for parameters outside the allowed shapes. :class:`ValidationFailed`
+    guards the parameter algebra only: every allowed family has
+    (r+1)(n-r) ones in variant A and (s+1)(n-s) in B, both gamma(n).
     """
     matrix = Matrix01(n, _family_rows(n, k, params))
     if not is_extremal(matrix, k):

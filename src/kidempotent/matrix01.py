@@ -73,6 +73,16 @@ def _parse_row(text: str, width: int) -> int | None:
     return int(text[::-1] or "0", 2)
 
 
+def _parse_decimal(text: str, noun: str, error: type) -> int:
+    """The value of a decimal field: ASCII digits, no leading zero; else ``error`` naming ``noun``."""
+    if not text.isascii() or not text.isdigit() or (len(text) > 1 and text[0] == "0"):
+        raise error(f"bad {noun} {text[:20]!r} (length {len(text)})")
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise error(f"{noun} of {len(text)} digits is too long") from None
+
+
 @dataclass(frozen=True)
 class Matrix01:
     """Square 0-1 matrix of order ``n`` with bit-packed rows."""
@@ -282,12 +292,11 @@ def _power(base, m: int, mul):
 def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Repeated squaring in the saturating semiring; m must be >= 1.
 
-    For m >= 3, when the core C (the vertices with both an in-arc and an
-    out-arc) is a proper subset of the vertices with arcs and A cut to
-    it has at most one 1 per row, as in every k-idempotent matrix, only
-    the core is powered: as the map f from i to the column of that 1
-    (-1 for none), by composing index lists over the points of C alone.
-    Every inner vertex of a walk of length m lies in C, so
+    For m >= 3, when A cut to its core C (the vertices with both an in-arc
+    and an out-arc) has at most one 1 per row, as in every k-idempotent
+    matrix, only the core is powered: as the map f from i to the column
+    of that 1 (-1 for none), by composing index lists over the points of
+    C alone. Every inner vertex of a walk of length m lies in C, so
     A^m = A[:, C] R, where row c of R is row f^(m-2)(c) of A (zero where
     f^(m-2)(c) is -1). Where that row is bit c alone, as at most core
     points of a k-idempotent A, bit c of each row of A passes straight
@@ -305,26 +314,25 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
                 has_out |= 1 << i
                 has_in |= row
         core = has_out & has_in
-        if core != has_out | has_in:
-            points = [c for c in range(len(rows)) if core >> c & 1]
-            inner = [rows[c] & core for c in points]
-            if max(map(int.bit_count, inner), default=0) <= 1:
-                # i -> h[g[i]] on point indices. End marks -1 keep lists 2 long: itemgetter gives tuples.
-                then = lambda g, h: itemgetter(*g)(h)
-                index = dict(zip([-1, *points], range(-1, len(points))))
-                f = [*(index[row.bit_length() - 1] for row in inner), -1, -1]
-                right = then(_power(f, m - 2, then), [*map(rows.__getitem__, points), 0, 0])
-                through = live = 0
-                walked = [0] * len(rows)  # R by vertex, at the live points only
-                for c, r in zip(points, right):
-                    if r == 1 << c:
-                        through |= r
-                    elif r:
-                        live |= 1 << c
-                        walked[c] = r
-                q1, q2 = _sat_mul_rows([row & live for row in rows], zeros, walked, zeros)
-                passed = [row & through for row in rows]
-                return tuple(map(or_, q1, passed)), tuple([y2 | (y1 & x) for y1, y2, x in zip(q1, q2, passed)])
+        points = [c for c in range(len(rows)) if core >> c & 1]
+        inner = [rows[c] & core for c in points]
+        if max(map(int.bit_count, inner), default=0) <= 1:
+            # i -> h[g[i]] on point indices. End marks -1 keep lists 2 long: itemgetter gives tuples.
+            then = lambda g, h: itemgetter(*g)(h)
+            index = dict(zip([-1, *points], range(-1, len(points))))
+            f = [*(index[row.bit_length() - 1] for row in inner), -1, -1]
+            right = then(_power(f, m - 2, then), [*map(rows.__getitem__, points), 0, 0])
+            through = live = 0
+            walked = [0] * len(rows)  # R by vertex, at the live points only
+            for c, r in zip(points, right):
+                if r == 1 << c:
+                    through |= r
+                elif r:
+                    live |= 1 << c
+                    walked[c] = r
+            q1, q2 = _sat_mul_rows([row & live for row in rows], zeros, walked, zeros)
+            passed = [row & through for row in rows]
+            return tuple(map(or_, q1, passed)), tuple([y2 | (y1 & x) for y1, y2, x in zip(q1, q2, passed)])
     return _power((rows, zeros), m, lambda a, b: _sat_mul_rows(*a, *b))
 
 
@@ -539,12 +547,7 @@ def from_text(text: str) -> Matrix01:
         raise MatrixFormatError("matrix text must end with a newline")
     lines = text[:-1].split("\n")
     head = lines[0]
-    if not head.isascii() or not head.isdigit() or (len(head) > 1 and head[0] == "0"):
-        raise MatrixFormatError(f"bad order line {head[:20]!r} (length {len(head)})")
-    try:
-        n = int(head)
-    except ValueError:  # longer than the interpreter's int() digit limit
-        raise MatrixFormatError(f"order line of {len(head)} digits is too long") from None
+    n = _parse_decimal(head, "order line", MatrixFormatError)
     if len(lines) != n + 1:
         raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
     body = lines[1:]

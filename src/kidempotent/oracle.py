@@ -104,7 +104,7 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
     check. A node that survives is split, down to leaves of up to
     2**_LANE_BITS lanes (narrower when the range is shorter), each
     decided by one :func:`_sat_member_lanes` power. The search makes no
-    other call, so wrapping these two counts pruned nodes and leaves.
+    other call, so wrapping these counts tested nodes, pruned or not, and leaves.
 
     Nodes of fewer than 2**_LANE_BITS indices are not tested: a short
     range is one lane power whatever its bits, which on a range with no

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 from .matrix01 import (
     Matrix01,
     Permutation,
+    _parse_decimal,
     _parse_row,
     _permute_rows,
     _relabel_rows,
@@ -106,7 +107,8 @@ class CycleLengthInvalid(ComposeError):
 class ProductNotZeroOne(ComposeError):
     """The derived corner block X P^T Y has an entry of at least 2.
 
-    The witness is in coordinates of the composed matrix.
+    The witness is in canonical coordinates, whatever sigma is: row i
+    is X row i, and column r + m + j is corner column j.
     """
 
     def __init__(self, witness: tuple[int, int]):
@@ -328,7 +330,8 @@ class CanonicalDecomposition:
         return Matrix01(len(rows), rows)
 
     def original_matrix(self) -> Matrix01:
-        """The matrix this decomposition came from: the canonical rows relabeled by sigma."""
+        """The matrix this decomposition came from: the canonical rows relabeled by sigma, after
+        the corner check, so a :class:`ProductNotZeroOne` witness is in canonical coordinates."""
         rows = _permute_rows(self._canonical_rows(), self.sigma)
         return Matrix01(len(rows), rows)
 
@@ -494,19 +497,10 @@ def _decomposition_lines(n: int, k: int, r: int, s: int, cycle_lengths, sigma: s
     return head + ["sigma=" + sigma] + ["X=" + text for text in x_texts] + ["Y=" + text for text in y_texts]
 
 
-def _parse_int(value: str, what: str) -> int:
-    if not value.isascii() or not value.isdigit() or (len(value) > 1 and value[0] == "0"):
-        raise DecompositionFormatError(f"bad {what} value {value[:20]!r} (length {len(value)})")
-    try:
-        return int(value)
-    except ValueError:  # longer than the interpreter's int() digit limit
-        raise DecompositionFormatError(f"{what} value of {len(value)} digits is too long") from None
-
-
-def _parse_int_list(value: str, what: str) -> tuple[int, ...]:
+def _parse_int_list(value: str, noun: str) -> tuple[int, ...]:
     if value == "":
         return ()
-    return tuple(_parse_int(part, what) for part in value.split(","))
+    return tuple(_parse_decimal(part, noun, DecompositionFormatError) for part in value.split(","))
 
 
 def parse_decomposition(text: str) -> CanonicalDecomposition:
@@ -537,14 +531,14 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
                     raise DecompositionFormatError(f"bad {key} row on line {pos + 1}")
         return tuple([int(line[:1:-1] or "0", 2) for line in block])
 
-    n = _parse_int(take(0, "n"), "n")
-    k = _parse_int(take(1, "k"), "k")
+    n = _parse_decimal(take(0, "n"), "n value", DecompositionFormatError)
+    k = _parse_decimal(take(1, "k"), "k value", DecompositionFormatError)
     if k < 2:
         raise DecompositionFormatError("k must be at least 2")
-    r = _parse_int(take(2, "r"), "r")
-    s = _parse_int(take(3, "s"), "s")
-    cycle_lengths = _parse_int_list(take(4, "cycle_lengths"), "cycle length")
-    mapping = _parse_int_list(take(5, "sigma"), "sigma entry")
+    r = _parse_decimal(take(2, "r"), "r value", DecompositionFormatError)
+    s = _parse_decimal(take(3, "s"), "s value", DecompositionFormatError)
+    cycle_lengths = _parse_int_list(take(4, "cycle_lengths"), "cycle length value")
+    mapping = _parse_int_list(take(5, "sigma"), "sigma entry value")
     _check_header(n, r, cycle_lengths, s, len(mapping), DecompositionFormatError)
     m = sum(cycle_lengths)
     try:

@@ -92,6 +92,12 @@ class TestDecomposeCompose:
         assert code == 1
         assert out.startswith("error=CycleLengthInvalid\n")
 
+    def test_compose_corner_witness_is_canonical(self):
+        # X P^T Y is 2 at corner (0, 0): the witness is that cell of the canonical layout, row 0 and
+        # column r + m + 0 = 3, though the reversed sigma would put it at (3, 0) of the original labels
+        bad = "n=4\nk=2\nr=1\ns=1\ncycle_lengths=1,1\nsigma=3,2,1,0\nX=11\nY=1\nY=1\n"
+        assert run_cli(["compose"], stdin=bad) == (1, "error=ProductNotZeroOne\nwitness=0,3\n")
+
     def test_compose_rejects_malformed(self):
         code, _ = run_cli(["compose"], stdin="nonsense\n")
         assert code == 2

@@ -76,6 +76,12 @@ class TestConstruct:
     def test_rejects_bad_source_count(self):
         with pytest.raises(InvalidParams):
             construct_extremal(4, 2, ExtremalParams("A", 3, 0, (1,), ()))
+        with pytest.raises(ValueError, match="block sizes must be non-negative"):
+            ExtremalParams("A", -1, 1, (1,), (0,))
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="variant must be 'A' or 'B'"):
+            ExtremalParams("C", 1, 1, (1,), (0,))
 
     def test_rejects_bad_cycle_length(self):
         with pytest.raises(InvalidParams):
@@ -288,6 +294,7 @@ class TestEqualityCharacterization:
     def test_non_extremal_form_rejected(self):
         d = decompose(Matrix01.identity(3), 2)
         assert not matches_maximum_form(d)
+        assert not matches_maximum_form(decompose(Matrix01(0, ()), 2))  # order 0 has no gamma
 
     def test_corner_not_zero_one_fits_neither_shape(self):
         # hand-built blocks whose corner X P^T Y has an entry 2: no matrix,

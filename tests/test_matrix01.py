@@ -71,6 +71,10 @@ class TestBasics:
             Matrix01.from_lists([[0, 1]])
         with pytest.raises(ValueError):
             pack_row([0, 2])
+        with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+            Matrix01(2, (0,))
+        with pytest.raises(ValueError, match="cycle order must be positive"):
+            Matrix01.cycle(0)
 
     def test_pack_unpack(self):
         assert unpack_row(pack_row([1, 0, 1, 1]), 4) == [1, 0, 1, 1]
@@ -255,8 +259,8 @@ class TestCorePeel:
             (0b00110, 0b01000, 0b01000, 0b11000, 0),  # core 1, 2 -> 3 -> 3: source 0 reaches 3 and 4 twice
             (0b010, 0b100, 0),  # core {1} with no core bit
             (0b1110, 0b1100, 0b1000, 0),
-            Matrix01.cycle(5).rows,  # all core: no peel
-            Matrix01.ones(4).rows,
+            Matrix01.cycle(5).rows,  # all core, one map: peeled
+            Matrix01.ones(4).rows,  # all core, not a map: squared whole
             (0b0110, 0b1010, 0b1100, 0),  # source 0, sink 3, core {1, 2} with loops
             (0b0110, 0b1000, 0b1000, 0b1000),  # core 1 and 2 both -> 3 -> 3: the walk alone gives (0, 3) = 2+
             (0b1010, 0b1000, 0, 0b1000),  # 1 -> 3 meets the pass-through of 3 -> 3 at (0, 3)
@@ -335,6 +339,32 @@ class TestCorePeel:
         assert _sat_power_rows(rows, k) == (rows, (0,) * 240)
         assert len(lefts) == 1
         assert all(not bits & ~live for bits in lefts[0])
+
+    def test_partial_permutations_are_peeled(self, monkeypatch):
+        """The core of a partial permutation matrix is one index map: one product per power, isolated vertices or not."""
+        rng = random.Random(29)
+        calls = []
+
+        def spy(*planes):
+            calls.append(1)
+            return _sat_mul_rows(*planes)
+
+        monkeypatch.setattr(matrix01, "_sat_mul_rows", spy)
+        flavors = set()
+        for n in [*range(13)] * 4 + [64, 64, 400, 400]:
+            image = rng.sample(range(n), n)
+            keep = rng.choice((1.0, 0.7))  # dropped arcs leave paths, with sources and sinks
+            rows = [1 << image[i] if rng.random() < keep else 0 for i in range(n)]
+            for v in rng.sample(range(n), rng.randrange(n + 1) // 3):  # cut every arc at v
+                rows = [0 if i == v else row & ~(1 << v) for i, row in enumerate(rows)]
+            rows = tuple(rows)
+            with_arcs = functools.reduce(operator.or_, rows, 0) | sum(1 << i for i, row in enumerate(rows) if row)
+            flavors.add(with_arcs == (1 << n) - 1)
+            for m in (3, 4, 7, 13, 720721):
+                calls.clear()
+                assert _sat_power_rows(rows, m) == plain_power(rows, m)
+                assert len(calls) == 1
+        assert flavors == {False, True}  # with and without isolated vertices
 
 
 def batch_cases(rng, n, k, count):

@@ -362,6 +362,8 @@ class TestCompose:
             compose(0, [2], 0, [], [[]], 3)
         with pytest.raises(ValueError):
             compose(1, [1], 1, [[1, 0]], [[1]], 2)
+        with pytest.raises(ValueError, match="cycle block row width mismatch"):
+            compose(0, (1,), 1, [], [[1, 0]], 2)
 
     def test_derived_corner_checks_widths(self):
         # an X row wider than the cycle total is refused when built, not clipped
@@ -585,6 +587,8 @@ class TestRebuild:
             (lambda: CanonicalDecomposition(5, 2, 0, (1,), 0, (), (0,), Permutation((0,))),
              "r + cycle total + s must equal n"),
             (lambda: replace(d, sigma=Permutation.identity(4)), "sigma length differs from n"),
+            (lambda: CanonicalDecomposition(3, 2, -1, (1,), 3, (), (0,), Permutation.identity(3)),
+             "block sizes must be non-negative"),
         ]
         for build, message in shapes:
             with pytest.raises(ValueError) as raised:
@@ -720,6 +724,7 @@ class TestSerialization:
             "n=3\nk=1\nr=1\ns=1\ncycle_lengths=1\nsigma=0,1,2\nX=1\nY=1\n",  # k too small
             "k=2\nn=3\nr=1\ns=1\ncycle_lengths=1\nsigma=0,1,2\nX=1\nY=1\n",  # field order
             "n=3\nk=2\nr=1\ns=1\ncycle_lengths=1\nsigma=0,1,2\nX=2\nY=1\n",  # bad row
+            "n=1\nk=2\nr=0\ns=0\ncycle_lengths=0,1\nsigma=0\nY=\n",  # zero cycle length
         ],
     )
     def test_rejects_malformed(self, text):
