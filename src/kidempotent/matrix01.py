@@ -184,12 +184,15 @@ def _permute_rows(rows: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
     return tuple(_relabel_rows(map(rows.__getitem__, mp), inv))
 
 
-# A row with more than 8 + n // 12 set bits is relabeled by the text
-# gather, any other by walking its set bits. Per row, the walk costs
-# 0.1-0.4 us a set bit and the gather 1 us plus 0.025 us a column; they
-# broke even near 8 bits at n = 16 to 32, 12-15 at n = 100, 35 at
-# n = 400 and 80-90 at n = 1000 (2-core Xeon VM, Python 3.11). Rows of
-# width 8 or less, as in a census, are therefore always walked.
+# A row with more than 8 + n // 12 set bits is dense. The dense rows of
+# a call are moved together by one transpose, any other row by walking
+# its set bits, at 0.1-0.2 us a bit. Once a call transposes, each further
+# dense row costs 0.5-0.6 us up to n = 100, 1.5 us at n = 400 and 3.3 us
+# at n = 1000, the walk of 4-6, 9 and 17 bits; but the transpose itself
+# costs 8.4, 34 and 90 us at n = 100, 400 and 1000, the walk of 57, 200
+# and 450 bits. The bound lies between the two break-evens at every
+# width (2-core Xeon VM, Python 3.11). Rows of width 8 or less, as in a
+# census, are therefore always walked.
 _WALK_BITS = 8
 _WALK_COLUMNS_PER_BIT = 12
 
@@ -198,19 +201,24 @@ def _relabel_rows(rows: Iterable[int], position: Sequence[int]) -> list[int]:
     """Each row with every set bit v moved to bit ``position[v]``.
 
     The one relabel kernel. A sparse row is walked bit by bit, in time
-    linear in its set bits. A dense row is written out as a binary
-    string, reordered by one :func:`operator.itemgetter` call built once
-    per call of this function, and parsed back: linear in the width, but
-    at C speed.
+    linear in its set bits. The dense rows of a call are moved together,
+    at C speed: each is written out as its (n + 1)-character binary
+    string, where character n - v is bit v and the leading "0" saves
+    width 0 from empty numerals. In the joined text, the strided slice
+    from c on is column c of every dense row; joined in their new order,
+    the columns hold each output row as a strided slice, parsed back by
+    ``int(..., 2)``.
     """
-    dense = _WALK_BITS + len(position) // _WALK_COLUMNS_PER_BIT
-    gather = None
+    n = len(position)
+    dense = _WALK_BITS + n // _WALK_COLUMNS_PER_BIT
+    gather = None  # indices in out of the dense rows, which wait there unmoved
     out = []
     for bits in rows:
         if bits.bit_count() > dense:
             if gather is None:
-                gather = _gather_relabel(position)
-            out.append(gather(bits))
+                gather = []
+            gather.append(len(out))
+            out.append(bits)
             continue
         acc = 0
         while bits:
@@ -218,24 +226,18 @@ def _relabel_rows(rows: Iterable[int], position: Sequence[int]) -> list[int]:
             bits ^= low
             acc |= 1 << position[low.bit_length() - 1]
         out.append(acc)
+    if gather is not None:
+        step = n + 1
+        # map, not a comprehension: naming out there makes it a cell, slower on every call, a census's too
+        text = "".join(map(f"{{:0{step}b}}".format, map(out.__getitem__, gather)))
+        columns = [text[::step]] * step  # column 0, the leading "0"s, stays first
+        for v, p in enumerate(position):
+            columns[n - p] = text[n - v :: step]
+        moved = "".join(columns)
+        count = len(gather)
+        for i, at in enumerate(gather):
+            out[at] = int(moved[i::count], 2)
     return out
-
-
-def _gather_relabel(position: Sequence[int]):
-    """The dense branch of :func:`_relabel_rows`, as a function of one row.
-
-    Character n - v of the (n + 1)-character binary string of a row is
-    bit v. The getter puts the character of bit v where bit position[v]
-    belongs; the leading "0", kept in place, saves width 0 from a getter
-    of no items.
-    """
-    n = len(position)
-    picks = [0] * (n + 1)
-    for v, p in enumerate(position):
-        picks[n - p] = n - v
-    get = itemgetter(*picks)
-    spec = f"0{n + 1}b"
-    return lambda bits: int("".join(get(format(bits, spec))), 2)
 
 
 def _sat_mul_rows(

@@ -79,6 +79,8 @@ def _check_args(n: int, k: int) -> None:
 
 def matrix_from_index(n: int, index: int) -> Matrix01:
     """Decode an enumeration index; bit j of the index is entry (j div n, j mod n)."""
+    if n < 0:
+        raise ArgumentRangeError("order must be >= 0")
     if not 0 <= index < 1 << (n * n):
         raise ArgumentRangeError("index out of range")
     return Matrix01(n, _index_rows(n, index))

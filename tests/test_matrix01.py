@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -136,8 +138,30 @@ def relabel_reference(bits, position):
     return sum(((bits >> v) & 1) << p for v, p in enumerate(position))
 
 
-# Widths either side of 9, the narrowest at which a full row is gathered.
+# Widths either side of 9, the narrowest at which a full row is transposed.
 RELABEL_WIDTHS = [0, 1, 2, 8, 9, 10, 64, 400, 1000]
+
+
+@contextlib.contextmanager
+def kernel_joins():
+    """A list whose length, read on exit, is the number of ``str.join`` calls made by ``_relabel_rows``.
+
+    One transpose joins twice, the text of the dense rows and then its
+    reordered columns; the walk joins nothing.
+    """
+    joins = []
+    code = _relabel_rows.__code__
+
+    def hook(frame, event, arg):
+        if event == "c_call" and frame.f_code is code and arg.__name__ == "join":
+            joins.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield joins
+    finally:
+        sys.setprofile(previous)
 
 
 class TestRelabelKernel:
@@ -160,31 +184,50 @@ class TestRelabelKernel:
         rows, position = self.draw_rows(data, n)
         expected = [relabel_reference(row, position) for row in rows]
         assert _relabel_rows(rows, position) == expected
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matrix01, "_WALK_BITS", -1)  # every row gathered
+        with pytest.MonkeyPatch.context() as mp, kernel_joins() as joins:
+            mp.setattr(matrix01, "_WALK_BITS", -1)  # every row transposed
             mp.setattr(matrix01, "_WALK_COLUMNS_PER_BIT", 1 << 20)
             assert _relabel_rows(rows, position) == expected
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matrix01, "_gather_relabel", None)  # every row walked
-            mp.setattr(matrix01, "_WALK_BITS", n)
+        assert len(joins) == 2
+        with pytest.MonkeyPatch.context() as mp, kernel_joins() as joins:
+            mp.setattr(matrix01, "_WALK_BITS", n)  # every row walked
             assert _relabel_rows(rows, position) == expected
+        assert not joins
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dense_row_counts_match_reference(self, data):
+        """1, 2 or all rows dense, among row counts that differ from the width."""
+        n = data.draw(st.sampled_from([w for w in RELABEL_WIDTHS if w > 8]))
+        count = data.draw(st.sampled_from([1, 2, 3, 17, n + 3]))
+        dense = data.draw(st.sampled_from([d for d in (1, 2, count) if d <= count]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        position = list(range(n))
+        rng.shuffle(position)
+        limit = matrix01._WALK_BITS + n // matrix01._WALK_COLUMNS_PER_BIT  # most ones a walked row has
+        rows = [rng.randint(limit + 1, n) for _ in range(dense)] + [rng.randint(0, limit) for _ in range(count - dense)]
+        rows = [sum(1 << v for v in rng.sample(range(n), ones)) for ones in rows]
+        rng.shuffle(rows)
+        with kernel_joins() as joins:
+            assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+        assert len(joins) == 2
 
     @pytest.mark.parametrize("n", range(9))
-    def test_narrow_rows_are_walked(self, monkeypatch, n):
+    def test_narrow_rows_are_walked(self, n):
         # a census relabels rows of width 8 or less, always by the walk
-        monkeypatch.setattr(matrix01, "_gather_relabel", None)
         position = list(range(n))[::-1]
         rows = [(1 << n) - 1, (1 << n) >> 1, 0]
-        assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+        with kernel_joins() as joins:
+            assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+        assert not joins
 
-    def test_dense_rows_are_gathered(self, monkeypatch):
-        calls = []
-        gather = matrix01._gather_relabel
-        monkeypatch.setattr(matrix01, "_gather_relabel", lambda position: calls.append(1) or gather(position))
+    def test_one_transpose_per_call(self):
         position = list(range(400))[::-1]
-        rows = [(1 << 400) - 1, 1 << 7, (1 << 400) - 2, 0]
-        assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
-        assert calls == [1]  # one getter per call, built on the first dense row
+        for dense in (0, 1, 2, 4):
+            rows = [(1 << 400) - 1 - i for i in range(dense)] + [1 << 7, 0, (1 << 41) - 1]
+            with kernel_joins() as joins:
+                assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+            assert len(joins) == (2 if dense else 0)  # one transpose, or none
 
 
 def plain_power(rows, m):

@@ -668,6 +668,7 @@ ARGUMENT_RULES = {
     "enumerate_k_idempotent order above limit": lambda: list(enumerate_k_idempotent(6, 2)),
     "enumerate_k_idempotent index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(3, 100_000))),
     "matrix_from_index index": lambda: matrix_from_index(1, 2),
+    "matrix_from_index negative order": lambda: matrix_from_index(-1, 0),
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
     "census order above limit": lambda: census(6, 2),

@@ -561,6 +561,21 @@ class TestRebuild:
             lengths.append(rng.choice([1, 2, 3, 4, 5, 6, 8, 16]))
         self.check(self.planted(rng, n // 4, lengths, n - n // 4 - sum(lengths)))
 
+    def test_one_dense_row(self):
+        # One source at order 400: its row is the only one with more than 8 + n/12 ones, so
+        # decompose and original_matrix each relabel by a transpose of that row alone.
+        rng = random.Random(401)
+        lengths = []
+        while sum(lengths) < 200:
+            lengths.append(rng.choice([1, 2, 3, 4, 5, 6, 8, 16]))
+        d = self.planted(rng, 1, lengths, 399 - sum(lengths))
+        a = d.original_matrix()
+        assert [row.bit_count() > 8 + 400 // 12 for row in a.rows].count(True) == 1
+        canonical, mp = d.canonical_matrix().to_lists(), d.sigma.mapping
+        assert a.to_lists() == [[canonical[mp[i]][mp[j]] for j in range(400)] for i in range(400)]
+        assert decompose(a, d.k).original_matrix() == a
+        self.check(d)
+
     def test_errors_are_those_of_compose(self):
         d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
         broken = [
