@@ -43,14 +43,10 @@ __all__ = ["entrypoint", "main"]
 def _read_input(path: str | None) -> str:
     """The input text with CRLF and CR line ends read as LF, as a file opened in text mode reads them."""
     if path is None or path == "-":
-        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+        text = sys.stdin.read()
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     with open(path, "r", encoding="ascii") as handle:
         return handle.read()
-
-
-def _usage_error(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
 
 
 def cmd_check(args) -> int:
@@ -123,12 +119,12 @@ def cmd_index(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommand parsers by name, built once per process.
 
-    Parsing leaves the parser unchanged: every call gets a fresh
+    Parsing leaves the parsers unchanged: every call gets a fresh
     namespace filled from the defaults, so in-process calls of
-    :func:`main` can share it. The parser names the subcommand only;
+    :func:`main` can share them. The parser names the subcommand only;
     :func:`main` looks up its ``cmd_`` function at call time.
     """
     parser = argparse.ArgumentParser(
@@ -162,21 +158,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="print the minimal k with A^k = A")
     p.add_argument("file", nargs="?")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    # A known subcommand skips the top-level pass; the whole parser takes the rest and reports leftovers.
+    sub = commands.get(argv[0]) if argv else None
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else (None, True)
+    args = parser.parse_args(argv) if extra else args
     try:
         return globals()["cmd_" + args.command](args)
     except ArgumentRangeError as exc:
-        return _usage_error(str(exc))
+        message = str(exc)
     except (MatrixFormatError, DecompositionFormatError) as exc:
-        return _usage_error(f"format error: {exc}")
+        message = f"format error: {exc}"
     except UnicodeDecodeError as exc:
-        return _usage_error(f"format error: non-ASCII byte at offset {exc.start}")
+        message = f"format error: non-ASCII byte at offset {exc.start}"
     except OSError as exc:
-        return _usage_error(f"cannot read input: {exc}")
+        message = f"cannot read input: {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 def entrypoint() -> None:

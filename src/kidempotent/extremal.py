@@ -270,7 +270,7 @@ def _families_text(n: int, k: int, families: Sequence[tuple[tuple, tuple[int, ..
     for (variant, r, s, cycles, _), rows in families:
         if group != (variant, r, s, cycles):
             group = (variant, r, s, cycles)
-            head = " ".join([f"variant={variant}", *_decomposition_lines(n, k, r, s, cycles, sigma, (), ())])
+            head = " ".join([f"variant={variant}", *_decomposition_lines(n, k, r, s, cycles, sigma)])
         lines = [texts[row] if row in texts else texts.setdefault(row, format(row, spec)[::-1]) for row in rows]
         x, y = [" X=" + text[r : n - s] for text in lines[:r]], [" Y=" + text[n - s :] for text in lines[r : n - s]]
         blocks.append("\n".join(["".join([head, *x, *y]), order, *lines, ""]))

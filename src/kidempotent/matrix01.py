@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
@@ -65,12 +66,9 @@ def row_string(row: int, width: int) -> str:
 
 
 def _parse_row(text: str, width: int) -> int | None:
-    """Row bitset of a text-format row string, or None when it is malformed."""
-    # int() alone would also accept "_", "+", surrounding spaces and
-    # non-ASCII digits; counting the two characters rejects them all.
-    if len(text) != width or text.count("0") + text.count("1") != width:
-        return None
-    return int(text[::-1] or "0", 2)
+    """Row bitset of a text-format row string, or None when it is malformed, by the rule of :func:`_read_rows`."""
+    rows = _read_rows(text + "\n", 1, width)
+    return None if rows is None else rows[0]
 
 
 def _parse_decimal(text: str, noun: str, error: type) -> int:
@@ -532,32 +530,45 @@ def exact_power(a: Matrix01, m: int) -> list[list[int]]:
     return cur
 
 
-def to_text(a: Matrix01) -> str:
-    """Serialize to the bit-exact text format.
+def _write_rows(rows: Sequence[int], width: int, prefix: str = "") -> str:
+    """A line of ``prefix``, ``width`` digits (bit 0 first) and a newline per row: the rows are formatted
+    last first, joined by the reversed prefix and a newline, and the whole text is reversed once."""
+    if not rows or not width:
+        return (prefix + "\n") * len(rows)
+    return ("\n" + (prefix[::-1] + "\n").join(map(format, reversed(rows), repeat(f"0{width}b"))) + prefix[::-1])[::-1]
 
-    Line 1 is the decimal order, lines 2..n+1 are the rows as strings of
-    '0'/'1' with no separators, and the text ends with exactly one
-    newline. The order-0 matrix is the single line "0".
-    """
-    spec = f"0{a.n}b"
-    return "\n".join([str(a.n), *[format(row, spec)[::-1] for row in a.rows]]) + "\n"
+
+def _read_rows(text: str, count: int, width: int, prefix: str = "") -> tuple[int, ...] | None:
+    """The rows of ``count`` :func:`_write_rows` lines, or None unless ``text`` is exactly those, checked with no call per
+    line: its length, prefixes and newlines as strided slices, and only 0 and 1 elsewhere (int() would take "_" or "+")."""
+    step = len(prefix) + width + 1
+    if len(text) != count * step or not text.isascii():
+        return None
+    marks = [text[j::step] for j in (*range(len(prefix)), step - 1)]
+    if marks != [c * count for c in prefix + "\n"] or len(text.encode().translate(None, b"01")) != count * (step - width):
+        return None
+    # one reversed slice, last digit to first (stop None, as -1 means the end): each row reversed, last row first
+    backwards = text[-2 : len(prefix) - 1 if prefix else None : -1].split(prefix[::-1] + "\n")
+    return tuple(map(int, reversed(backwards), repeat(2))) if count * width else (0,) * count
+
+
+def to_text(a: Matrix01) -> str:
+    """Serialize to the bit-exact text format: a line with the decimal order, then a line of n '0'/'1'
+    characters per row, bit 0 first, each line ending in a newline. The order-0 matrix is the single line "0"."""
+    return f"{a.n}\n" + _write_rows(a.rows, a.n)
 
 
 def from_text(text: str) -> Matrix01:
-    """Parse the text format produced by :func:`to_text`, strictly."""
+    """Parse the text format of :func:`to_text`, strictly; only refused text is split into lines, to name its fault."""
     if not text.endswith("\n"):
         raise MatrixFormatError("matrix text must end with a newline")
-    lines = text[:-1].split("\n")
-    head = lines[0]
+    head, _, body = text.partition("\n")
     n = _parse_decimal(head, "order line", MatrixFormatError)
+    rows = _read_rows(body, n, n)
+    if rows is not None:
+        return Matrix01(n, rows)
+    lines = text[:-1].split("\n")
     if len(lines) != n + 1:
         raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
-    body = lines[1:]
-    # One pass over all rows: '0', '1' and newlines only, and n characters a
-    # line. It fails only on a row that _parse_row rejects, so the first such
-    # row is the one reported.
-    tail = text[len(head) + 1 :]
-    if tail.isascii() and not tail.encode("ascii").translate(None, b"01\n") and all(len(line) == n for line in body):
-        return Matrix01(n, tuple(int(line[::-1], 2) for line in body))
-    first = next(i for i, line in enumerate(body) if _parse_row(line, n) is None)
+    first = next(i for i, line in enumerate(lines[1:]) if _parse_row(line, n) is None)
     raise MatrixFormatError(f"bad row on line {first + 2}")

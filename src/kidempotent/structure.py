@@ -24,6 +24,7 @@ order, and its X and Y blocks are read off the relabeled rows.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
@@ -36,10 +37,11 @@ from .matrix01 import (
     _parse_decimal,
     _parse_row,
     _permute_rows,
+    _read_rows,
     _relabel_rows,
     _sat_power_rows,
+    _write_rows,
     pack_row,
-    row_string,
 )
 
 __all__ = [
@@ -480,56 +482,43 @@ def compose(
 
 
 def serialize_decomposition(d: CanonicalDecomposition) -> str:
-    """Fixed-order text form: n, k, r, s, cycle_lengths, sigma, X rows, Y rows.
-
-    The derived corner block is never serialized. X rows are strings of
-    width ``cycle_total`` and Y rows of width ``sink_count``; there are
-    exactly ``source_count`` X lines and ``cycle_total`` Y lines.
-    """
-    m, s, sigma = d.cycle_total, d.sink_count, ",".join(map(str, d.sigma.mapping))
-    texts = [row_string(row, m) for row in d.source_to_cycle], [row_string(row, s) for row in d.cycle_to_sink]
-    return "\n".join(_decomposition_lines(d.n, d.k, d.source_count, s, d.cycle_lengths, sigma, *texts)) + "\n"
+    """Fixed-order text form: n, k, r, s, cycle_lengths, sigma, then ``source_count`` X rows of width
+    ``cycle_total`` and ``cycle_total`` Y rows of width ``sink_count``. The derived corner is never serialized."""
+    head = _decomposition_lines(d.n, d.k, d.source_count, d.sink_count, d.cycle_lengths, ",".join(map(str, d.sigma.mapping)))
+    x, y = _write_rows(d.source_to_cycle, d.cycle_total, "X="), _write_rows(d.cycle_to_sink, d.sink_count, "Y=")
+    return "\n".join([*head, x + y])
 
 
-def _decomposition_lines(n: int, k: int, r: int, s: int, cycle_lengths, sigma: str, x_texts, y_texts) -> list[str]:
-    """The lines of :func:`serialize_decomposition`, with sigma and the X and Y rows already written out."""
-    head = [f"n={n}", f"k={k}", f"r={r}", f"s={s}", "cycle_lengths=" + ",".join(map(str, cycle_lengths))]
-    return head + ["sigma=" + sigma] + ["X=" + text for text in x_texts] + ["Y=" + text for text in y_texts]
+def _decomposition_lines(n: int, k: int, r: int, s: int, cycle_lengths, sigma: str) -> list[str]:
+    """The header lines of :func:`serialize_decomposition`, with sigma already written out."""
+    return [f"n={n}", f"k={k}", f"r={r}", f"s={s}", "cycle_lengths=" + ",".join(map(str, cycle_lengths)), "sigma=" + sigma]
 
 
 def _parse_int_list(value: str, noun: str) -> tuple[int, ...]:
-    if value == "":
-        return ()
-    return tuple(_parse_decimal(part, noun, DecompositionFormatError) for part in value.split(","))
+    """Comma-separated decimal fields, read by int() at once if writing them back gives ``value`` and no "-"."""
+    parts = value.split(",") if value else []
+    with suppress(ValueError):  # a field int() refuses, or one beyond its digit limit
+        values = tuple(map(int, parts))
+        if "-" not in value and ",".join(map(str, values)) == value:
+            return values
+    return tuple(_parse_decimal(part, noun, DecompositionFormatError) for part in parts)
 
 
 def parse_decomposition(text: str) -> CanonicalDecomposition:
     """Parse the serialization produced by :func:`serialize_decomposition`.
 
-    The X rows, then the Y rows, are checked in one pass each: c rows of
-    width w, each joined with its newline, must be c runs of the key, "=",
-    w digits and a newline. Only a failed pass walks them to name a line.
+    The X rows, then the Y rows, are read as one block each by
+    ``matrix01._read_rows``. Only text that it refuses is split into lines,
+    to name the first bad one.
     """
     if not text.endswith("\n"):
         raise DecompositionFormatError("decomposition text must end with a newline")
-    lines = text[:-1].split("\n")
+    lines = text.split("\n", 6)  # the header, then the rows as one text; all lines once a row block fails
 
     def take(pos: int, key: str) -> str:
         if pos >= len(lines) or not lines[pos].startswith(key + "="):
             raise DecompositionFormatError(f"expected '{key}=' on line {pos + 1}")
         return lines[pos][len(key) + 1 :]
-
-    def take_rows(start: int, count: int, key: str, width: int) -> tuple[int, ...]:
-        block = lines[start : start + count]
-        joined, step = "\n".join([*block, ""]), width + 3
-        # the key, "=" and newline of each line, in that order; every other character a digit
-        fixed = joined[::step] + joined[1::step] + joined[step - 1 :: step]
-        digits = joined.count("0") + joined.count("1")
-        if len(joined) != count * step or fixed != key * count + "=" * count + "\n" * count or digits != count * width:
-            for pos in range(start, start + count):
-                if _parse_row(take(pos, key), width) is None:
-                    raise DecompositionFormatError(f"bad {key} row on line {pos + 1}")
-        return tuple([int(line[:1:-1] or "0", 2) for line in block])
 
     n = _parse_decimal(take(0, "n"), "n value", DecompositionFormatError)
     k = _parse_decimal(take(1, "k"), "k value", DecompositionFormatError)
@@ -545,7 +534,13 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
         sigma = Permutation(mapping)
     except ValueError as exc:
         raise DecompositionFormatError(str(exc)) from None
-    x_rows, y_rows = take_rows(6, r, "X", m), take_rows(6 + r, m, "Y", s)
-    if 6 + r + m != len(lines):
-        raise DecompositionFormatError("unexpected trailing content")
+    rest, split = lines[6], r * (m + 3)
+    x_rows, y_rows = _read_rows(rest[:split], r, m, "X="), _read_rows(rest[split:], m, s, "Y=")
+    if x_rows is None or y_rows is None:
+        lines = text[:-1].split("\n")
+        for pos in range(6, 6 + r + m):
+            key, width = ("X", m) if pos < 6 + r else ("Y", s)
+            if _parse_row(take(pos, key), width) is None:
+                raise DecompositionFormatError(f"bad {key} row on line {pos + 1}")
+        raise DecompositionFormatError("unexpected trailing content")  # every row is good, so more follows
     return CanonicalDecomposition(n, k, r, cycle_lengths, s, x_rows, y_rows, sigma)

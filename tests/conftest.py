@@ -1,5 +1,6 @@
-"""Shared test helpers: census memoization, random decomposition data and
-the strongly connected components of a digraph, from the definition."""
+"""Shared test helpers: census memoization, random decomposition data, the
+strongly connected components of a digraph, from the definition, seeded
+text corruptions and the power-route certificate of an idempotency index."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from kidempotent.matrix01 import Permutation
 from kidempotent.oracle import census
-from kidempotent.structure import CanonicalDecomposition
+from kidempotent.structure import CanonicalDecomposition, power_failure
 
 _census_memo: dict[tuple[int, int], object] = {}
 
@@ -163,3 +164,64 @@ def strong_components(rows):
             kind = "acyclic" if len(vertices) == 1 else "non-cycle"
         comps.append(((closure[v] | mask).bit_count(), vertices, kind))
     return [(vertices, kind) for _, vertices, kind in sorted(comps)]
+
+
+# Characters a corrupted text may gain: ones int() accepts or skips, the line structure's own
+# characters, a non-ASCII letter, a lone surrogate (a POSIX stdin's undecodable byte, which
+# str.encode refuses) and the decomposition's keys.
+CORRUPTION_CHARS = "2 _+b\r\u00e9\udce901\nX=-,"
+
+
+def corrupted_texts(rng: random.Random, text: str, count: int) -> list[str]:
+    """``count`` seeded single-character edits of ``text``: substitutions, insertions and deletions."""
+    out = []
+    for _ in range(count):
+        pos = rng.randrange(len(text) + 1)
+        edit, char = rng.choice(("put", "insert", "cut")), rng.choice(CORRUPTION_CHARS)
+        if edit == "insert":
+            out.append(text[:pos] + char + text[pos:])
+        elif edit == "put":
+            out.append(text[:pos] + char + text[pos + 1 :])
+        else:
+            out.append(text[:pos] + text[pos + 1 :])
+    return out
+
+
+def outcome(parse, text: str):
+    """("ok", value) of a parse, or the type and message of what it raised."""
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # compared whole: any exception type must match the reference's
+        return type(exc), str(exc)
+
+
+def prime_factors(value: int) -> list[int]:
+    """The distinct primes dividing ``value`` >= 1, by trial division."""
+    primes, q = [], 2
+    while q * q <= value:
+        if value % q == 0:
+            primes.append(q)
+            while value % q == 0:
+                value //= q
+        q += 1
+    return primes + ([value] if value > 1 else [])
+
+
+def index_certificate_failure(a, p: int):
+    """None when the power route alone certifies p as the least k >= 2 with A^k = A; else the failed test.
+
+    Lemma (elementary, not from the paper): when A^p = A with p >= 2, the
+    powers of A are periodic from exponent 1, and with pi the least period,
+    A^m = A exactly when pi divides m - 1. So p is the minimum exactly when
+    A^p = A and A^(1 + (p - 1)/q) differs from A for every prime q dividing
+    p - 1, the order test behind primitive-root certificates (V. Pratt,
+    SIAM J. Comput. 4(3), 1975). Only saturating powers are taken, through
+    ``power_failure``; the structural route is never asked. The failure is
+    "power" when A^p differs from A, else the prime q whose test failed.
+
+    A "none" answer of ``idempotency_index`` (no k works) is not certified
+    here: that would need a bound on the period of the powers.
+    """
+    if power_failure(a, p) is not None:
+        return "power"
+    return next((q for q in prime_factors(p - 1) if power_failure(a, 1 + (p - 1) // q) is None), None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kidempotent import cli
 from kidempotent.cli import main
 from kidempotent.extremal import _family_matrices, construct_extremal, extremal_families, family_line, gamma
 from kidempotent.matrix01 import Matrix01, from_text, to_text
@@ -419,3 +420,66 @@ class TestArbitraryBytes:
             assert proc.returncode == 2
             assert proc.stdout == b""
             assert b"Traceback" not in proc.stderr
+
+
+def parse_args_route(argv):
+    """main with no subcommand known to it, so every argv takes the whole parser's route."""
+    parser = cli.build_parser()[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: (parser, {}))
+        return main(argv)
+
+
+def captured(run, argv, stdin):
+    """Exit code (a SystemExit's code too), stdout and stderr of one in-process call."""
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def dispatch_table(matrix, decomposition):
+    commands = [["check", "--k", "2", matrix], ["decompose", "--k", "2", matrix], ["compose", decomposition],
+                ["compose", "--k", "3", decomposition], ["compose", "-"], ["index", matrix], ["gamma", "--n", "5"],
+                ["extremal", "--n", "4", "--k", "2"], ["census", "--n", "2", "--k", "2"]]
+    names = sorted({argv[0] for argv in commands})
+    return [
+        *commands,
+        *([name, flag] for name in names for flag in ("--help", "-h")),
+        ["check", matrix], ["check", "--k"], ["check", "--k", "x", matrix], ["census", "--n", "2"],
+        ["check", "--k", "2", "--bogus", matrix], ["gamma", "--n", "5", "extra"], ["index", matrix, matrix],
+        ["check", "--k=2", matrix], ["check", "--k", "2", "--", matrix], ["check", "--he"], ["gamma", "--n", "-1"],
+        ["-h", "check"], ["-h"], ["--help"], ["--k", "2", "check", matrix], [], ["nonsense"], ["nonsense", "--k", "2"],
+        ["Check", "--k", "2", matrix], ["chec", "--k", "2", matrix],
+    ]
+
+
+def test_dispatch_matches_the_whole_parser(tmp_path):
+    # A known subcommand goes straight to its own parser; every argv must still give the exit code,
+    # stdout and stderr of the whole parser's route, usage errors and help included.
+    matrix, decomposition = tmp_path / "m.txt", tmp_path / "d.txt"
+    matrix.write_text(WORKED_TEXT)
+    decomposition.write_text(WORKED_DECOMPOSITION)
+    for argv in dispatch_table(str(matrix), str(decomposition)):
+        direct = captured(main, list(argv), WORKED_DECOMPOSITION)
+        assert direct == captured(parse_args_route, list(argv), WORKED_DECOMPOSITION), argv
+        assert direct[0] != 0 or direct[1], argv
+
+
+def test_dispatch_builds_the_whole_parsers_namespace(tmp_path, monkeypatch):
+    seen = []
+    for name in ("check", "decompose", "compose", "gamma", "extremal", "census", "index"):
+        monkeypatch.setattr(cli, "cmd_" + name, lambda args: seen.append(vars(args)) or 0)
+    for argv in dispatch_table(str(tmp_path / "m.txt"), str(tmp_path / "d.txt")):
+        seen.clear()
+        direct, whole = captured(main, list(argv), ""), captured(parse_args_route, list(argv), "")
+        assert direct == whole, argv
+        assert len(seen) == (2 if direct[0] == 0 and not direct[1] else 0), argv
+        assert seen[:1] == seen[1:], argv

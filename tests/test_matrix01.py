@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_decomposition
+from conftest import corrupted_texts, outcome, random_decomposition
 from kidempotent import matrix01
 from kidempotent.structure import is_k_idempotent
 from kidempotent.matrix01 import (
@@ -18,6 +18,7 @@ from kidempotent.matrix01 import (
     exact_power,
     from_text,
     nnz,
+    _parse_decimal,
     _parse_row,
     _lanes_k_idempotent,
     _power,
@@ -582,3 +583,60 @@ class TestTextFormat:
             with pytest.raises(MatrixFormatError) as info:
                 from_text("\n".join(broken) + "\n")
             assert str(info.value) == f"bad row on line {first + 2}"
+
+
+def line_walk_to_text(a):
+    """The matrix text rendered one row at a time, each row reversed on its own."""
+    return "\n".join([str(a.n), *(format(row, f"0{a.n}b")[::-1] for row in a.rows)]) + "\n"
+
+
+def line_walk_from_text(text):
+    """The matrix text parsed line by line, the reference for the one-block reader.
+
+    Faults are named in the order the reader must name them: the final
+    newline, the order line, the line count, then the first bad row.
+    """
+    if not text.endswith("\n"):
+        raise MatrixFormatError("matrix text must end with a newline")
+    lines = text[:-1].split("\n")
+    n = _parse_decimal(lines[0], "order line", MatrixFormatError)
+    if len(lines) != n + 1:
+        raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        if len(line) != n or not set(line) <= {"0", "1"}:
+            raise MatrixFormatError(f"bad row on line {i + 2}")
+        rows.append(int(line[::-1] or "0", 2))
+    return Matrix01(n, tuple(rows))
+
+
+class TestRowBlockCodec:
+    """The one-block renderer and reader against the line walk they replace."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_orders_0_to_12(self, data):
+        n = data.draw(st.integers(0, 12))
+        a = Matrix01(n, tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n)))
+        text = to_text(a)
+        assert text == line_walk_to_text(a)
+        assert from_text(text) == a
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corruptions_fail_as_the_line_walk_does(self, seed):
+        rng = random.Random(seed)
+        for n in [*range(13), 40]:
+            a = Matrix01(n, tuple(rng.getrandbits(n) for _ in range(n)))
+            for text in corrupted_texts(rng, to_text(a), 60):
+                assert outcome(from_text, text) == outcome(line_walk_from_text, text), repr(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" + "0" * 4999 + "\n",  # an order beyond int()'s digit limit
+            "2\n0_1\n00\n", "2\n+1\n00\n", "2\n 1\n00\n", "2\n1\r\n00\n", "2\n01\n0\u0661\n", "2\n01\n0\udce9\n",
+            "2\n01\n00\n\n", "2\n0100\n\n", "0\n\n", "0\n", "1\n", "3\n000\n000\n",
+        ],
+    )
+    def test_edge_texts_fail_as_the_line_walk_does(self, text):
+        assert outcome(from_text, text) == outcome(line_walk_from_text, text)

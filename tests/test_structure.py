@@ -8,11 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_power, random_decomposition, strong_components
-from kidempotent.matrix01 import Matrix01, Permutation, _sat_mul_rows, exact_power, nnz, permute, unpack_row
+from conftest import (
+    block_power,
+    corrupted_texts,
+    index_certificate_failure,
+    outcome,
+    random_decomposition,
+    strong_components,
+)
+from kidempotent.matrix01 import (
+    Matrix01,
+    Permutation,
+    _parse_decimal,
+    _sat_mul_rows,
+    exact_power,
+    nnz,
+    permute,
+    unpack_row,
+)
 from kidempotent.structure import (
     _analyze_rows,
     _canonical_form,
+    _check_header,
     ArgumentRangeError,
     CanonicalDecomposition,
     CycleLengthInvalid,
@@ -683,6 +700,19 @@ class TestIdempotencyIndex:
         assert is_k_idempotent(a, 7)
         assert not any(is_k_idempotent(a, k) for k in range(2, 7))
 
+    # seeds whose cycle lengths make p - 1 a product of two to four primes
+    @pytest.mark.parametrize("n, seed", [(100, 3), (100, 4), (100, 7), (400, 3), (400, 4), (400, 7)])
+    def test_power_route_certifies_the_index(self, n, seed):
+        d = random_decomposition(random.Random(seed), n, 720721)
+        a = d.original_matrix()
+        p = idempotency_index(a)
+        assert p == lcm(*d.cycle_lengths) + 1 > 3
+        assert index_certificate_failure(a, p) is None
+        # a planted wrong minimum: A^(2p-1) = A too, but its q = 2 test is A^p = A
+        assert index_certificate_failure(a, 2 * p - 1) == 2
+        # not a period at all
+        assert index_certificate_failure(a, p + 1) == "power"
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -836,6 +866,103 @@ class TestParseMessages:
         with pytest.raises(DecompositionFormatError) as raised:
             parse_decomposition("\n".join(lines) + "\n")
         assert str(raised.value) == f"bad {key} row on line {i + 1}"
+
+
+def line_walk_serialize(d):
+    """The decomposition text rendered one row at a time, digit by digit."""
+    bits = lambda v, w: "".join(str(v >> j & 1) for j in range(w))
+    lines = [f"n={d.n}", f"k={d.k}", f"r={d.source_count}", f"s={d.sink_count}",
+             "cycle_lengths=" + ",".join(map(str, d.cycle_lengths)), "sigma=" + ",".join(map(str, d.sigma.mapping))]
+    lines += ["X=" + bits(x, d.cycle_total) for x in d.source_to_cycle]
+    lines += ["Y=" + bits(y, d.sink_count) for y in d.cycle_to_sink]
+    return "\n".join(lines) + "\n"
+
+
+def line_walk_parse(text):
+    """The decomposition text parsed line by line and field by field, the reference for the block reader.
+
+    Faults are named in the reader's order: the final newline, the header
+    fields one by one, the header's size rules and sigma, every X row, then
+    every Y row, a missing or misplaced key by the line where it was
+    looked for, and then content past the last Y row.
+    """
+    error = DecompositionFormatError
+    if not text.endswith("\n"):
+        raise error("decomposition text must end with a newline")
+    lines = text[:-1].split("\n")
+
+    def take(pos, key):
+        if pos >= len(lines) or not lines[pos].startswith(key + "="):
+            raise error(f"expected '{key}=' on line {pos + 1}")
+        return lines[pos][len(key) + 1 :]
+
+    def int_list(value, noun):
+        return tuple(_parse_decimal(part, noun, error) for part in value.split(",")) if value else ()
+
+    def take_rows(start, count, key, width):
+        rows = []
+        for pos in range(start, start + count):
+            line = take(pos, key)
+            if len(line) != width or not set(line) <= {"0", "1"}:
+                raise error(f"bad {key} row on line {pos + 1}")
+            rows.append(int(line[::-1] or "0", 2))
+        return tuple(rows)
+
+    n = _parse_decimal(take(0, "n"), "n value", error)
+    k = _parse_decimal(take(1, "k"), "k value", error)
+    if k < 2:
+        raise error("k must be at least 2")
+    r = _parse_decimal(take(2, "r"), "r value", error)
+    s = _parse_decimal(take(3, "s"), "s value", error)
+    cycle_lengths = int_list(take(4, "cycle_lengths"), "cycle length value")
+    mapping = int_list(take(5, "sigma"), "sigma entry value")
+    _check_header(n, r, cycle_lengths, s, len(mapping), error)
+    m = sum(cycle_lengths)
+    try:
+        sigma = Permutation(mapping)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    x_rows, y_rows = take_rows(6, r, "X", m), take_rows(6 + r, m, "Y", s)
+    if 6 + r + m != len(lines):
+        raise error("unexpected trailing content")
+    return CanonicalDecomposition(n, k, r, cycle_lengths, s, x_rows, y_rows, sigma)
+
+
+# Decimal fields that int() reads but the format refuses, and one beyond int()'s digit limit.
+BAD_DECIMAL_FIELDS = ["01", "+1", "1_0", "-1", " 1", "1 ", "", "\u0661", "0x1", "1" + "0" * 4999]
+
+
+class TestBlockCodec:
+    """serialize_decomposition and parse_decomposition against the line walk they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4), st.lists(st.sampled_from([1, 2, 3, 6]), max_size=3), st.integers(0, 4), st.integers(0, 2**32))
+    def test_round_trip_with_empty_blocks(self, r, lengths, s, seed):
+        d = TestRebuild.planted(random.Random(seed), r, lengths, s)
+        text = serialize_decomposition(d)
+        assert text == line_walk_serialize(d)
+        assert parse_decomposition(text) == d
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corruptions_fail_as_the_line_walk_does(self, seed):
+        rng = random.Random(seed)
+        for n in [*range(13), 40]:
+            text = serialize_decomposition(random_decomposition(rng, n, rng.choice([2, 3, 7, 13])))
+            for bad in corrupted_texts(rng, text, 40):
+                assert outcome(parse_decomposition, bad) == outcome(line_walk_parse, bad), repr(bad)
+
+    @pytest.mark.parametrize("field", BAD_DECIMAL_FIELDS)
+    @pytest.mark.parametrize("key", ["cycle_lengths", "sigma"])
+    def test_decimal_fields_fail_as_the_field_walk_does(self, key, field):
+        d = TestRebuild.planted(random.Random(5), 2, (1, 2), 2)
+        lines = serialize_decomposition(d).split("\n")
+        pos = 4 if key == "cycle_lengths" else 5
+        values = lines[pos].split("=")[1].split(",")
+        for i in range(len(values)):
+            lines[pos] = f"{key}=" + ",".join(values[:i] + [field] + values[i + 1 :])
+            text = "\n".join(lines)
+            assert outcome(parse_decomposition, text) == outcome(line_walk_parse, text)
+            assert outcome(parse_decomposition, text)[0] is DecompositionFormatError
 
 
 class TestUpperTriangularLemma:
