@@ -10,21 +10,12 @@ small orders, by two independent routes: the saturating power
 (``matrix01.sat_power``, with ``exact_power`` as its exact integer
 reference) and the structural certification (``structure.decompose``).
 ``extremal`` builds the densest members and ``oracle.census`` runs
-both routes over every matrix of an order.
+both routes over every matrix of an order. The names that live only in
+``extremal``, and the submodule itself, are loaded on first access.
 """
 
-from .extremal import (
-    ExtremalParams,
-    InvalidParams,
-    ValidationFailed,
-    allowed_boundary_counts,
-    construct_extremal,
-    extremal_families,
-    family_line,
-    gamma,
-    is_extremal,
-    matches_maximum_form,
-)
+import importlib
+
 from .matrix01 import (
     Matrix01,
     MatrixFormatError,
@@ -52,13 +43,34 @@ from .structure import (
     ProductNotZeroOne,
     StructureError,
     StructureErrorKind,
+    allowed_boundary_counts,
     compose,
     decompose,
+    gamma,
     idempotency_index,
     is_k_idempotent,
+    matches_maximum_form,
     parse_decomposition,
     power_failure,
     serialize_decomposition,
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "extremal", "matrix01", "oracle", "structure", "Matrix01", "MatrixFormatError", "Permutation", "exact_power",
+    "from_text", "nnz", "permute", "sat_power", "to_text", "CensusReport", "census", "enumerate_k_idempotent",
+    "matrix_from_index", "serialize_census", "structural_count", "CanonicalDecomposition", "ComposeError",
+    "CycleLengthInvalid", "DecompositionFormatError", "ProductNotZeroOne", "StructureError", "StructureErrorKind",
+    "allowed_boundary_counts", "compose", "decompose", "gamma", "idempotency_index", "is_k_idempotent",
+    "matches_maximum_form", "parse_decomposition", "power_failure", "serialize_decomposition", "ExtremalParams",
+    "InvalidParams", "ValidationFailed", "construct_extremal", "extremal_families", "family_line", "is_extremal",
+]  # fmt: skip
+
+
+def __getattr__(name: str):
+    """Load :mod:`kidempotent.extremal`, the family enumerator, on first access to it or to a name only it defines."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    extremal = importlib.import_module(".extremal", __name__)
+    return extremal if name == "extremal" else getattr(extremal, name)

@@ -21,7 +21,6 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from .extremal import _families_text, _family_matrices, gamma
 from .matrix01 import MatrixFormatError, from_text, to_text
 from .oracle import census, serialize_census
 from .structure import (
@@ -31,6 +30,7 @@ from .structure import (
     ProductNotZeroOne,
     StructureError,
     decompose,
+    gamma,
     idempotency_index,
     parse_decomposition,
     power_failure,
@@ -97,6 +97,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .extremal import _families_text, _family_matrices  # the family enumerator loads on first use
+
     print(_families_text(args.n, args.k, _family_matrices(args.n, args.k)), end="")
     return 0
 

@@ -1,43 +1,32 @@
-"""Maximum-density k-idempotent matrices.
+"""Maximum-density k-idempotent matrices: the families that attain gamma(n).
 
-Among all k-idempotent 0-1 matrices of order n, the number of nonzero
-entries is at most gamma(n), which is (n+1)^2/4 for odd n and
-(n^2+2n)/4 for even n. Equality holds exactly for matrices that are a
-relabeling of the canonical block form in one of two shapes:
-
-- variant A: the allowed number of source rows, the X block all ones,
-  and each column of Y carrying exactly one 1;
-- variant B: the mirror image, with the allowed number of sink columns,
-  the Y block all ones, and each row of X carrying exactly one 1.
-
-Each shape makes the corner block X P^T Y all ones: in variant A every
-corner entry counts the one 1 of a Y column, and in variant B it is the
-full Y row that the one X bit selects. For odd n the allowed boundary
-count is (n-1)/2; for even n both n/2 and n/2 - 1 work. This module
-evaluates gamma, constructs and recognizes the maximum-density shapes,
-and enumerates every parameter family that attains the bound. The
-enumeration checks each (variant, boundary count, cycle multiset) group
-once, composes each candidate once and verifies all of them in one
-bit-sliced power, one lane per matrix; :func:`construct_extremal`
-checks a single family directly, on the row route.
+The density theorem (gamma, the allowed boundary counts and the test
+for variants A and B) is stated in :mod:`kidempotent.structure`, where
+the census reads it; this module re-exports those names, constructs
+and recognizes the densest matrices and enumerates every family that
+attains the bound. The enumeration checks each (variant, boundary
+count, cycle multiset) group once, composes each candidate once and
+verifies all of them in one bit-sliced power, one lane per matrix;
+:func:`construct_extremal` checks a single family directly, on the row
+route. The package and the command line load this module on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import reduce
 from itertools import product
-from operator import or_
 from typing import Sequence
 
 from .matrix01 import Matrix01, _lanes_k_idempotent, nnz
 from .structure import (
-    ArgumentRangeError,
-    CanonicalDecomposition,
     _build_rows,
     _decomposition_lines,
+    _fits_maximum_form,
     _require_k,
+    allowed_boundary_counts,
+    gamma,
     is_k_idempotent,
+    matches_maximum_form,
 )
 
 __all__ = [
@@ -60,24 +49,6 @@ class InvalidParams(ValueError):
 
 class ValidationFailed(ValueError):
     """A composed candidate that fails the direct density or power check."""
-
-
-def gamma(n: int) -> int:
-    """Largest possible number of ones in a k-idempotent matrix of order n."""
-    if n < 1:
-        raise ArgumentRangeError("order must be positive")
-    if n % 2:
-        return (n + 1) ** 2 // 4
-    return (n * n + 2 * n) // 4
-
-
-def allowed_boundary_counts(n: int) -> tuple[int, ...]:
-    """Source counts (variant A) or sink counts (variant B) attaining gamma(n)."""
-    if n < 1:
-        raise ArgumentRangeError("order must be positive")
-    if n % 2:
-        return ((n - 1) // 2,)
-    return (n // 2 - 1, n // 2)
 
 
 @dataclass(frozen=True)
@@ -166,34 +137,6 @@ def is_extremal(a: Matrix01, k: int) -> bool:
     if a.n < 1:
         return False
     return is_k_idempotent(a, k) and nnz(a) == gamma(a.n)
-
-
-def matches_maximum_form(d: CanonicalDecomposition) -> bool:
-    """Whether decomposed block data fits variant A or variant B; see :func:`_fits_maximum_form`."""
-    return _fits_maximum_form(d.source_count, d.cycle_lengths, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
-
-
-def _fits_maximum_form(
-    r: int, cycle_lengths: Sequence[int], s: int, x_rows: Sequence[int], y_rows: Sequence[int]
-) -> bool:
-    """Whether the blocks X and Y fit variant A or B.
-
-    The all-ones corner of the density theorem is not read: each shape
-    implies it (see the module docstring), so blocks whose corner is not
-    0-1 fit neither. Every Y column carries exactly one 1 when the Y
-    rows cover all s columns with s ones in all. Empty blocks satisfy
-    their conditions vacuously, which covers the degenerate corners with
-    no sources or no sinks.
-    """
-    m = sum(cycle_lengths)
-    if r + m + s < 1:
-        return False
-    allowed = allowed_boundary_counts(r + m + s)
-    full_sink = (1 << s) - 1
-    if r in allowed and all(row == (1 << m) - 1 for row in x_rows):
-        if reduce(or_, y_rows, 0) == full_sink and sum(map(int.bit_count, y_rows)) == s:
-            return True
-    return s in allowed and all(row == full_sink for row in y_rows) and all(row.bit_count() == 1 for row in x_rows)
 
 
 def _cycle_multisets(limit: int, k: int) -> list[tuple[int, ...]]:

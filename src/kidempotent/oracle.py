@@ -38,13 +38,14 @@ from math import comb, factorial
 from operator import is_not, itemgetter
 from typing import Iterator
 
-from .extremal import _fits_maximum_form, gamma
 from .matrix01 import Matrix01, _sat_member_lanes, _sat_power_rows, to_text
 from .structure import (
     ArgumentRangeError,
     _build_rows,
     _canonical_form,
+    _fits_maximum_form,
     _require_k,
+    gamma,
 )
 
 __all__ = [

@@ -20,6 +20,16 @@ every arc u -> w from a source to a sink comes from exactly one core
 vertex c with u -> c and pred(c) -> w. Nothing is relabeled before a
 matrix is accepted; an accepted one is relabeled once, into canonical
 order, and its X and Y blocks are read off the relabeled rows.
+
+The module also states the density theorem: a k-idempotent matrix of
+order n has at most gamma(n) ones, (n+1)^2/4 for odd n and (n^2+2n)/4
+for even n, with equality exactly for the relabelings of two shapes.
+Variant A has an allowed number of source rows, X all ones and one 1 in
+each column of Y; variant B, its mirror image, an allowed number of
+sink columns, Y all ones and one 1 in each row of X. The allowed count
+is (n-1)/2 for odd n, and n/2 - 1 or n/2 for even n. Either shape makes
+the corner X P^T Y all ones: in A each corner entry counts the one 1 of
+a Y column, in B it is the full Y row that the one X bit selects.
 """
 
 from __future__ import annotations
@@ -27,8 +37,9 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from math import lcm
-from operator import xor
+from operator import or_, xor
 from typing import Mapping, Sequence
 
 from .matrix01 import (
@@ -52,10 +63,13 @@ __all__ = [
     "ProductNotZeroOne",
     "StructureError",
     "StructureErrorKind",
+    "allowed_boundary_counts",
     "compose",
     "decompose",
+    "gamma",
     "idempotency_index",
     "is_k_idempotent",
+    "matches_maximum_form",
     "parse_decomposition",
     "power_failure",
     "serialize_decomposition",
@@ -544,3 +558,49 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
                 raise DecompositionFormatError(f"bad {key} row on line {pos + 1}")
         raise DecompositionFormatError("unexpected trailing content")  # every row is good, so more follows
     return CanonicalDecomposition(n, k, r, cycle_lengths, s, x_rows, y_rows, sigma)
+
+
+def gamma(n: int) -> int:
+    """Largest possible number of ones in a k-idempotent matrix of order n."""
+    if n < 1:
+        raise ArgumentRangeError("order must be positive")
+    if n % 2:
+        return (n + 1) ** 2 // 4
+    return (n * n + 2 * n) // 4
+
+
+def allowed_boundary_counts(n: int) -> tuple[int, ...]:
+    """Source counts (variant A) or sink counts (variant B) attaining gamma(n)."""
+    if n < 1:
+        raise ArgumentRangeError("order must be positive")
+    if n % 2:
+        return ((n - 1) // 2,)
+    return (n // 2 - 1, n // 2)
+
+
+def matches_maximum_form(d: CanonicalDecomposition) -> bool:
+    """Whether decomposed block data fits variant A or variant B; see :func:`_fits_maximum_form`."""
+    return _fits_maximum_form(d.source_count, d.cycle_lengths, d.sink_count, d.source_to_cycle, d.cycle_to_sink)
+
+
+def _fits_maximum_form(
+    r: int, cycle_lengths: Sequence[int], s: int, x_rows: Sequence[int], y_rows: Sequence[int]
+) -> bool:
+    """Whether the blocks X and Y fit variant A or B.
+
+    The all-ones corner of the density theorem is not read: each shape
+    implies it (see the module docstring), so blocks whose corner is not
+    0-1 fit neither. Every Y column carries exactly one 1 when the Y
+    rows cover all s columns with s ones in all. Empty blocks satisfy
+    their conditions vacuously, which covers the degenerate corners with
+    no sources or no sinks.
+    """
+    m = sum(cycle_lengths)
+    if r + m + s < 1:
+        return False
+    allowed = allowed_boundary_counts(r + m + s)
+    full_sink = (1 << s) - 1
+    if r in allowed and all(row == (1 << m) - 1 for row in x_rows):
+        if reduce(or_, y_rows, 0) == full_sink and sum(map(int.bit_count, y_rows)) == s:
+            return True
+    return s in allowed and all(row == full_sink for row in y_rows) and all(row.bit_count() == 1 for row in x_rows)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import os
@@ -5,12 +6,14 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kidempotent import cli
+import kidempotent
+from kidempotent import cli, extremal, structure
 from kidempotent.cli import main
 from kidempotent.extremal import _family_matrices, construct_extremal, extremal_families, family_line, gamma
 from kidempotent.matrix01 import Matrix01, from_text, to_text
@@ -483,3 +486,83 @@ def test_dispatch_builds_the_whole_parsers_namespace(tmp_path, monkeypatch):
         assert direct == whole, argv
         assert len(seen) == (2 if direct[0] == 0 and not direct[1] else 0), argv
         assert seen[:1] == seen[1:], argv
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# What ``from kidempotent import *`` binds: the four submodules and the public names of the package.
+STAR_NAMES = [
+    "CanonicalDecomposition", "CensusReport", "ComposeError", "CycleLengthInvalid", "DecompositionFormatError",
+    "ExtremalParams", "InvalidParams", "Matrix01", "MatrixFormatError", "Permutation", "ProductNotZeroOne",
+    "StructureError", "StructureErrorKind", "ValidationFailed", "allowed_boundary_counts", "census", "compose",
+    "construct_extremal", "decompose", "enumerate_k_idempotent", "exact_power", "extremal", "extremal_families",
+    "family_line", "from_text", "gamma", "idempotency_index", "is_extremal", "is_k_idempotent",
+    "matches_maximum_form", "matrix01", "matrix_from_index", "nnz", "oracle", "parse_decomposition", "permute",
+    "power_failure", "sat_power", "serialize_census", "serialize_decomposition", "structural_count", "structure",
+    "to_text",
+]  # fmt: skip
+
+
+def fresh_interpreter(code, *args):
+    """stdout of ``code`` run by a new interpreter on the source tree, after ``import sys``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "print('kidempotent.extremal' in sys.modules)\n"
+
+
+class TestFamilyEnumeratorLoadsOnDemand:
+    def test_census_and_every_other_command_leave_it_unloaded(self, tmp_path):
+        (tmp_path / "m.txt").write_text(WORKED_TEXT)
+        (tmp_path / "d.txt").write_text(WORKED_DECOMPOSITION)
+        code = (
+            "import io, contextlib, kidempotent, kidempotent.cli as cli\n"
+            "kidempotent.census(3, 2)\n"
+            "m, d = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in (['gamma', '--n', '5'], ['check', '--k', '2', m],\n"
+            "             ['decompose', '--k', '2', m], ['compose', d], ['index', m], ['census', '--n', '3', '--k', '2'])]\n"
+            "print(codes)\n" + LOADED
+        )
+        assert fresh_interpreter(code, str(tmp_path / "m.txt"), str(tmp_path / "d.txt")) == "[0, 0, 0, 0, 0, 0]\nFalse\n"
+
+    def test_families_load_it(self):
+        code = "import kidempotent\n" + LOADED + "kidempotent.extremal_families(3, 2)\n" + LOADED
+        assert fresh_interpreter(code) == "False\nTrue\n"
+        code = (
+            "import io, contextlib, kidempotent.cli as cli\n" + LOADED
+            + "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['extremal', '--n', '3', '--k', '2'])\n"
+            "print(code)\n" + LOADED
+        )
+        assert fresh_interpreter(code) == "False\n0\nTrue\n"
+
+    def test_star_import_binds_the_same_names(self):
+        code = "from kidempotent import *\nprint(sorted(name for name in dir() if not name.startswith('_')))\n"
+        assert fresh_interpreter(code) == f"{sorted(['sys', *STAR_NAMES])}\n"
+        assert sorted(kidempotent.__all__) == STAR_NAMES
+
+    def test_moved_names_are_reexported(self):
+        for name in ("gamma", "allowed_boundary_counts", "_fits_maximum_form", "matches_maximum_form"):
+            assert getattr(extremal, name) is getattr(structure, name)
+            assert name.startswith("_") or getattr(kidempotent, name) is getattr(structure, name)
+
+
+def test_readme_library_tour():
+    # each expression statement of the tour is evaluated, keyed by its source
+    code = (ROOT / "README.md").read_text().split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for statement in ast.parse(code).body:
+        if isinstance(statement, ast.Expr):
+            values[ast.unparse(statement)] = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    assert values["is_k_idempotent(a, 2)"] is True
+    assert values["permute(d.canonical_matrix(), d.sigma) == a"] is True
+    assert values["idempotency_index(Matrix01.cycle(2))"] == 3
+    assert values["gamma(5)"] == 9
+    assert values["structural_count(5, 7)"] == 21702
