@@ -420,19 +420,23 @@ def _lane_mul(a, right, n: int):
     return c1, c2
 
 
-def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
+def _sat_member_lanes(n: int, k: int, base: int, width: int, vetted: bool = False) -> int:
     """Decide A^k = A for the 2**width matrices with indices base + x at once.
 
     Bit e of an index is entry (e div n, e mod n) and ``base`` is a
     multiple of 2**width. Entry e becomes one int whose lane x holds that
     entry of matrix base + x: a fixed lane pattern when e < width, and
     all-ones or zero by bit e of ``base`` otherwise. Bit x of the result
-    is set when matrix base + x is k-idempotent.
+    is set when matrix base + x is k-idempotent. The rows from entry
+    ``width`` on are fixed, and :func:`_lane_flags` may chain them; a
+    ``vetted`` block, whose fixed bits already passed the node test of
+    :func:`kidempotent.oracle._member_blocks`, seldom fails there, so
+    it chains none.
     """
     full = (1 << (1 << width)) - 1
     patterns = _lane_patterns(width)
     a = [patterns[e] if e < width else full if (base >> e) & 1 else 0 for e in range(n * n)]
-    return _lane_flags(a, k, n, full)
+    return _lane_flags(a, k, n, full, n * n if vetted else width)
 
 
 def _lanes_k_idempotent(n: int, k: int, row_tuples: Sequence[Sequence[int]]) -> int:
@@ -451,30 +455,43 @@ def _lanes_k_idempotent(n: int, k: int, row_tuples: Sequence[Sequence[int]]) -> 
             packed = packed << n | row
         texts.append(format(packed, spec))
     text = "".join(texts)
-    return _lane_flags([int(text[p::size], 2) for p in reversed(range(size))], k, n, (1 << len(texts)) - 1)
+    return _lane_flags([int(text[p::size], 2) for p in reversed(range(size))], k, n, (1 << len(texts)) - 1, size)
 
 
-def _lane_flags(a: list[int], k: int, n: int, full: int) -> int:
+def _lane_flags(a: list[int], k: int, n: int, full: int, fixed: int) -> int:
     """Lanes of the bit-sliced 0/1 matrix ``a`` (n*n entry planes) where A^k = A, within ``full``.
 
-    A^k = A^h A^h A^(k % 2), h = k // 2: A^h by plain repeated squaring
-    (:func:`_power`; no core peel, as each lane has its own core), the rest
-    a row at a time, last row first, until every lane has failed. An index
-    block's last rows (:func:`_sat_member_lanes`) are its fixed bits, where
-    most often every lane fails at once: 32 seeded order-5 blocks of 2**10
-    lanes at k = 2 and 7 took 1.5 ms so, 2.1 ms first row first and 2.2 ms
-    powered whole. A's column table serves every product by A.
+    Rows are taken last row first, until every lane has failed. A row i
+    whose entries are the same in every lane (i*n >= ``fixed``) is
+    powered by a chain of k - 1 one-row products by A when that costs no
+    more than the squarings of A^h, h = k // 2. Every other row is row i
+    of A^h A^h A^(k % 2), with A^h by plain repeated squaring
+    (:func:`_power`; no core peel, as each lane has its own core), built
+    when the first such row is reached. An index block's last rows are
+    its fixed bits (:func:`_sat_member_lanes`), where most often every
+    lane fails at once: at k = 7, 64 seeded order-5 blocks of 2**10 lanes
+    multiply 1,280 rows powered whole, 864 with A^3 built first and 684
+    chained. A's column table serves every product by A.
     """
     pair = (a, [0] * len(a))
     a_cols = _lane_cols(pair, n)
-    half = _power(pair, k // 2, lambda x, y: _lane_mul(x, a_cols if y is pair else _lane_cols(y, n), n))
-    half_cols = a_cols if half is pair else _lane_cols(half, n)
+    h = k // 2
+    chain = k - 1 <= n * (h.bit_length() + h.bit_count() - 2)
+    half = None
     bad = 0
     for i in reversed(range(n)):
         row = slice(i * n, i * n + n)
-        power = _lane_mul((half[0][row], half[1][row]), half_cols, n)
-        if k % 2:
-            power = _lane_mul(power, a_cols, n)
+        if chain and i * n >= fixed:
+            power = (a[row], [0] * n)
+            for _ in range(k - 1):
+                power = _lane_mul(power, a_cols, n)
+        else:
+            if half is None:
+                half = _power(pair, h, lambda x, y: _lane_mul(x, a_cols if y is pair else _lane_cols(y, n), n))
+                half_cols = a_cols if half is pair else _lane_cols(half, n)
+            power = _lane_mul((half[0][row], half[1][row]), half_cols, n)
+            if k % 2:
+                power = _lane_mul(power, a_cols, n)
         for entry, q1, q2 in zip(a[row], *power):
             bad |= (q1 ^ entry) | q2
         if not full & ~bad:

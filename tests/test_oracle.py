@@ -106,6 +106,45 @@ def scalar_members(n, k, start, stop):
     return [a for a in matrices if is_k_idempotent(a, k)]
 
 
+def slice_bases(rng, count):
+    """``count`` aligned 2**10-index order-5 slices; the popcounts of their
+    15 high bits are evenly spaced quantiles of Binomial(15, 1/2)."""
+    cumulative = list(accumulate(comb(15, c) for c in range(16)))
+    bases = []
+    for i in range(count):
+        ones = bisect_left(cumulative, (i + 0.5) / count * 2**15)
+        bases.append(sum(1 << b for b in rng.sample(range(15), ones)) << 10)
+    return bases
+
+
+def whole_power_mask(base, k):
+    """The member lanes of an order-5 slice from the whole lane power, every row of every product."""
+    full = (1 << 1024) - 1
+    a = [*_lane_patterns(10), *(full if (base >> e) & 1 else 0 for e in range(10, 25))]
+    p1, p2 = _power((a, [0] * 25), k, lambda x, y: _lane_mul(x, _lane_cols(y, 5), 5))
+    return full & ~reduce(or_, [(q1 ^ e) | q2 for e, q1, q2 in zip(a, p1, p2)])
+
+
+def lane_mul_rows(monkeypatch, call):
+    """``call()`` and the row count of each :func:`_lane_mul` product it made."""
+    rows, lane_mul = [], matrix01._lane_mul
+
+    def count(a, right, n):
+        rows.append(len(a[0]) // n)
+        return lane_mul(a, right, n)
+
+    monkeypatch.setattr(matrix01, "_lane_mul", count)
+    try:
+        return call(), rows
+    finally:
+        monkeypatch.undo()
+
+
+# The k in 2..33 at which order 5 chains the fixed rows: k - 1 one-row
+# products cost no more than the squarings of A^(k // 2)
+CHAINED_KS = {*range(4, 17), *range(18, 24), 26, 30, 31}
+
+
 class TestLaneKernel:
     def test_lane_patterns(self):
         for width in range(7):
@@ -162,12 +201,13 @@ class TestLaneKernel:
         for x in range(1 << width):
             assert (mask >> x) & 1 == is_k_idempotent(matrix_from_index(n, base + x), k), (n, k, base + x)
 
-    @pytest.mark.parametrize("k", [2, 7, 720721])
+    @pytest.mark.parametrize("k", [2, 7, 16, 17, 720721])
     def test_mask_equals_scalar_route_on_2_10_lanes(self, k):
         # the width of a benchmark slice; seeded high bits with one to
-        # three ones leave members in two of the three blocks
+        # three ones leave members in two of the three blocks, and at
+        # k = 7 and 16 a block with no member ends within its chained rows
         rng = random.Random(3)
-        bases = [sum(1 << b for b in rng.sample(range(10, 25), ones)) for ones in (1, 2, 3)]
+        bases = [sum(1 << b for b in rng.sample(range(10, 25), ones)) for ones in (1, 2, 3, 6)]
         members = 0
         for base in bases:
             mask = _sat_member_lanes(5, k, base, 10)
@@ -177,37 +217,33 @@ class TestLaneKernel:
         assert members > 0
 
     def test_power_stops_once_every_lane_failed(self, monkeypatch):
-        # 64 aligned 2**10-index order-5 slices; the popcounts of their 15
-        # high bits are evenly spaced quantiles of Binomial(15, 1/2)
-        rng = random.Random(27)
-        cumulative = list(accumulate(comb(15, c) for c in range(16)))
-        bases = []
-        for i in range(64):
-            ones = bisect_left(cumulative, (i + 0.5) / 64 * 2**15)
-            bases.append(sum(1 << b for b in rng.sample(range(15), ones)) << 10)
-        rows = []
-        lane_mul = matrix01._lane_mul
-
-        def count(a, right, n):
-            rows.append(len(a[0]) // n)
-            return lane_mul(a, right, n)
-
-        for k in (2, 7, 720721):
-            rows.clear()
-            monkeypatch.setattr(matrix01, "_lane_mul", count)
-            masks = [_sat_member_lanes(5, k, base, 10) for base in bases]
-            monkeypatch.undo()
-            # the whole power, every row of every product
-            whole, full = [], (1 << 1024) - 1
-            for base in bases:
-                a = [*_lane_patterns(10), *(full if (base >> e) & 1 else 0 for e in range(10, 25))]
-                p1, p2 = _power((a, [0] * 25), k, lambda x, y: _lane_mul(x, _lane_cols(y, 5), 5))
-                whole.append(full & ~reduce(or_, [(q1 ^ e) | q2 for e, q1, q2 in zip(a, p1, p2)]))
-            assert masks == whole, k
+        bases = slice_bases(random.Random(27), 64)
+        for k, taken in [(2, 98), (7, 684), (720721, 9504)]:
+            masks, rows = lane_mul_rows(monkeypatch, lambda: [_sat_member_lanes(5, k, base, 10) for base in bases])
+            assert masks == [whole_power_mask(base, k) for base in bases], k
             assert any(masks), k
             # binary powering takes k.bit_length() - 1 squarings and
             # k.bit_count() - 1 products by A, of 5 rows each
             assert sum(rows) < len(bases) * 5 * (k.bit_length() + k.bit_count() - 2), (k, sum(rows))
+            # rows taken; at k = 7 the fixed rows are chained
+            assert sum(rows) == taken, (k, sum(rows))
+
+    @pytest.mark.parametrize("k", [*range(2, 34), 61, 720721])
+    def test_chained_rows_equal_whole_power(self, monkeypatch, k):
+        # high bits with one or two ones often leave members, and the slice
+        # of the identity holds one at every k: there the chained rows do
+        # not end the block, and rows of A^h follow
+        rng = random.Random(k)
+        bases = slice_bases(rng, 16) + [sum(1 << b for b in rng.sample(range(10, 25), ones)) for ones in (1, 1, 2, 2)]
+        bases.append(1 << 12 | 1 << 18 | 1 << 24)
+        masks, rows = lane_mul_rows(monkeypatch, lambda: [_sat_member_lanes(5, k, base, 10) for base in bases])
+        vetted, vetted_rows = lane_mul_rows(
+            monkeypatch, lambda: [_sat_member_lanes(5, k, base, 10, True) for base in bases]
+        )
+        assert masks == vetted == [whole_power_mask(base, k) for base in bases], k
+        assert any(masks), k
+        # a vetted block chains no row, so the products differ only where the rule chains
+        assert (rows != vetted_rows) == (k in CHAINED_KS), k
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -302,6 +338,13 @@ class TestPrunedSearch:
             assert found == unpruned_indices(n, k, start, stop, min(n * n, 13)), (n, k, start, stop)
             # the range exercised both a pruned node and a leaf with a member
             assert found and any(verdicts), (n, k, start, stop, len(found))
+
+    def test_vetted_leaves_chain_no_row(self, monkeypatch):
+        # every leaf of a full order-5 sweep is a node of 2**_LANE_BITS
+        # indices, so none chains a row: the products of the power that
+        # builds A^3 first, with the golden member count
+        members, rows = lane_mul_rows(monkeypatch, lambda: sum(1 for _ in oracle._member_blocks(5, 7, 0, 2**25)))
+        assert (members, sum(rows)) == (21702, 5436)
 
 
 class TestOrderFive:
@@ -605,7 +648,7 @@ class TestUpperTriangular:
         # true: the power route now also accepts index 2, entry (0, 1)
         # alone, in the one block of order 3
         lanes = oracle._sat_member_lanes
-        monkeypatch.setattr(oracle, "_sat_member_lanes", lambda n, k, base, width: lanes(n, k, base, width) | 1 << 2)
+        monkeypatch.setattr(oracle, "_sat_member_lanes", lambda *args: lanes(*args) | 1 << 2)
         assert census(3, 2).upper_triangular_ok is False
         assert cli.main(["census", "--n", "3", "--k", "2"]) == 1
         assert "upper_triangular_ok=false\n" in capsys.readouterr().out
