@@ -16,7 +16,6 @@ everything can be shared freely across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
@@ -42,6 +41,13 @@ INT64_MAX = 2**63 - 1
 
 class MatrixFormatError(ValueError):
     """Matrix text that does not follow the line format exactly."""
+
+
+class ArgumentRangeError(ValueError):
+    """An order or exponent argument outside the range a function accepts.
+
+    Raised before any work is done. The command line maps it to exit 2.
+    """
 
 
 def pack_row(values: Iterable[int]) -> int:
@@ -115,7 +121,7 @@ class Matrix01:
     def cycle(cls, n: int) -> "Matrix01":
         """Adjacency matrix of the directed n-cycle (basic circulant)."""
         if n < 1:
-            raise ValueError("cycle order must be positive")
+            raise ArgumentRangeError("cycle order must be positive")
         return cls(n, tuple(1 << ((i + 1) % n) for i in range(n)))
 
     @classmethod
@@ -125,9 +131,6 @@ class Matrix01:
             if len(row) != n:
                 raise ValueError("matrix must be square")
         return cls(n, tuple(pack_row(row) for row in entries))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def to_lists(self) -> list[list[int]]:
         return [unpack_row(row, self.n) for row in self.rows]
@@ -336,27 +339,6 @@ def _sat_power_rows(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tup
     return _power((rows, zeros), m, lambda a, b: _sat_mul_rows(*a, *b))
 
 
-@lru_cache(maxsize=None)
-def _lane_patterns(width: int) -> tuple[int, ...]:
-    """Lane x of pattern b is bit b of x, for 2**width lanes and b < width.
-
-    Each pattern is one period (2**b zeros, then 2**b ones) doubled until
-    it spans every lane; that is far cheaper than dividing the all-ones
-    word by 2**(2**(b+1)) - 1.
-    """
-    lanes = 1 << width
-    patterns = []
-    for b in range(width):
-        run = 1 << b
-        pattern = ((1 << run) - 1) << run
-        span = run << 1
-        while span < lanes:
-            pattern |= pattern << span
-            span <<= 1
-        patterns.append(pattern)
-    return tuple(patterns)
-
-
 def _lane_cols(b, n: int):
     """Column table of the bit-sliced right factor ``b`` of :func:`_lane_mul`.
 
@@ -420,25 +402,6 @@ def _lane_mul(a, right, n: int):
     return c1, c2
 
 
-def _sat_member_lanes(n: int, k: int, base: int, width: int, vetted: bool = False) -> int:
-    """Decide A^k = A for the 2**width matrices with indices base + x at once.
-
-    Bit e of an index is entry (e div n, e mod n) and ``base`` is a
-    multiple of 2**width. Entry e becomes one int whose lane x holds that
-    entry of matrix base + x: a fixed lane pattern when e < width, and
-    all-ones or zero by bit e of ``base`` otherwise. Bit x of the result
-    is set when matrix base + x is k-idempotent. The rows from entry
-    ``width`` on are fixed, and :func:`_lane_flags` may chain them; a
-    ``vetted`` block, whose fixed bits already passed the node test of
-    :func:`kidempotent.oracle._member_blocks`, seldom fails there, so
-    it chains none.
-    """
-    full = (1 << (1 << width)) - 1
-    patterns = _lane_patterns(width)
-    a = [patterns[e] if e < width else full if (base >> e) & 1 else 0 for e in range(n * n)]
-    return _lane_flags(a, k, n, full, n * n if vetted else width)
-
-
 def _lanes_k_idempotent(n: int, k: int, row_tuples: Sequence[Sequence[int]]) -> int:
     """Bit i set when matrix i, of order n >= 1 and given by its rows, has A^k = A; one lane each.
 
@@ -467,11 +430,8 @@ def _lane_flags(a: list[int], k: int, n: int, full: int, fixed: int) -> int:
     more than the squarings of A^h, h = k // 2. Every other row is row i
     of A^h A^h A^(k % 2), with A^h by plain repeated squaring
     (:func:`_power`; no core peel, as each lane has its own core), built
-    when the first such row is reached. An index block's last rows are
-    its fixed bits (:func:`_sat_member_lanes`), where most often every
-    lane fails at once: at k = 7, 64 seeded order-5 blocks of 2**10 lanes
-    multiply 1,280 rows powered whole, 864 with A^3 built first and 684
-    chained. A's column table serves every product by A.
+    when the first such row is reached. A's column table serves every
+    product by A.
     """
     pair = (a, [0] * len(a))
     a_cols = _lane_cols(pair, n)
@@ -511,7 +471,7 @@ def sat_power(a: Matrix01, m: int) -> list[list[int]]:
     and columns, so this stays independent of the structural route.
     """
     if m < 1:
-        raise ValueError("power must be at least 1")
+        raise ArgumentRangeError("power must be at least 1")
     p1, p2 = _sat_power_rows(a.rows, m)
     return [[2 if y2 >> j & 1 else y1 >> j & 1 for j in range(a.n)] for y1, y2 in zip(p1, p2)]
 
@@ -523,7 +483,7 @@ def exact_power(a: Matrix01, m: int) -> list[list[int]]:
     beyond the signed 64-bit budget raise ``OverflowError``.
     """
     if m < 1:
-        raise ValueError("power must be at least 1")
+        raise ArgumentRangeError("power must be at least 1")
     n = a.n
     cur = a.to_lists()
     for _ in range(m - 1):

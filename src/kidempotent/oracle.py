@@ -11,9 +11,9 @@ index is entry (j div n, j mod n); any index sub-range can be swept on
 its own and the merged result equals the serial stream.
 
 The power route is bit-sliced: one saturating power decides a block of
-up to 2**16 consecutive indices, one per bit lane (see
-:func:`kidempotent.matrix01._sat_member_lanes`), and a depth-first
-search skips every block whose fixed index bits already force A^k != A.
+up to 2**16 consecutive indices, one per bit lane
+(:func:`_sat_member_lanes`), and a depth-first search skips every block
+whose fixed index bits already force A^k != A.
 That search, :func:`_member_blocks`, yields the member indices in
 ascending order, and both the public stream and the census read them
 from it. The structural route still runs per matrix: on every matrix
@@ -33,12 +33,13 @@ object at all. The README's performance notes give the timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, product, repeat
 from math import comb, factorial
 from operator import is_not, itemgetter
 from typing import Iterator
 
-from .matrix01 import Matrix01, _sat_member_lanes, _sat_power_rows, to_text
+from .matrix01 import Matrix01, _lane_flags, _sat_power_rows, to_text
 from .structure import (
     ArgumentRangeError,
     _build_rows,
@@ -111,14 +112,10 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
 
     Nodes of fewer than 2**_LANE_BITS indices are not tested: a short
     range is one lane power whatever its bits, which on a range with no
-    member mostly ends after one row, chained from A alone
-    (:func:`_lane_flags`). Tested, a 2**10-index order-5 range cost 6-34
-    microseconds when pruned and that plus a lane power when not, so
-    seeded passes of 32 such ranges varied 2.2-fold in cost from seed to
-    seed. A leaf of 2**_LANE_BITS indices is vetted (B = 0 trivially):
-    its fixed rows passed the test, so a chain seldom ends it, and it
-    chains none. Chained, full order-5 sweeps took 0.27 s instead of
-    0.24 s at k = 7 and 0.38 s instead of 0.30 s at k = 13.
+    member mostly ends after one row, chained from A alone. Tested, a
+    2**10-index order-5 range cost 6-34 microseconds when pruned and that
+    plus a lane power when not, so seeded passes of 32 such ranges varied
+    2.2-fold in cost from seed to seed.
     """
     if start >= stop:
         return
@@ -129,13 +126,12 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
         base, d = nodes.pop()
         size = 1 << d
         # B = 0 never prunes (0^k = 0), so it passes untested.
-        vetted = d >= _LANE_BITS
-        if base >= stop or base + size <= start or (base and vetted and _excluded(n, k, base, d)):
+        if base >= stop or base + size <= start or (base and d >= _LANE_BITS and _excluded(n, k, base, d)):
             continue
         if d > width:
             nodes += [(base + size // 2, d - 1), (base, d - 1)]
             continue
-        members = _sat_member_lanes(n, k, base, d, vetted)
+        members = _sat_member_lanes(n, k, base, d)
         members &= (1 << min(stop - base, size)) - (1 << max(start - base, 0))
         # flags[x] is "1" when base + x is a member in the range
         flags = format(members, f"0{size}b")[::-1]
@@ -150,6 +146,52 @@ def _excluded(n: int, k: int, base: int, d: int) -> bool:
     p1, p2 = _sat_power_rows(_index_rows(n, base), k)
     reached = sum(row << (i * n) for i, row in enumerate(p1))
     return any(p2) or (reached & ~base) >> d != 0
+
+
+@lru_cache(maxsize=None)
+def _lane_patterns(width: int) -> tuple[int, ...]:
+    """Lane x of pattern b is bit b of x, for 2**width lanes and b < width.
+
+    Each pattern is one period (2**b zeros, then 2**b ones) doubled until
+    it spans every lane; that is far cheaper than dividing the all-ones
+    word by 2**(2**(b+1)) - 1.
+    """
+    lanes = 1 << width
+    patterns = []
+    for b in range(width):
+        run = 1 << b
+        pattern = ((1 << run) - 1) << run
+        span = run << 1
+        while span < lanes:
+            pattern |= pattern << span
+            span <<= 1
+        patterns.append(pattern)
+    return tuple(patterns)
+
+
+def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
+    """Decide A^k = A for the 2**width matrices with indices base + x at once.
+
+    Bit e of an index is entry (e div n, e mod n) and ``base`` is a
+    multiple of 2**width. Entry e becomes one int whose lane x holds that
+    entry of matrix base + x: a fixed lane pattern when e < width, and
+    all-ones or zero by bit e of ``base`` otherwise. Bit x of the result
+    is set when matrix base + x is k-idempotent. The rows from entry
+    ``width`` on are fixed, and :func:`_lane_flags` may chain them, where
+    most often every lane fails at once: at k = 7, 64 seeded order-5
+    blocks of 2**10 lanes multiply 1,280 rows powered whole, 864 with A^3
+    built first and 684 chained.
+
+    A leaf of 2**_LANE_BITS indices is the one block the node test of
+    :func:`_member_blocks` vets (B = 0 trivially): its fixed rows passed
+    the test, so a chain seldom ends it, and it chains none. Chained, full
+    order-5 sweeps took 0.27 s instead of 0.24 s at k = 7 and 0.38 s
+    instead of 0.30 s at k = 13.
+    """
+    full = (1 << (1 << width)) - 1
+    patterns = _lane_patterns(width)
+    a = [patterns[e] if e < width else full if (base >> e) & 1 else 0 for e in range(n * n)]
+    return _lane_flags(a, k, n, full, n * n if width == _LANE_BITS else width)
 
 
 def enumerate_k_idempotent(

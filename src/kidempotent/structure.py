@@ -43,6 +43,7 @@ from operator import or_, xor
 from typing import Mapping, Sequence
 
 from .matrix01 import (
+    ArgumentRangeError,
     Matrix01,
     Permutation,
     _parse_decimal,
@@ -74,13 +75,6 @@ __all__ = [
     "power_failure",
     "serialize_decomposition",
 ]
-
-
-class ArgumentRangeError(ValueError):
-    """An order or exponent argument outside the range a function accepts.
-
-    Raised before any work is done. The command line maps it to exit 2.
-    """
 
 
 def _require_k(k: int) -> None:

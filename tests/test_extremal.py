@@ -93,6 +93,13 @@ class TestConstruct:
         with pytest.raises(InvalidParams):
             construct_extremal(3, 2, ExtremalParams("A", 1, 1, (1,), (1,)))
 
+    def test_density_off_gamma_fails_validation(self, monkeypatch):
+        # the guard on the parameter algebra: a bound one above the family's count of ones
+        bound = extremal.gamma
+        monkeypatch.setattr(extremal, "gamma", lambda n: bound(n) + 1)
+        with pytest.raises(ValidationFailed, match="^composed matrix misses the density bound$"):
+            construct_extremal(3, 2, ExtremalParams("A", 1, 1, (1,), (0,)))
+
     def test_rejects_degenerate_density(self):
         # sources plus sinks only: composes to the zero corner, density 0
         with pytest.raises((InvalidParams, ValidationFailed)):

@@ -62,7 +62,6 @@ class TestBasics:
     def test_entry_and_lists(self):
         a = Matrix01.from_lists([[0, 1], [1, 0]])
         assert a == Matrix01.cycle(2)
-        assert a.entry(0, 1) == 1 and a.entry(1, 1) == 0
         assert a.to_lists() == [[0, 1], [1, 0]]
 
     def test_validation(self):
@@ -128,10 +127,10 @@ class TestPermutation:
         rows = tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
         sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
         a = Matrix01(n, rows)
-        b = permute(a, sigma)
+        entries, moved = a.to_lists(), permute(a, sigma).to_lists()
         for i in range(n):
             for j in range(n):
-                assert b.entry(i, j) == a.entry(sigma(i), sigma(j))
+                assert moved[i][j] == entries[sigma(i)][sigma(j)]
 
 
 def relabel_reference(bits, position):

@@ -15,15 +15,15 @@ from kidempotent.matrix01 import (
     Permutation,
     _lane_cols,
     _lane_mul,
-    _lane_patterns,
     _power,
-    _sat_member_lanes,
     _sat_mul_rows,
     exact_power,
     nnz,
     sat_power,
 )
 from kidempotent.oracle import (
+    _lane_patterns,
+    _sat_member_lanes,
     census,
     enumerate_k_idempotent,
     matrix_from_index,
@@ -117,12 +117,19 @@ def slice_bases(rng, count):
     return bases
 
 
+SLICE_FULL = (1 << 1024) - 1
+
+
+def slice_planes(base):
+    """The 25 entry planes of the aligned 2**10-index order-5 slice at ``base``."""
+    return [*_lane_patterns(10), *(SLICE_FULL if (base >> e) & 1 else 0 for e in range(10, 25))]
+
+
 def whole_power_mask(base, k):
     """The member lanes of an order-5 slice from the whole lane power, every row of every product."""
-    full = (1 << 1024) - 1
-    a = [*_lane_patterns(10), *(full if (base >> e) & 1 else 0 for e in range(10, 25))]
+    a = slice_planes(base)
     p1, p2 = _power((a, [0] * 25), k, lambda x, y: _lane_mul(x, _lane_cols(y, 5), 5))
-    return full & ~reduce(or_, [(q1 ^ e) | q2 for e, q1, q2 in zip(a, p1, p2)])
+    return SLICE_FULL & ~reduce(or_, [(q1 ^ e) | q2 for e, q1, q2 in zip(a, p1, p2)])
 
 
 def lane_mul_rows(monkeypatch, call):
@@ -237,13 +244,13 @@ class TestLaneKernel:
         bases = slice_bases(rng, 16) + [sum(1 << b for b in rng.sample(range(10, 25), ones)) for ones in (1, 1, 2, 2)]
         bases.append(1 << 12 | 1 << 18 | 1 << 24)
         masks, rows = lane_mul_rows(monkeypatch, lambda: [_sat_member_lanes(5, k, base, 10) for base in bases])
-        vetted, vetted_rows = lane_mul_rows(
-            monkeypatch, lambda: [_sat_member_lanes(5, k, base, 10, True) for base in bases]
+        unchained, unchained_rows = lane_mul_rows(
+            monkeypatch, lambda: [matrix01._lane_flags(slice_planes(base), k, 5, SLICE_FULL, 25) for base in bases]
         )
-        assert masks == vetted == [whole_power_mask(base, k) for base in bases], k
+        assert masks == unchained == [whole_power_mask(base, k) for base in bases], k
         assert any(masks), k
-        # a vetted block chains no row, so the products differ only where the rule chains
-        assert (rows != vetted_rows) == (k in CHAINED_KS), k
+        # with no fixed row the kernel chains none, so the products differ only where the rule chains
+        assert (rows != unchained_rows) == (k in CHAINED_KS), k
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -712,6 +719,9 @@ ARGUMENT_RULES = {
     "enumerate_k_idempotent index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(3, 100_000))),
     "matrix_from_index index": lambda: matrix_from_index(1, 2),
     "matrix_from_index negative order": lambda: matrix_from_index(-1, 0),
+    "sat_power power": lambda: sat_power(Matrix01.cycle(3), 0),
+    "exact_power power": lambda: exact_power(Matrix01.cycle(3), 0),
+    "Matrix01.cycle order 0": lambda: Matrix01.cycle(0),
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
     "census order above limit": lambda: census(6, 2),

@@ -16,6 +16,7 @@ from conftest import (
     random_decomposition,
     strong_components,
 )
+from kidempotent import structure
 from kidempotent.matrix01 import (
     Matrix01,
     Permutation,
@@ -125,6 +126,12 @@ class TestDecompose:
         assert isinstance(result, StructureError)
         assert result.kind is StructureErrorKind.NOT_ZERO_ONE
         assert result.witness == (0, 0)
+
+    def test_rejection_with_a_matching_power_raises(self, monkeypatch):
+        # the guard for a structural rejection that the power route does not confirm
+        monkeypatch.setattr(structure, "power_failure", lambda a, k: None)
+        with pytest.raises(RuntimeError, match="^structural rejection of a matrix whose power matches$"):
+            decompose(Matrix01.ones(2), 2)
 
     def test_isolated_vertices_are_sinks(self):
         for k in (2, 5):
