@@ -23,11 +23,12 @@ count must also equal :func:`structural_count`, the number of matrices
 of the canonical form, so the two sets are equal without visiting a
 non-member.
 The census walks the member stream once: each member is relabeled once
-into canonical order, and the rows composed from its X and Y blocks are
-compared with its canonical rows. The density shape of each argmax
-member is decided on those blocks; no matrix object is built except for
-the reported argmax and mismatches, and no permutation or decomposition
-object at all. The README's performance notes give the timings.
+into canonical order, and its canonical rows are compared with the rows
+composed from its X and Y blocks, built once per distinct block data.
+The density shape of each argmax member is decided on those blocks; no
+matrix object is built except for the reported argmax and mismatches,
+and no permutation or decomposition object at all. The README's
+performance notes give the timings.
 """
 
 from __future__ import annotations
@@ -289,17 +290,18 @@ class CensusReport:
 def _sweep(n: int, k: int) -> CensusReport:
     """The census of order n >= 1, from one pass over the member stream of order n.
 
-    The power route decides every index, and one walk pairs each member
-    of :func:`_member_blocks` with its :func:`_canonical_form`. Up to
-    order 4 the form is looked up in one ``map`` of the structural route
-    over every index, in index order over ``itertools.product`` (each
-    tuple reversed puts the fastest-varying row at row 0), and each index
-    it accepts that the power route does not is a mismatch. At order 5
-    the form is computed from the member's index, no member list is
-    kept, and the check is closed by a count. Each member's blocks are
-    composed by :func:`_build_rows` and compared with its canonical rows,
-    the same as comparing the rebuilt matrix with the member, as the
-    relabel is a bijection. An index's bits are its matrix's entries, so
+    The power route decides every index, and one walk pairs each member of
+    :func:`_member_blocks` with its :func:`_canonical_form`. Up to order 4
+    the form is looked up in one ``map`` of the structural route over
+    every index, in index order over ``itertools.product`` (each tuple
+    reversed puts the fastest-varying row at row 0), and each index it
+    accepts that the power route does not is a mismatch. At order 5 the
+    form is computed from the member's index, no member list is kept, and
+    the check is closed by a count. Each member's canonical rows are
+    compared with the rows :func:`_build_rows` composes from its blocks,
+    once per distinct block data in the call (25 times for 76 members at
+    (3, 7)): as the relabel is a bijection, that compares the rebuilt
+    matrix with the member. An index's bits are its matrix's entries, so
     its count of ones is its bit count. The density shape of each argmax
     member is decided on the blocks of its form. A nonzero member whose
     index has no bit on or below the diagonal is strictly upper
@@ -325,11 +327,14 @@ def _sweep(n: int, k: int) -> CensusReport:
     total = 0
     best = -1
     argmax: list[tuple[int, tuple | None]] = []
+    built = {}  # the rows composed from each distinct block data
     for x, form in walk:
         total += 1
         if x and not x & lower:
             upper_triangular_ok = False
-        if form is None or _build_rows(*form[0]) != form[1]:
+        if form is not None and form[0] not in built:
+            built[form[0]] = _build_rows(*form[0])
+        if form is None or built[form[0]] != form[1]:
             bad.add(x)
         count = x.bit_count()
         if count > best:

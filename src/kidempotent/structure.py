@@ -38,6 +38,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from itertools import repeat
 from math import lcm
 from operator import or_, xor
 from typing import Mapping, Sequence
@@ -194,15 +195,15 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
       source row's sink bits are the saturating OR of the sink bits of
       c's cycle predecessor over its core bits c, with no sink hit twice.
 
-    Both rules are checked in the original labels, in one pass over the
-    rows, then the corner rule by :func:`_corner_rows` once the core is
-    known to be a permutation. Nothing points into a source, so a core
-    row is its cycle successor plus sink bits: the pass checks the one
-    successor and files the sink bits under it, as the rows of P^T Y.
-    Only the core points whose predecessor has sink bits are filed, and
-    the X rows are masked to them, so the corner check visits only the
-    source-to-core arcs that carry a sink term, and nothing is relabeled
-    before a rejection.
+    Both rules are checked in the original labels. One pass over the rows
+    finds the core and the sinks (the zero rows), then a walk along the
+    core bits checks that each core row is one cycle successor plus sink
+    bits (nothing points into a source) and files the sink bits under the
+    successor, as the rows of P^T Y. Only the core points whose
+    predecessor has sink bits are filed, and :func:`_corner_rows` reads
+    the X rows (the sources are the bits of ``has_out ^ core``) masked to
+    them; with none filed the corner is zero and is not built. Nothing is
+    relabeled before a rejection.
 
     Sources and sinks are ascending; the orbits are sorted by (length,
     smallest vertex), each starting at its smallest vertex and following
@@ -211,35 +212,41 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     """
     has_in = 0
     has_out = 0
-    for v, row in enumerate(rows):
-        has_in |= row
-        if row:
-            has_out |= 1 << v
-    core = has_in & has_out
-    image = 0
-    # live: the core points c whose predecessor has sink bits, the only
-    # rows of P^T Y that the corner product reads.
-    live = 0
-    through = {}
-    sources: list[int] = []
     sinks: list[int] = []
     for v, row in enumerate(rows):
-        if (core >> v) & 1:
-            succ = row & core
-            if succ.bit_count() != 1:
-                return None
-            image |= succ
-            if row != succ:
-                through[succ.bit_length() - 1] = row ^ succ
-                live |= succ
+        if row:
+            has_in |= row
+            has_out |= 1 << v
         else:
-            (sources if row else sinks).append(v)
+            sinks.append(v)
+    core = has_in & has_out
+    image = 0
+    live = 0  # the filed core points, whose predecessor has sink bits
+    through = {}
+    bits = core
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        row = rows[low.bit_length() - 1]
+        succ = row & core
+        if succ.bit_count() != 1:
+            return None
+        image |= succ
+        if row != succ:
+            through[succ.bit_length() - 1] = row ^ succ
+            live |= succ
     if image != core:
         return None
+    sources: list[int] = []
+    bits = has_out ^ core
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        sources.append(low.bit_length() - 1)
     if sources:
         try:
             # the witness is not reported, so its column offset is moot
-            corner = _corner_rows([rows[u] & live for u in sources], through, 0)
+            corner = _corner_rows([rows[u] & live for u in sources], through, 0) if live else repeat(0)
         except ProductNotZeroOne:
             return None
         for u, row in zip(sources, corner):
@@ -256,7 +263,7 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
             orbit.append(cur)
             cur = (rows[cur] & core).bit_length() - 1
         orbits.append(tuple(orbit))
-    orbits.sort(key=lambda o: (len(o), o[0]))
+    orbits.sort(key=len)  # stable: the orbits were found by smallest vertex
     return sources, orbits, sinks
 
 

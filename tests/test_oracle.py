@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left
+from collections import Counter
 from functools import reduce
 from itertools import accumulate
 from math import comb
@@ -407,6 +408,24 @@ class TestCandidates:
         assert report.mismatches == tuple(enumerate_k_idempotent(3, 2))
         assert not report.characterization_ok
 
+    @pytest.mark.parametrize("n,k,total,distinct", [(3, 7, 76, 25), (4, 2, 452, 68)])
+    def test_rebuild_runs_once_per_distinct_block_data(self, monkeypatch, n, k, total, distinct):
+        # members with equal blocks have equal canonical rows, so one
+        # _build_rows call serves them all
+        calls = []
+        build_rows = oracle._build_rows
+
+        def record(*blocks):
+            calls.append(blocks)
+            return build_rows(*blocks)
+
+        monkeypatch.setattr(oracle, "_build_rows", record)
+        report = census(n, k)
+        assert (report.total_k_idempotent, report.mismatches) == (total, ())
+        blocks = {oracle._canonical_form(a.rows, n, k)[0] for a in enumerate_k_idempotent(n, k)}
+        assert len(calls) == len(set(calls)) == len(blocks) == distinct
+        assert set(calls) == blocks
+
     def test_mismatches_merge_in_index_order(self, monkeypatch):
         # one non-member the structural route accepts, one member whose
         # rebuild fails and one argmax member it rejects: each is reported
@@ -415,29 +434,30 @@ class TestCandidates:
         clean = census(3, 2)
         members = [x for x in range(512) if is_k_idempotent(matrix_from_index(3, x), 2)]
         canonical_form = oracle._canonical_form
-        # a member with a source, so that its X block is a tuple of its own;
-        # the stray lies between the two members, so neither list can simply
-        # be appended to the other
-        broken = next(x for x in members if x.bit_count() < 4 and canonical_form(oracle._index_rows(3, x), 3, 2)[0][0])
+        # The census rebuilds each distinct block data once, so the failed
+        # rebuild is planted on block data that only the broken member has:
+        # planted on shared blocks it would fail every member that has them.
+        # The zero matrix is left out, as the stray borrows its form. The
+        # stray lies between the two members, so neither list can simply be
+        # appended to the other.
+        blocks_of = {x: canonical_form(oracle._index_rows(3, x), 3, 2)[0] for x in members}
+        shared = Counter(blocks_of.values())
+        broken = next(x for x in members if x and x.bit_count() < 4 and shared[blocks_of[x]] == 1)
         stray = min(set(range(broken, 512)).difference(members))
         rejected = max(x for x in members if x.bit_count() == 4)
         assert broken < stray < rejected
         rows_of = {x: oracle._index_rows(3, x) for x in (stray, broken, rejected)}
         build_rows = oracle._build_rows
-        broken_form = []
 
         def patched_form(rows, n, k):
             if rows == rows_of[rejected]:
                 return None
             if rows == rows_of[stray]:
                 return canonical_form((0,) * n, n, k)
-            form = canonical_form(rows, n, k)
-            if rows == rows_of[broken]:
-                broken_form.append(form)
-            return form
+            return canonical_form(rows, n, k)
 
         def patched_build(*blocks):
-            if broken_form and blocks[3] is broken_form[0][0][3]:
+            if blocks == blocks_of[broken]:
                 return ()
             return build_rows(*blocks)
 

@@ -342,6 +342,58 @@ class TestDigraphReference:
         assert digraph_certification(a) is None
         assert not any(is_k_idempotent(a, k) for k in range(2, 8))
 
+    @settings(max_examples=300, deadline=None)
+    @given(planted_matrices())
+    def test_planted_order(self, a):
+        check_analysis_order(a)
+
+    def test_exhaustive_order(self):
+        for n in (0, 1, 2, 3):
+            for a in all_matrices(n):
+                check_analysis_order(a)
+
+    @pytest.mark.parametrize(
+        "lists,expected",
+        [
+            # source 0 -> loop 1, and 0 -> sink 2 with no Y to carry it
+            ([[0, 1, 1], [0, 1, 0], [0, 0, 0]], None),
+            ([[0, 1, 0], [0, 1, 0], [0, 0, 0]], ([0], [(1,)], [2])),
+            # source 0 -> 2-cycle 1 <-> 2, and 0 -> sink 3 with Y = 0
+            ([[0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], None),
+            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], ([0], [(1, 2)], [3])),
+            # no core at all: source 0 -> sink 3
+            ([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], None),
+        ],
+        ids=["n3-sink-bit", "n3-core-only", "n4-sink-bit", "n4-core-only", "n4-no-core"],
+    )
+    def test_zero_corner(self, lists, expected):
+        # no core point's predecessor has a sink bit, so X P^T Y = 0 and a
+        # source row may reach no sink
+        a = Matrix01.from_lists(lists)
+        assert _analyze_rows(a.rows, a.n) == expected
+        assert (digraph_certification(a) is None) == (expected is None)
+        assert is_k_idempotent(a, 3) == (expected is not None)
+
+
+def check_analysis_order(a):
+    """The order of an accepted ``_analyze_rows`` result, which the set comparison drops.
+
+    Sources and sinks are ascending, each orbit starts at its smallest
+    vertex and follows arcs, and the orbits are sorted by (length,
+    smallest vertex).
+    """
+    result = _analyze_rows(a.rows, a.n)
+    if result is None:
+        return
+    sources, orbits, sinks = result
+    assert sources == sorted(sources)
+    assert sinks == sorted(sinks)
+    for orbit in orbits:
+        assert orbit[0] == min(orbit)
+        for v, w in zip(orbit, orbit[1:] + orbit[:1]):
+            assert (a.rows[v] >> w) & 1
+    assert orbits == sorted(orbits, key=lambda o: (len(o), o[0]))
+
 
 def naive_corner(lengths, x_rows, y_rows, s):
     """X P^T Y by integer sums, unmasked: (packed corner rows, entries of 2 or more).
