@@ -4,11 +4,12 @@ The density theorem (gamma, the allowed boundary counts and the test
 for variants A and B) is stated in :mod:`kidempotent.structure`, where
 the census reads it; this module re-exports those names, constructs
 and recognizes the densest matrices and enumerates every family that
-attains the bound. The enumeration checks each (variant, boundary
-count, cycle multiset) group once, composes each candidate once and
-verifies all of them in one bit-sliced power, one lane per matrix;
-:func:`construct_extremal` checks a single family directly, on the row
-route. The package and the command line load this module on first use.
+attains the bound. The enumeration builds only allowed (variant,
+boundary count, cycle multiset) groups, composes each candidate once
+and verifies all of them in one bit-sliced power, one lane per matrix;
+:func:`construct_extremal` checks the shape of one given family and
+verifies it directly, on the row route. The package and the command
+line load this module on first use.
 """
 
 from __future__ import annotations
@@ -90,24 +91,19 @@ def _family_blocks(variant: str, r: int, s: int, cycle_lengths: tuple[int, ...],
     return r, cycle_lengths, s, x_rows, y_rows
 
 
-def _check_group(n: int, k: int, variant: str, r: int, s: int, cycle_lengths: Sequence[int]) -> None:
-    """Raise :class:`InvalidParams` unless (variant, r, s, cycle lengths) is an allowed shape of order n."""
+def _family_rows(n: int, k: int, params: ExtremalParams) -> tuple[int, ...]:
+    """The family's composed rows, corner checked; raises :class:`InvalidParams` outside the allowed shapes."""
+    variant, r, s, cycles, pattern = astuple(params)
     allowed = allowed_boundary_counts(n)
     _require_k(k)
-    if r + sum(cycle_lengths) + s != n:
+    if r + sum(cycles) + s != n:
         raise InvalidParams("block sizes do not add up to the order")
     fixed = r if variant == "A" else s
     if fixed not in allowed:
         raise InvalidParams(f"count {fixed} not in the allowed set {allowed}")
-    for length in cycle_lengths:
+    for length in cycles:
         if length < 1 or (k - 1) % length:
             raise InvalidParams(f"cycle length {length} does not divide k-1 = {k - 1}")
-
-
-def _family_rows(n: int, k: int, params: ExtremalParams) -> tuple[int, ...]:
-    """The family's composed rows, corner checked; raises :class:`InvalidParams` outside the allowed shapes."""
-    variant, r, s, cycles, pattern = astuple(params)
-    _check_group(n, k, variant, r, s, cycles)
     if len(pattern) != (s if variant == "A" else r):
         raise InvalidParams("pattern length does not match the one-per-line block")
     if not set(pattern).issubset(range(sum(cycles))):
@@ -159,11 +155,13 @@ def _cycle_multisets(limit: int, k: int) -> list[tuple[int, ...]]:
 def _family_matrices(n: int, k: int) -> list[tuple[tuple, tuple[int, ...]]]:
     """The families of :func:`extremal_families`: their :class:`ExtremalParams` fields, in order, and rows.
 
-    Each (variant, boundary count, cycle multiset) group, in listing order
-    from :func:`_cycle_multisets`, is checked once by :func:`_check_group`
-    and each of its patterns composed once; repeated rows are dropped. One
-    bit-sliced power decides A^k = A for all of them, and a candidate that
-    passes is kept at gamma(n) ones. No :class:`ExtremalParams` is built here.
+    Each (variant, boundary count, cycle multiset) group is taken in
+    listing order from :func:`_cycle_multisets`: its cycle lengths divide
+    k - 1 and its sizes add up to n with an allowed count, so the shape
+    checks of :func:`_family_rows` are not repeated here. Each pattern is
+    composed once and repeated rows are dropped. One bit-sliced power
+    decides A^k = A for all of them, and a candidate that passes is kept
+    at gamma(n) ones. No :class:`ExtremalParams` is built here.
     """
     _require_k(k)
     candidates: dict[tuple[int, ...], tuple] = {}
@@ -173,7 +171,6 @@ def _family_matrices(n: int, k: int) -> list[tuple[tuple, tuple[int, ...]]]:
                 m = sum(cycles)
                 other = n - count - m
                 r, s = (count, other) if variant == "A" else (other, count)
-                _check_group(n, k, variant, r, s, cycles)
                 for pattern in product(range(m), repeat=other):
                     rows = _build_rows(*_family_blocks(variant, r, s, cycles, pattern))
                     candidates.setdefault(rows, (variant, r, s, cycles, pattern))

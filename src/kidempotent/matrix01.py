@@ -30,7 +30,6 @@ __all__ = [
     "nnz",
     "pack_row",
     "permute",
-    "row_string",
     "sat_power",
     "to_text",
     "unpack_row",
@@ -63,18 +62,6 @@ def pack_row(values: Iterable[int]) -> int:
 def unpack_row(row: int, width: int) -> list[int]:
     """Expand a row bitset back into a list of 0/1 entries."""
     return [(row >> j) & 1 for j in range(width)]
-
-
-def row_string(row: int, width: int) -> str:
-    """Render a row bitset as its text-format string of '0'/'1' characters."""
-    # The slice drops the lone "0" that format gives at width 0.
-    return format(row, f"0{width}b")[::-1][:width]
-
-
-def _parse_row(text: str, width: int) -> int | None:
-    """Row bitset of a text-format row string, or None when it is malformed, by the rule of :func:`_read_rows`."""
-    rows = _read_rows(text + "\n", 1, width)
-    return None if rows is None else rows[0]
 
 
 def _parse_decimal(text: str, noun: str, error: type) -> int:
@@ -547,5 +534,5 @@ def from_text(text: str) -> Matrix01:
     lines = text[:-1].split("\n")
     if len(lines) != n + 1:
         raise MatrixFormatError(f"expected {n} row lines, found {len(lines) - 1}")
-    first = next(i for i, line in enumerate(lines[1:]) if _parse_row(line, n) is None)
+    first = next(i for i, line in enumerate(lines[1:]) if _read_rows(line + "\n", 1, n) is None)
     raise MatrixFormatError(f"bad row on line {first + 2}")

@@ -34,7 +34,6 @@ a Y column, in B it is the full Y row that the one X bit selects.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -48,7 +47,6 @@ from .matrix01 import (
     Matrix01,
     Permutation,
     _parse_decimal,
-    _parse_row,
     _permute_rows,
     _read_rows,
     _relabel_rows,
@@ -294,9 +292,11 @@ class CanonicalDecomposition:
     index to its canonical position, so permuting the composed canonical
     matrix by ``sigma`` reproduces the original matrix exactly.
 
-    An ill-shaped instance is refused when built (``ValueError``): the
-    sizes must add up to n, sigma must have n entries, X must be r x m
-    and Y m x s. The k rules are checked when rows are composed.
+    The block fields are stored as tuples, whatever sequences they are
+    given as, so equal blocks compare and hash equal. An ill-shaped
+    instance is refused when built (``ValueError``): the sizes must add
+    up to n, sigma must have n entries, X must be r x m and Y m x s. The
+    k rules are checked when rows are composed.
     """
 
     n: int
@@ -309,6 +309,9 @@ class CanonicalDecomposition:
     sigma: Permutation
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cycle_lengths", tuple(self.cycle_lengths))
+        object.__setattr__(self, "source_to_cycle", tuple(self.source_to_cycle))
+        object.__setattr__(self, "cycle_to_sink", tuple(self.cycle_to_sink))
         r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
         x_rows, y_rows = self.source_to_cycle, self.cycle_to_sink
         _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma), ValueError)
@@ -492,7 +495,7 @@ def compose(
             raise ValueError("cycle block row width mismatch")
         y_rows.append(pack_row(row))
     n = source_count + m + sink_count
-    blocks = (source_count, tuple(cycle_lengths), sink_count, tuple(x_rows), tuple(y_rows))
+    blocks = (source_count, cycle_lengths, sink_count, x_rows, y_rows)
     return CanonicalDecomposition(n, k, *blocks, Permutation.identity(n)).canonical_matrix()
 
 
@@ -510,13 +513,8 @@ def _decomposition_lines(n: int, k: int, r: int, s: int, cycle_lengths, sigma: s
 
 
 def _parse_int_list(value: str, noun: str) -> tuple[int, ...]:
-    """Comma-separated decimal fields, read by int() at once if writing them back gives ``value`` and no "-"."""
-    parts = value.split(",") if value else []
-    with suppress(ValueError):  # a field int() refuses, or one beyond its digit limit
-        values = tuple(map(int, parts))
-        if "-" not in value and ",".join(map(str, values)) == value:
-            return values
-    return tuple(_parse_decimal(part, noun, DecompositionFormatError) for part in parts)
+    """Comma-separated decimal fields, each read by :func:`matrix01._parse_decimal`; the empty value is no field."""
+    return tuple(_parse_decimal(part, noun, DecompositionFormatError) for part in value.split(",")) if value else ()
 
 
 def parse_decomposition(text: str) -> CanonicalDecomposition:
@@ -555,7 +553,7 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
         lines = text[:-1].split("\n")
         for pos in range(6, 6 + r + m):
             key, width = ("X", m) if pos < 6 + r else ("Y", s)
-            if _parse_row(take(pos, key), width) is None:
+            if _read_rows(take(pos, key) + "\n", 1, width) is None:
                 raise DecompositionFormatError(f"bad {key} row on line {pos + 1}")
         raise DecompositionFormatError("unexpected trailing content")  # every row is good, so more follows
     return CanonicalDecomposition(n, k, r, cycle_lengths, s, x_rows, y_rows, sigma)

@@ -546,6 +546,13 @@ class TestFamilyEnumeratorLoadsOnDemand:
         assert fresh_interpreter(code) == f"{sorted(['sys', *STAR_NAMES])}\n"
         assert sorted(kidempotent.__all__) == STAR_NAMES
 
+    @pytest.mark.parametrize("module", ["matrix01", "structure", "oracle", "extremal", "cli"])
+    def test_submodule_star_import_binds_its_all(self, module):
+        namespace = {}
+        exec(f"from kidempotent.{module} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(getattr(kidempotent, module).__all__)
+
     def test_moved_names_are_reexported(self):
         for name in ("gamma", "allowed_boundary_counts", "_fits_maximum_form", "matches_maximum_form"):
             assert getattr(extremal, name) is getattr(structure, name)

@@ -179,17 +179,24 @@ class TestFamilies:
                 assert d == decompose(m, k)
 
     @pytest.mark.parametrize(
-        "params",
+        "n, k, params, message",
         [
-            ExtremalParams("A", 1, 1, (1,), (0,)),  # r + m + s = 3, not the order 5
-            ExtremalParams("A", 2, 1, (1, 1), (-1,)),  # pattern index outside the cycle block
+            (5, 7, ExtremalParams("A", 1, 1, (1,), (0,)), "block sizes do not add up to the order"),
+            (4, 2, ExtremalParams("A", 3, 0, (1,), ()), "count 3 not in the allowed set (1, 2)"),
+            (5, 2, ExtremalParams("B", 1, 1, (1, 1, 1), (0,)), "count 1 not in the allowed set (2,)"),
+            (3, 4, ExtremalParams("A", 1, 0, (2,), ()), "cycle length 2 does not divide k-1 = 3"),
+            (3, 2, ExtremalParams("A", 1, 1, (1,), ()), "pattern length does not match the one-per-line block"),
+            (5, 7, ExtremalParams("A", 2, 1, (1, 1), (-1,)), "pattern index outside the cycle block"),
+            (5, 7, ExtremalParams("B", 1, 2, (1, 1), (2,)), "pattern index outside the cycle block"),
         ],
+        ids=["sizes", "count_A", "count_B", "cycle_length", "pattern_length", "pattern_index_A", "pattern_index_B"],
     )
-    def test_family_line_rejects_invalid_params(self, params):
-        # family_line renders only what construct_extremal accepts
+    def test_family_line_rejects_invalid_params(self, n, k, params, message):
+        # family_line renders only what construct_extremal accepts, with the same message
         for build in (construct_extremal, family_line):
-            with pytest.raises(InvalidParams):
-                build(5, 7, params)
+            with pytest.raises(InvalidParams) as raised:
+                build(n, k, params)
+            assert str(raised.value) == message
 
 
 class TestGroupedFamilies:

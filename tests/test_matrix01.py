@@ -19,15 +19,15 @@ from kidempotent.matrix01 import (
     from_text,
     nnz,
     _parse_decimal,
-    _parse_row,
     _lanes_k_idempotent,
     _power,
+    _read_rows,
     _relabel_rows,
     _sat_mul_rows,
     _sat_power_rows,
+    _write_rows,
     pack_row,
     permute,
-    row_string,
     sat_power,
     to_text,
     unpack_row,
@@ -531,16 +531,16 @@ class TestTextFormat:
     def test_round_trip_all_widths(self, data):
         width = data.draw(st.integers(0, 70))
         row = data.draw(st.integers(0, (1 << width) - 1))
-        text = row_string(row, width)
-        assert text == "".join(str((row >> j) & 1) for j in range(width))
-        assert _parse_row(text, width) == row
+        text = _write_rows([row], width)
+        assert text == "".join(str((row >> j) & 1) for j in range(width)) + "\n"
+        assert _read_rows(text, 1, width) == (row,)
         rows = tuple(data.draw(st.integers(0, (1 << width) - 1)) for _ in range(width))
         a = Matrix01(width, rows)
         assert from_text(to_text(a)) == a
 
     @pytest.mark.parametrize("text", ["", "0", "01", "0_1", "+01", " 01", "01 ", "0２1", "0١1"])
     def test_parse_row_rejects(self, text):
-        assert _parse_row(text, 3) is None
+        assert _read_rows(text + "\n", 1, 3) is None
 
     def test_exact_text(self):
         assert to_text(Matrix01.from_lists([[0, 1], [0, 0]])) == "2\n01\n00\n"
@@ -575,10 +575,10 @@ class TestTextFormat:
     )
     def test_bad_row_message_equals_row_by_row_parse(self, n, bad):
         rng = random.Random(n)
-        lines = [str(n), *(row_string(rng.getrandbits(n), n) for _ in range(n))]
+        lines = [str(n), *(_write_rows([rng.getrandbits(n)], n)[:-1] for _ in range(n))]
         for i in {1, n // 2 + 1, n}:
             broken = lines[:i] + [bad(lines[i])] + lines[i + 1 :]
-            first = next(j for j, line in enumerate(broken[1:]) if _parse_row(line, n) is None)
+            first = next(j for j, line in enumerate(broken[1:]) if _read_rows(line + "\n", 1, n) is None)
             with pytest.raises(MatrixFormatError) as info:
                 from_text("\n".join(broken) + "\n")
             assert str(info.value) == f"bad row on line {first + 2}"

@@ -783,6 +783,12 @@ class TestSerialization:
             assert isinstance(d, CanonicalDecomposition)
             assert parse_decomposition(serialize_decomposition(d)) == d
 
+    def test_block_lists_are_stored_as_tuples(self):
+        d = CanonicalDecomposition(3, 2, 1, [1], 1, [1], [1], Permutation.identity(3))
+        same = decompose(d.canonical_matrix(), 2)
+        assert d == same and hash(d) == hash(same)
+        assert (d.cycle_lengths, d.source_to_cycle, d.cycle_to_sink) == ((1,), (1,), (1,))
+
     @pytest.mark.parametrize(
         "r, lengths, s", [(0, (1, 2), 3), (2, (1, 2), 0), (0, (3,), 0), (2, (), 0), (0, (), 3)]
     )
@@ -848,7 +854,7 @@ class TestSerialization:
             (lambda: replace(d, source_to_cycle=()), "X and Y row counts must equal r and the cycle total"),
             (lambda: replace(d, source_to_cycle=(1, 1)), "X and Y row counts must equal r and the cycle total"),
             (lambda: replace(d, cycle_to_sink=(1, 0)), "X and Y row counts must equal r and the cycle total"),
-            # rows wider than their blocks: row_string would clip them to X=0 and Y=0
+            # rows wider than their blocks: _write_rows would give them lines too long to parse back
             (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (0b10,), (1,), Permutation((0, 1, 2))),
              "source block row exceeds cycle width"),
             (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (1,), (0b10,), Permutation((0, 1, 2))),
