@@ -30,6 +30,7 @@ from .matrix01 import (
 from .oracle import (
     CensusReport,
     census,
+    censuses,
     enumerate_k_idempotent,
     matrix_from_index,
     serialize_census,
@@ -59,12 +60,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "extremal", "matrix01", "oracle", "structure", "Matrix01", "MatrixFormatError", "Permutation", "exact_power",
-    "from_text", "nnz", "permute", "sat_power", "to_text", "CensusReport", "census", "enumerate_k_idempotent",
-    "matrix_from_index", "serialize_census", "structural_count", "CanonicalDecomposition", "ComposeError",
-    "CycleLengthInvalid", "DecompositionFormatError", "ProductNotZeroOne", "StructureError", "StructureErrorKind",
-    "allowed_boundary_counts", "compose", "decompose", "gamma", "idempotency_index", "is_k_idempotent",
-    "matches_maximum_form", "parse_decomposition", "power_failure", "serialize_decomposition", "ExtremalParams",
-    "InvalidParams", "ValidationFailed", "construct_extremal", "extremal_families", "family_line", "is_extremal",
+    "from_text", "nnz", "permute", "sat_power", "to_text", "CensusReport", "census", "censuses",
+    "enumerate_k_idempotent", "matrix_from_index", "serialize_census", "structural_count", "CanonicalDecomposition",
+    "ComposeError", "CycleLengthInvalid", "DecompositionFormatError", "ProductNotZeroOne", "StructureError",
+    "StructureErrorKind", "allowed_boundary_counts", "compose", "decompose", "gamma", "idempotency_index",
+    "is_k_idempotent", "matches_maximum_form", "parse_decomposition", "power_failure", "serialize_decomposition",
+    "ExtremalParams", "InvalidParams", "ValidationFailed", "construct_extremal", "extremal_families", "family_line",
+    "is_extremal",
 ]  # fmt: skip
 
 

@@ -9,9 +9,10 @@ block parameters), 2 for usage or format errors. Malformed input never
 exits 1, and identical invocations produce byte-identical output.
 
 The CLI holds no argument rules of its own: each command parses, calls
-the library and prints. The library checks the order and the exponent
-before it does any work and raises ``ArgumentRangeError``, which
-:func:`main` maps to exit 2 with the library's message on stderr.
+the library and prints. Integer options follow ``matrix01._parse_decimal``,
+the decimal rule of every input field. The library checks the order and
+the exponent before it does any work and raises ``ArgumentRangeError``,
+which :func:`main` maps to exit 2 with the library's message on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from .matrix01 import MatrixFormatError, from_text, to_text
+from .matrix01 import MatrixFormatError, _parse_decimal, from_text, to_text
 from .oracle import census, serialize_census
 from .structure import (
     ArgumentRangeError,
@@ -120,6 +121,10 @@ def cmd_index(args) -> int:
     return 0
 
 
+def _decimal(text: str) -> int:
+    return _parse_decimal(text, "integer", argparse.ArgumentTypeError)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and its subcommand parsers by name, built once per process.
@@ -136,27 +141,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="test whether A^k = A")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
     p.add_argument("file", nargs="?", help="matrix file (default: stdin)")
 
     p = sub.add_parser("decompose", help="recover the canonical block data")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
     p.add_argument("file", nargs="?")
 
     p = sub.add_parser("compose", help="rebuild a matrix from block data")
-    p.add_argument("--k", type=int, default=None, help="override the serialized k")
+    p.add_argument("--k", type=_decimal, default=None, help="override the serialized k")
     p.add_argument("file", nargs="?")
 
     p = sub.add_parser("gamma", help="print the density ceiling gamma(n)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
 
     p = sub.add_parser("extremal", help="list maximum-density families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
 
     p = sub.add_parser("census", help="exhaustively verify one (n, k) pair")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
 
     p = sub.add_parser("index", help="print the minimal k with A^k = A")
     p.add_argument("file", nargs="?")

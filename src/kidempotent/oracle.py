@@ -16,15 +16,15 @@ up to 2**16 consecutive indices, one per bit lane
 whose fixed index bits already force A^k != A.
 That search, :func:`_member_blocks`, yields the member indices in
 ascending order, and both the public stream and the census read them
-from it. The structural route still runs per matrix: on every matrix
-up to order 4, as one ``map`` whose accepted index set is compared with
-the member set, and on the members only at order 5. There the member
-count must also equal :func:`structural_count`, the number of matrices
-of the canonical form, so the two sets are equal without visiting a
-non-member.
-The census walks the member stream once: each member is relabeled once
-into canonical order, and its canonical rows are compared with the rows
-composed from its X and Y blocks, built once per distinct block data.
+from it, once per exponent. :func:`censuses` takes several exponents of
+one order. Up to order 4 they share one k-free structural pass, a
+``map`` of the certification over every index and one relabel of each
+certified matrix, and each k's accepted set is compared with its member
+set. At order 5 the structural route runs on each k's members only, and
+the member count must also equal :func:`structural_count`, the number of
+matrices of the canonical form, so the two sets are equal without
+visiting a non-member. Each member's canonical rows are compared with the
+rows composed from its X and Y blocks, built once per distinct block data.
 The density shape of each argmax member is decided on those blocks; no
 matrix object is built except for the reported argmax and mismatches,
 and no permutation or decomposition object at all. The README's
@@ -35,17 +35,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product, repeat
-from math import comb, factorial
-from operator import is_not, itemgetter
+from itertools import compress, count, product, repeat
+from math import comb, factorial, lcm
+from operator import itemgetter
 from typing import Iterator
 
 from .matrix01 import Matrix01, _lane_flags, _sat_power_rows, to_text
 from .structure import (
     ArgumentRangeError,
+    _analyze_rows,
     _build_rows,
     _canonical_form,
     _fits_maximum_form,
+    _relabel_form,
     _require_k,
     gamma,
 )
@@ -53,6 +55,7 @@ from .structure import (
 __all__ = [
     "CensusReport",
     "census",
+    "censuses",
     "enumerate_k_idempotent",
     "matrix_from_index",
     "serialize_census",
@@ -287,21 +290,19 @@ class CensusReport:
     argmax: tuple[Matrix01, ...]
 
 
-def _sweep(n: int, k: int) -> CensusReport:
-    """The census of order n >= 1, from one pass over the member stream of order n.
+def _sweep(n: int, k: int, accepted: dict | None, built: dict) -> CensusReport:
+    """The census of order n >= 1 at k, from one pass over the member stream of order n.
 
     The power route decides every index, and one walk pairs each member of
-    :func:`_member_blocks` with its :func:`_canonical_form`. Up to order 4
-    the form is looked up in one ``map`` of the structural route over
-    every index, in index order over ``itertools.product`` (each tuple
-    reversed puts the fastest-varying row at row 0), and each index it
-    accepts that the power route does not is a mismatch. At order 5 the
-    form is computed from the member's index, no member list is kept, and
+    :func:`_member_blocks` with its canonical form. Up to order 4
+    ``accepted`` maps each index that the structural route accepts at k
+    to its form (see :func:`censuses`), and each accepted index that the
+    power route does not is a mismatch. At order 5 it is None: the form
+    is computed from the member's index, no member list is kept, and
     the check is closed by a count. Each member's canonical rows are
     compared with the rows :func:`_build_rows` composes from its blocks,
-    once per distinct block data in the call (25 times for 76 members at
-    (3, 7)): as the relabel is a bijection, that compares the rebuilt
-    matrix with the member. An index's bits are its matrix's entries, so
+    kept in ``built`` per distinct block data: as the relabel is a
+    bijection, that compares the rebuilt matrix with the member. An index's bits are its matrix's entries, so
     its count of ones is its bit count. The density shape of each argmax
     member is decided on the blocks of its form. A nonzero member whose
     index has no bit on or below the diagonal is strictly upper
@@ -309,14 +310,11 @@ def _sweep(n: int, k: int) -> CensusReport:
     for the final argmax and the mismatches, these in ascending index
     order.
     """
-    size = 1 << (n * n)
-    members = _member_blocks(n, k, 0, size)
-    if n <= FULL_WALK_LIMIT:
-        candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
-        forms = list(map(_canonical_form, candidates, repeat(n), repeat(k)))
+    members = _member_blocks(n, k, 0, 1 << (n * n))
+    if accepted is not None:
         members = list(members)
-        form_of = forms.__getitem__
-        bad = set(compress(range(size), map(is_not, forms, repeat(None)))).difference(members)
+        form_of = accepted.get
+        bad = set(accepted).difference(members)
     else:
         form_of = lambda x: _canonical_form(_index_rows(n, x), n, k)
         bad = set()
@@ -327,7 +325,6 @@ def _sweep(n: int, k: int) -> CensusReport:
     total = 0
     best = -1
     argmax: list[tuple[int, tuple | None]] = []
-    built = {}  # the rows composed from each distinct block data
     for x, form in walk:
         total += 1
         if x and not x & lower:
@@ -364,20 +361,42 @@ def _sweep(n: int, k: int) -> CensusReport:
     )
 
 
-def census(n: int, k: int) -> CensusReport:
-    """Full census of order n under exponent k.
+def censuses(n: int, ks) -> list[CensusReport]:
+    """Full census of order n under each exponent of ``ks``, one report per k in the order given.
 
-    Covers the member count, the two-route characterization check with
-    reconstruction (closed by :func:`structural_count` at order 5), the
-    density maximum against gamma(n) with the shape of every argmax, and
-    the lemma that no nonzero strictly upper triangular matrix is a
-    member. Two runs with the same arguments produce bit-identical
-    serialized reports.
+    A report covers the member count, the two-route characterization
+    check with reconstruction (closed by :func:`structural_count` at order
+    5), the density maximum against gamma(n) with the shape of every
+    argmax, and the lemma that no nonzero strictly upper triangular matrix
+    is a member. It equals the report of the k alone, bit for bit.
+
+    Every argument is checked before any work. Up to order 4 one ``map``
+    of :func:`_analyze_rows` runs over every index in index order, and
+    :func:`_relabel_form` once per certified index against the lcm of
+    k - 1 over ``ks``. A form is accepted at k when its period, the lcm
+    of its cycle lengths, divides k - 1.
     """
+    ks = tuple(ks)
     if n < 1:
         raise ArgumentRangeError("census requires order >= 1")
-    _check_args(n, k)
-    return _sweep(n, k)
+    if not ks:
+        raise ArgumentRangeError("census requires at least one exponent")
+    for k in ks:
+        _check_args(n, k)
+    if n > FULL_WALK_LIMIT:
+        return [_sweep(n, k, None, {}) for k in ks]
+    candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
+    analyses = list(map(_analyze_rows, candidates, repeat(n)))
+    bound = lcm(*(k - 1 for k in ks))
+    rows = compress(product(range(1 << n), repeat=n), analyses)  # each certified index's rows, reversed
+    forms = {x: _relabel_form(r[::-1], n, analyses[x], bound) for x, r in zip(compress(count(), analyses), rows)}
+    built: dict = {}  # the rows composed from each distinct block data
+    return [_sweep(n, k, {x: f for x, f in forms.items() if f and (k - 1) % lcm(*f[0][1]) == 0}, built) for k in ks]
+
+
+def census(n: int, k: int) -> CensusReport:
+    """Full census of order n under exponent k: the one-exponent case of :func:`censuses`."""
+    return censuses(n, (k,))[0]
 
 
 def serialize_census(report: CensusReport) -> str:

@@ -357,14 +357,19 @@ class CanonicalDecomposition:
 
 
 def _canonical_form(rows: tuple[int, ...], n: int, k: int):
-    """The accepted matrix relabeled once into canonical order, or None when rejected at k.
+    """:func:`_relabel_form` of the :func:`_analyze_rows` certification at k; None when rejected."""
+    return _relabel_form(rows, n, _analyze_rows(rows, n), k - 1)
 
-    Runs the certification of :func:`_analyze_rows` and the cycle-length
-    test, then moves all n rows, and every bit in them, into the order
-    sources, orbits, sinks by one :func:`_relabel_rows` call. The X and Y
-    blocks are read off the canonical rows by shifts and masks: a source
-    row holds its X row above bit r, a cycle row its one core bit below
-    bit r + m and its Y row above it.
+
+def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
+    """Relabel a matrix by its :func:`_analyze_rows` result; None when that is None or a
+    cycle length does not divide ``bound`` (k - 1, or a multiple shared by several k).
+
+    Moves all n rows, and every bit in them, into the order sources,
+    orbits, sinks by one :func:`_relabel_rows` call. The X and Y blocks
+    are read off the canonical rows by shifts and masks: a source row
+    holds its X row above bit r, a cycle row its one core bit below bit
+    r + m and its Y row above it.
 
     Returns (blocks, canonical_rows, to_canonical): ``blocks`` is
     (r, cycle_lengths, s, X, Y), the arguments of :func:`_build_rows`,
@@ -374,14 +379,13 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
     and the canonical rows are those of ``permute(A, Permutation(order))``,
     with ``order`` the original indices listed in canonical order.
     """
-    st = _analyze_rows(rows, n)
-    if st is None:
+    if analysis is None:
         return None
-    sources, orbits, sinks = st
+    sources, orbits, sinks = analysis
     r = len(sources)
     order = list(sources)
     for orbit in orbits:
-        if (k - 1) % len(orbit):
+        if bound % len(orbit):
             return None
         order += orbit
     shift = len(order)

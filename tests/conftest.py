@@ -3,25 +3,38 @@ strongly connected components of a digraph, from the definition, seeded
 text corruptions and the power-route certificate of an idempotency index."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from kidempotent.matrix01 import Permutation
-from kidempotent.oracle import census
+from kidempotent.oracle import censuses
 from kidempotent.structure import CanonicalDecomposition, power_failure
 
 _census_memo: dict[tuple[int, int], object] = {}
 
+# The golden exponents of each order, in file order; orders without a golden line use k = 2..7.
+ORDER_KS: dict[int, list[int]] = {}
+for _name in ("k_idempotent_counts.txt", "k_idempotent_counts_n5.txt"):
+    for _line in (Path(__file__).parent / "golden" / _name).read_text().splitlines():
+        _n, _k, _ = map(int, _line.split())
+        ORDER_KS.setdefault(_n, []).append(_k)
+
 
 @pytest.fixture(scope="session")
 def get_census():
-    """Session-wide census memo; censuses are pure so sharing is safe."""
+    """Session-wide census memo; censuses are pure so sharing is safe.
+
+    A miss on one of an order's exponents fetches them all in one
+    ``censuses`` call, which shares the structural pass up to order 4.
+    """
 
     def fetch(n, k):
-        key = (n, k)
-        if key not in _census_memo:
-            _census_memo[key] = census(n, k)
-        return _census_memo[key]
+        if (n, k) not in _census_memo:
+            ks = ORDER_KS.get(n, list(range(2, 8)))
+            ks = ks if k in ks else [k]
+            _census_memo.update(zip([(n, x) for x in ks], censuses(n, ks)))
+        return _census_memo[(n, k)]
 
     return fetch
 

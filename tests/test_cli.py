@@ -335,6 +335,18 @@ def test_argument_errors_exit_two_with_the_library_message(argv, stdin, call):
     assert err == f"{info.value}\n"
 
 
+# int() reads each as a number (30, 5, 5 and 10); an integer option, like every decimal field, refuses it.
+NON_DECIMAL_OPTIONS = ["1_0", " +5", "\u0665", "010"]
+
+
+@pytest.mark.parametrize("value", NON_DECIMAL_OPTIONS)
+@pytest.mark.parametrize("argv", [["gamma", "--n"], ["census", "--n", "3", "--k"], ["compose", "--k"]])
+def test_integer_options_follow_the_decimal_rule(argv, value):
+    code, out, err = captured(main, [*argv, value], WORKED_DECOMPOSITION)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"bad integer {value!r} (length {len(value)})\n")
+
+
 # A malformed field far longer than a message: the order line of a matrix, the k field of a decomposition.
 LONG_FIELDS = [
     (["check", "--k", "2"], "1x" * 50000 + "\n"),
@@ -493,7 +505,7 @@ ROOT = Path(__file__).resolve().parents[1]
 STAR_NAMES = [
     "CanonicalDecomposition", "CensusReport", "ComposeError", "CycleLengthInvalid", "DecompositionFormatError",
     "ExtremalParams", "InvalidParams", "Matrix01", "MatrixFormatError", "Permutation", "ProductNotZeroOne",
-    "StructureError", "StructureErrorKind", "ValidationFailed", "allowed_boundary_counts", "census", "compose",
+    "StructureError", "StructureErrorKind", "ValidationFailed", "allowed_boundary_counts", "census", "censuses", "compose",
     "construct_extremal", "decompose", "enumerate_k_idempotent", "exact_power", "extremal", "extremal_families",
     "family_line", "from_text", "gamma", "idempotency_index", "is_extremal", "is_k_idempotent",
     "matches_maximum_form", "matrix01", "matrix_from_index", "nnz", "oracle", "parse_decomposition", "permute",

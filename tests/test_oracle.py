@@ -26,6 +26,7 @@ from kidempotent.oracle import (
     _lane_patterns,
     _sat_member_lanes,
     census,
+    censuses,
     enumerate_k_idempotent,
     matrix_from_index,
     serialize_census,
@@ -383,14 +384,14 @@ class TestCandidates:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sweep_decomposes_every_index_in_order(self, monkeypatch, n):
         seen = []
-        canonical_form = oracle._canonical_form
+        analyze_rows = oracle._analyze_rows
 
-        def record(rows, n, k):
+        def record(rows, n):
             seen.append(rows)
-            return canonical_form(rows, n, k)
+            return analyze_rows(rows, n)
 
-        monkeypatch.setattr(oracle, "_canonical_form", record)
-        oracle._sweep(n, 3)
+        monkeypatch.setattr(oracle, "_analyze_rows", record)
+        census(n, 3)
         assert seen == [oracle._index_rows(n, x) for x in range(1 << (n * n))]
 
     @pytest.mark.parametrize("n,k,total", golden_lines())
@@ -448,20 +449,21 @@ class TestCandidates:
         assert broken < stray < rejected
         rows_of = {x: oracle._index_rows(3, x) for x in (stray, broken, rejected)}
         build_rows = oracle._build_rows
+        analyze_rows = oracle._analyze_rows
 
-        def patched_form(rows, n, k):
+        def patched_analysis(rows, n):
             if rows == rows_of[rejected]:
                 return None
             if rows == rows_of[stray]:
-                return canonical_form((0,) * n, n, k)
-            return canonical_form(rows, n, k)
+                return analyze_rows((0,) * n, n)
+            return analyze_rows(rows, n)
 
         def patched_build(*blocks):
             if blocks == blocks_of[broken]:
                 return ()
             return build_rows(*blocks)
 
-        monkeypatch.setattr(oracle, "_canonical_form", patched_form)
+        monkeypatch.setattr(oracle, "_analyze_rows", patched_analysis)
         monkeypatch.setattr(oracle, "_build_rows", patched_build)
         report = census(3, 2)
         assert report.mismatches == tuple(Matrix01(3, rows_of[x]) for x in (broken, stray, rejected))
@@ -498,11 +500,11 @@ class TestEveryBlockCompared:
     @pytest.mark.parametrize("corrupt", [corrupt_corner, corrupt_cycle_row, corrupt_sink_row, corrupt_source_row])
     @pytest.mark.parametrize("k", [2, 3])
     def test_corrupted_block(self, monkeypatch, corrupt, k):
-        canonical_form = oracle._canonical_form
+        relabel_form = oracle._relabel_form
         corrupted = []
 
-        def corrupt_first(rows, n, k):
-            form = canonical_form(rows, n, k)
+        def corrupt_first(rows, n, analysis, bound):
+            form = relabel_form(rows, n, analysis, bound)
             if form is None or corrupted:
                 return form
             blocks, canonical_rows, to_canonical = form
@@ -513,7 +515,7 @@ class TestEveryBlockCompared:
             corrupted.append(Matrix01(n, rows))
             return blocks, bad, to_canonical
 
-        monkeypatch.setattr(oracle, "_canonical_form", corrupt_first)
+        monkeypatch.setattr(oracle, "_relabel_form", corrupt_first)
         report = census(3, k)
         assert len(corrupted) == 1
         assert report.mismatches == tuple(corrupted)
@@ -590,9 +592,10 @@ class TestCountClosesOrderFive:
         # order 4 is closed by visiting every non-member instead: one the
         # structural route accepts is a mismatch
         full = (15, 15, 15, 15)
-        canonical_form = oracle._canonical_form
+        analyze_rows = oracle._analyze_rows
+        # certified as the zero matrix is: no core, every vertex a sink
         monkeypatch.setattr(
-            oracle, "_canonical_form", lambda rows, n, k: object() if rows == full else canonical_form(rows, n, k)
+            oracle, "_analyze_rows", lambda rows, n: analyze_rows((0,) * n, n) if rows == full else analyze_rows(rows, n)
         )
         report = census(4, 2)
         assert not report.characterization_ok
@@ -620,10 +623,8 @@ class TestStructuralRejection:
 
     @staticmethod
     def reject(monkeypatch, rejected):
-        analyze = structure._analyze_rows
-        monkeypatch.setattr(
-            structure, "_analyze_rows", lambda rows, n: None if rows == rejected else analyze(rows, n)
-        )
+        analyze = oracle._analyze_rows
+        monkeypatch.setattr(oracle, "_analyze_rows", lambda rows, n: None if rows == rejected else analyze(rows, n))
 
     def test_member_is_one_mismatch(self, monkeypatch):
         self.reject(monkeypatch, (0, 0))
@@ -716,6 +717,44 @@ class TestCensus:
             census(0, 2)
 
 
+# Exponent sets of one censuses call per order: every golden k of orders 3 and 4, in an order
+# other than ascending, and a repeated k.
+CENSUS_SETS = {
+    1: (7, 2, 5, 3),
+    2: (3, 2, 7, 4, 6, 5),
+    3: (7, 2, 6, 3, 5, 4, 2),
+    4: (720721, 2, 61, 3, 13, 4, 721, 5, 7, 6),
+    5: (3, 2),
+}
+
+
+class TestCensuses:
+    @pytest.mark.parametrize("n", sorted(CENSUS_SETS))
+    def test_each_report_equals_the_one_exponent_census(self, n):
+        ks = CENSUS_SETS[n]
+        reports = censuses(n, ks)
+        alone = [census(n, k) for k in ks]
+        assert [(r.k, serialize_census(r), r.argmax) for r in reports] == [
+            (k, serialize_census(r), r.argmax) for k, r in zip(ks, alone)
+        ]
+        assert reports == alone
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_structural_pass_whatever_the_exponents(self, monkeypatch, n):
+        calls = []
+        analyze_rows = oracle._analyze_rows
+        monkeypatch.setattr(oracle, "_analyze_rows", lambda rows, n: calls.append(rows) or analyze_rows(rows, n))
+        for ks in [(2,), (2, 3, 4, 5, 6, 7), (7, 7, 720721)]:
+            calls.clear()
+            assert len(censuses(n, ks)) == len(ks)
+            assert len(calls) == 1 << (n * n)
+
+    def test_order_five_runs_each_exponent_alone(self, monkeypatch):
+        # no structural pass over every index: each k's members are certified as they stream
+        monkeypatch.setattr(oracle, "_analyze_rows", None)
+        assert [r.total_k_idempotent for r in censuses(5, (2, 6))] == [5682, 5706]
+
+
 class TestWalkAgreement:
     def test_seeded_sample(self):
         # saturating powers agree with capped walk counts on random digraphs
@@ -745,6 +784,9 @@ ARGUMENT_RULES = {
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
     "census order above limit": lambda: census(6, 2),
+    "censuses no exponent": lambda: censuses(3, ()),
+    "censuses one bad k among good ones": lambda: censuses(3, (2, 3, 1, 4)),
+    "censuses order above limit": lambda: censuses(6, (2, 3)),
     "structural_count negative order": lambda: structural_count(-1, 2),
     "structural_count k": lambda: structural_count(3, 1),
     "gamma order 0": lambda: gamma(0),

@@ -36,7 +36,9 @@ POWER_ROOTS = (oracle._member_blocks, structure.power_failure, matrix01.sat_powe
 # The structural route certifies the block form and never forms a power.
 STRUCTURAL_ROOTS = (structure._canonical_form, structure.idempotency_index)
 # What the power route must never reach: the structural certification and its users.
-STRUCTURAL = {"_analyze_rows", "_canonical_form", "_build_rows", "_corner_rows", "decompose", "idempotency_index"}
+STRUCTURAL = {
+    "_analyze_rows", "_canonical_form", "_relabel_form", "_build_rows", "_corner_rows", "decompose", "idempotency_index"
+}
 # Helpers both routes may call, each because it decides nothing about membership.
 ALLOWED_SHARED = {
     "_require_k": "rejects k < 2 before any work; the same argument rule for every entry point",
@@ -98,7 +100,7 @@ def test_the_walk_sees_each_route():
     power, structural = reached(*POWER_ROOTS), reached(*STRUCTURAL_ROOTS)
     # calls through a lambda passed to _power, and a method of a named class
     assert {"_excluded", "_lane_mul", "_sat_mul_rows", "_power", "_require_k", "StructureError.__init__"} <= power
-    assert {"_analyze_rows", "_corner_rows", "_relabel_rows", "ProductNotZeroOne.__init__"} <= structural
+    assert {"_analyze_rows", "_relabel_form", "_corner_rows", "_relabel_rows", "ProductNotZeroOne.__init__"} <= structural
 
 
 def planted(module, callee: str):
