@@ -373,25 +373,27 @@ def censuses(n: int, ks) -> list[CensusReport]:
     Every argument is checked before any work. Up to order 4 one ``map``
     of :func:`_analyze_rows` runs over every index in index order, and
     :func:`_relabel_form` once per certified index against the lcm of
-    k - 1 over ``ks``. A form is accepted at k when its period, the lcm
-    of its cycle lengths, divides k - 1.
+    k - 1 over ``ks``, keeping the forms it returns. A form is accepted at
+    k when its period, the lcm of its cycle lengths, divides k - 1: at
+    once for every kept form when k - 1 is that lcm, as for one exponent.
     """
     ks = tuple(ks)
-    if n < 1:
-        raise ArgumentRangeError("census requires order >= 1")
+    if not 1 <= n <= ORDER_LIMIT:
+        raise ArgumentRangeError(f"census order must be between 1 and {ORDER_LIMIT}")
     if not ks:
         raise ArgumentRangeError("census requires at least one exponent")
     for k in ks:
-        _check_args(n, k)
+        _require_k(k)
     if n > FULL_WALK_LIMIT:
         return [_sweep(n, k, None, {}) for k in ks]
     candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
     analyses = list(map(_analyze_rows, candidates, repeat(n)))
     bound = lcm(*(k - 1 for k in ks))
     rows = compress(product(range(1 << n), repeat=n), analyses)  # each certified index's rows, reversed
-    forms = {x: _relabel_form(r[::-1], n, analyses[x], bound) for x, r in zip(compress(count(), analyses), rows)}
+    forms = {x: f for x, r in zip(compress(count(), analyses), rows) if (f := _relabel_form(r[::-1], n, analyses[x], bound))}
     built: dict = {}  # the rows composed from each distinct block data
-    return [_sweep(n, k, {x: f for x, f in forms.items() if f and (k - 1) % lcm(*f[0][1]) == 0}, built) for k in ks]
+    by_k = (forms if k - 1 == bound else {x: f for x, f in forms.items() if (k - 1) % lcm(*f[0][1]) == 0} for k in ks)
+    return [_sweep(n, k, accepted, built) for k, accepted in zip(ks, by_k)]
 
 
 def census(n: int, k: int) -> CensusReport:

@@ -193,48 +193,49 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
       source row's sink bits are the saturating OR of the sink bits of
       c's cycle predecessor over its core bits c, with no sink hit twice.
 
-    Both rules are checked in the original labels. One pass over the rows
-    finds the core and the sinks (the zero rows), then a walk along the
-    core bits checks that each core row is one cycle successor plus sink
-    bits (nothing points into a source) and files the sink bits under the
-    successor, as the rows of P^T Y. Only the core points whose
-    predecessor has sink bits are filed, and :func:`_corner_rows` reads
-    the X rows (the sources are the bits of ``has_out ^ core``) masked to
-    them; with none filed the corner is zero and is not built. Nothing is
-    relabeled before a rejection.
+    Both rules are checked in the original labels. The first pass builds
+    only the in-arc and out-arc masks, so a core that is no permutation is
+    rejected before any list or dict is built: a walk along the core bits
+    checks that each core row is one cycle successor plus sink bits
+    (nothing points into a source) and files the sink bits under the
+    successor, as the rows of P^T Y. Only the core points whose predecessor
+    has sink bits are filed, and :func:`_corner_rows` reads the X rows (the
+    sources are the bits of ``has_out ^ core``) masked to them; with none
+    filed the corner is zero and is not built. Sinks are listed on acceptance.
 
     Sources and sinks are ascending; the orbits are sorted by (length,
     smallest vertex), each starting at its smallest vertex and following
-    arcs. Together that is the canonical order into which
-    :func:`_canonical_form` relabels an accepted matrix, once.
+    arcs back to it. Together that is the canonical order into which
+    :func:`_relabel_form` relabels an accepted matrix, once.
     """
     has_in = 0
     has_out = 0
-    sinks: list[int] = []
-    for v, row in enumerate(rows):
+    bit = 1
+    for row in rows:
         if row:
             has_in |= row
-            has_out |= 1 << v
-        else:
-            sinks.append(v)
+            has_out |= bit
+        bit <<= 1
     core = has_in & has_out
     image = 0
-    live = 0  # the filed core points, whose predecessor has sink bits
-    through = {}
+    live = 0  # the filed core points, whose predecessor has sink bits; through exists once it is nonzero
     bits = core
     while bits:
-        low = bits & -bits
-        bits ^= low
-        row = rows[low.bit_length() - 1]
+        v = bits.bit_length() - 1
+        bits ^= 1 << v
+        row = rows[v]
         succ = row & core
         if succ.bit_count() != 1:
             return None
         image |= succ
         if row != succ:
+            if not live:
+                through = {}
             through[succ.bit_length() - 1] = row ^ succ
             live |= succ
     if image != core:
         return None
+    outside = ~core
     sources: list[int] = []
     bits = has_out ^ core
     while bits:
@@ -248,15 +249,24 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
         except ProductNotZeroOne:
             return None
         for u, row in zip(sources, corner):
-            if rows[u] & ~core != row:
+            if rows[u] & outside != row:
                 return None
+    sinks: list[int] = []
+    bits = ~has_out & ((1 << n) - 1)  # the zero rows
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        sinks.append(low.bit_length() - 1)
 
     orbits: list[tuple[int, ...]] = []
     unvisited = core
     while unvisited:
-        cur = (unvisited & -unvisited).bit_length() - 1
-        orbit = []
-        while (unvisited >> cur) & 1:
+        low = unvisited & -unvisited
+        unvisited ^= low
+        start = low.bit_length() - 1
+        orbit = [start]
+        cur = (rows[start] & core).bit_length() - 1
+        while cur != start:
             unvisited ^= 1 << cur
             orbit.append(cur)
             cur = (rows[cur] & core).bit_length() - 1
@@ -365,11 +375,11 @@ def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
     """Relabel a matrix by its :func:`_analyze_rows` result; None when that is None or a
     cycle length does not divide ``bound`` (k - 1, or a multiple shared by several k).
 
-    Moves all n rows, and every bit in them, into the order sources,
-    orbits, sinks by one :func:`_relabel_rows` call. The X and Y blocks
-    are read off the canonical rows by shifts and masks: a source row
-    holds its X row above bit r, a cycle row its one core bit below bit
-    r + m and its Y row above it.
+    One pass over the orbits checks their lengths against ``bound`` and
+    lists them and the order sources, orbits, sinks, into which one
+    :func:`_relabel_rows` call moves all n rows and every bit in them. The
+    blocks are read off by shifts and masks: a source row holds its X row
+    above bit r (no source, no X read), a cycle row Y above bit r + m.
 
     Returns (blocks, canonical_rows, to_canonical): ``blocks`` is
     (r, cycle_lengths, s, X, Y), the arguments of :func:`_build_rows`,
@@ -384,9 +394,12 @@ def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
     sources, orbits, sinks = analysis
     r = len(sources)
     order = list(sources)
+    lengths = []
     for orbit in orbits:
-        if bound % len(orbit):
+        length = len(orbit)
+        if bound % length:
             return None
+        lengths.append(length)
         order += orbit
     shift = len(order)
     order += sinks
@@ -395,9 +408,9 @@ def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
         to_canonical[v] = pos
     canonical_rows = tuple(_relabel_rows(map(rows.__getitem__, order), to_canonical))
     cycle_mask = (1 << (shift - r)) - 1
-    x_rows = tuple([(row >> r) & cycle_mask for row in canonical_rows[:r]])
+    x_rows = tuple([(row >> r) & cycle_mask for row in canonical_rows[:r]]) if r else ()
     y_rows = tuple([row >> shift for row in canonical_rows[r:shift]])
-    return (r, tuple(map(len, orbits)), n - shift, x_rows, y_rows), canonical_rows, to_canonical
+    return (r, tuple(lengths), n - shift, x_rows, y_rows), canonical_rows, to_canonical
 
 
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:

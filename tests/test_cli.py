@@ -240,6 +240,13 @@ class TestCensusCommand:
         assert code == 0
         assert "total_k_idempotent=5682\n" in out
 
+    @pytest.mark.parametrize("order", ["0", "6"])
+    def test_order_out_of_range_names_the_census_range(self, order):
+        # one check and one message below and above: orders 1 to 5
+        code, out, err = run_cli_bytes(["census", "--n", order, "--k", "2"], b"")
+        assert (code, out) == (2, "")
+        assert "1 and 5" in err
+
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self):

@@ -31,6 +31,7 @@ from kidempotent.structure import (
     _analyze_rows,
     _canonical_form,
     _check_header,
+    _relabel_form,
     ArgumentRangeError,
     CanonicalDecomposition,
     CycleLengthInvalid,
@@ -316,9 +317,28 @@ class TestDigraphReference:
             assert d.original_matrix() == a
 
     def test_exhaustive_small(self):
-        for n in (0, 1, 2, 3):
+        # order 4 is all 65,536 matrices, so every rejection path of the walk is met
+        for n in (0, 1, 2, 3, 4):
             for a in all_matrices(n):
                 assert certification(a) == digraph_certification(a)
+
+    @pytest.mark.parametrize("n, flips", [(100, 4), (400, 1)])
+    def test_seeded_large_members_and_corner_flips(self, n, flips):
+        # k - 1 = lcm(1..16). Each member is certified and relabeled; members are drawn
+        # until ``flips`` of them have a corner, and one corner bit of each is flipped.
+        rng = random.Random(n)
+        while flips:
+            a = random_decomposition(rng, n, 720721).original_matrix()
+            analysis = _analyze_rows(a.rows, n)
+            assert certification(a) == digraph_certification(a)
+            sources, orbits, sinks = analysis
+            order = Permutation((*sources, *(v for orbit in orbits for v in orbit), *sinks))
+            assert _relabel_form(a.rows, n, analysis, 720720)[1] == permute(a, order).rows
+            if sources and sinks:
+                u, w = rng.choice(sources), rng.choice(sinks)
+                b = Matrix01(n, a.rows[:u] + (a.rows[u] ^ (1 << w),) + a.rows[u + 1 :])
+                assert certification(b) == digraph_certification(b)
+                flips -= 1
 
     @pytest.mark.parametrize(
         "lists",
@@ -348,7 +368,7 @@ class TestDigraphReference:
         check_analysis_order(a)
 
     def test_exhaustive_order(self):
-        for n in (0, 1, 2, 3):
+        for n in (0, 1, 2, 3, 4):
             for a in all_matrices(n):
                 check_analysis_order(a)
 
