@@ -131,6 +131,8 @@ class Permutation:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
+        if not {*map(type, self.mapping)} <= {int}:  # 1.0 and True would sort equal to 1
+            raise ValueError("mapping entries must be of type int")
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError("mapping is not a bijection on 0..n-1")
 
@@ -158,18 +160,21 @@ def permute(a: Matrix01, sigma: Permutation) -> Matrix01:
     encodes ``sigma``. Preserves the nonzero count and the row-sum
     multiset.
     """
-    return Matrix01(a.n, _permute_rows(a.rows, sigma))
-
-
-def _permute_rows(rows: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
-    """The rows of :func:`permute`, without building a matrix."""
-    mp = sigma.mapping
-    if len(mp) != len(rows):
+    if len(sigma) != a.n:
         raise ValueError("permutation order differs from matrix order")
-    inv = [0] * len(mp)
-    for j, t in enumerate(mp):
-        inv[t] = j
-    return tuple(_relabel_rows(map(rows.__getitem__, mp), inv))
+    return Matrix01(a.n, _reorder_rows(a.rows, sigma.mapping)[0])
+
+
+def _reorder_rows(rows: tuple[int, ...], order: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The rows of ``permute`` by ``Permutation(order)``, with ``position``, the inverse of ``order``.
+
+    Row i is row ``order[i]`` with each set bit v moved to bit ``position[v]``. The one relabel
+    entry: :func:`permute` and both relabels of the structural route call it.
+    """
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    return tuple(_relabel_rows(map(rows.__getitem__, order), position)), position
 
 
 # A row with more than 8 + n // 12 set bits is dense. The dense rows of

@@ -47,9 +47,8 @@ from .matrix01 import (
     Matrix01,
     Permutation,
     _parse_decimal,
-    _permute_rows,
     _read_rows,
-    _relabel_rows,
+    _reorder_rows,
     _sat_power_rows,
     _write_rows,
     pack_row,
@@ -181,8 +180,10 @@ def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[in
 def _analyze_rows(rows: tuple[int, ...], n: int):
     """k-independent structural certification, in the original labels.
 
-    Returns (sources, orbits, sinks), or None when the matrix cannot be
-    k-idempotent for any k. The core is the set of vertices with both an
+    Returns (order, r, cycle_lengths), or None when the matrix cannot be
+    k-idempotent for any k: ``order`` lists the n vertices in canonical
+    order, r of them sources, and ``cycle_lengths`` the lengths of the
+    orbits that follow them. The core is the set of vertices with both an
     in-arc and an out-arc; the other vertices are sources (out-arcs only)
     and sinks (isolated ones too), so the core-to-core arcs are exactly
     P. Two rules remain:
@@ -201,12 +202,12 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     successor, as the rows of P^T Y. Only the core points whose predecessor
     has sink bits are filed, and :func:`_corner_rows` reads the X rows (the
     sources are the bits of ``has_out ^ core``) masked to them; with none
-    filed the corner is zero and is not built. Sinks are listed on acceptance.
+    filed the corner is zero and is not built. Orbits and sinks are listed on acceptance.
 
-    Sources and sinks are ascending; the orbits are sorted by (length,
-    smallest vertex), each starting at its smallest vertex and following
-    arcs back to it. Together that is the canonical order into which
-    :func:`_relabel_form` relabels an accepted matrix, once.
+    ``order`` holds the sources ascending, then the orbits sorted by
+    (length, smallest vertex), each starting at its smallest vertex and
+    following arcs, then the sinks ascending: the canonical order into
+    which :func:`_relabel_form` relabels an accepted matrix, once.
     """
     has_in = 0
     has_out = 0
@@ -236,29 +237,24 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     if image != core:
         return None
     outside = ~core
-    sources: list[int] = []
+    order: list[int] = []  # the sources first
     bits = has_out ^ core
     while bits:
         low = bits & -bits
         bits ^= low
-        sources.append(low.bit_length() - 1)
-    if sources:
+        order.append(low.bit_length() - 1)
+    if order:
         try:
             # the witness is not reported, so its column offset is moot
-            corner = _corner_rows([rows[u] & live for u in sources], through, 0) if live else repeat(0)
+            corner = _corner_rows([rows[u] & live for u in order], through, 0) if live else repeat(0)
         except ProductNotZeroOne:
             return None
-        for u, row in zip(sources, corner):
+        for u, row in zip(order, corner):
             if rows[u] & outside != row:
                 return None
-    sinks: list[int] = []
-    bits = ~has_out & ((1 << n) - 1)  # the zero rows
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        sinks.append(low.bit_length() - 1)
+    r = len(order)
 
-    orbits: list[tuple[int, ...]] = []
+    orbits: list[list[int]] = []
     unvisited = core
     while unvisited:
         low = unvisited & -unvisited
@@ -270,9 +266,16 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
             unvisited ^= 1 << cur
             orbit.append(cur)
             cur = (rows[cur] & core).bit_length() - 1
-        orbits.append(tuple(orbit))
+        orbits.append(orbit)
     orbits.sort(key=len)  # stable: the orbits were found by smallest vertex
-    return sources, orbits, sinks
+    for orbit in orbits:
+        order += orbit
+    bits = ~has_out & ((1 << n) - 1)  # the zero rows, the sinks
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        order.append(low.bit_length() - 1)
+    return order, r, tuple(map(len, orbits))
 
 
 def _check_header(n: int, r: int, cycle_lengths: Sequence[int], s: int, sigma_length: int, error: type) -> None:
@@ -304,9 +307,10 @@ class CanonicalDecomposition:
 
     The block fields are stored as tuples, whatever sequences they are
     given as, so equal blocks compare and hash equal. An ill-shaped
-    instance is refused when built (``ValueError``): the sizes must add
-    up to n, sigma must have n entries, X must be r x m and Y m x s. The
-    k rules are checked when rows are composed.
+    instance is refused when built (``ValueError``): n, k, the sizes and
+    the cycle lengths must be of type int, the sizes must add up to n,
+    sigma must have n entries, X must be r x m and Y m x s. The k rules
+    are checked when rows are composed.
     """
 
     n: int
@@ -322,6 +326,8 @@ class CanonicalDecomposition:
         object.__setattr__(self, "cycle_lengths", tuple(self.cycle_lengths))
         object.__setattr__(self, "source_to_cycle", tuple(self.source_to_cycle))
         object.__setattr__(self, "cycle_to_sink", tuple(self.cycle_to_sink))
+        if not {*map(type, (self.n, self.k, self.source_count, self.sink_count, *self.cycle_lengths))} <= {int}:
+            raise ValueError("n, k, block sizes and cycle lengths must be of type int")
         r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
         x_rows, y_rows = self.source_to_cycle, self.cycle_to_sink
         _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma), ValueError)
@@ -362,7 +368,7 @@ class CanonicalDecomposition:
     def original_matrix(self) -> Matrix01:
         """The matrix this decomposition came from: the canonical rows relabeled by sigma, after
         the corner check, so a :class:`ProductNotZeroOne` witness is in canonical coordinates."""
-        rows = _permute_rows(self._canonical_rows(), self.sigma)
+        rows = _reorder_rows(self._canonical_rows(), self.sigma.mapping)[0]
         return Matrix01(len(rows), rows)
 
 
@@ -372,45 +378,30 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
 
 
 def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
-    """Relabel a matrix by its :func:`_analyze_rows` result; None when that is None or a
-    cycle length does not divide ``bound`` (k - 1, or a multiple shared by several k).
+    """Relabel a matrix by its :func:`_analyze_rows` result; None when that is None or its
+    period, the lcm of its cycle lengths, does not divide ``bound`` (k - 1, or a multiple
+    shared by several k).
 
-    One pass over the orbits checks their lengths against ``bound`` and
-    lists them and the order sources, orbits, sinks, into which one
-    :func:`_relabel_rows` call moves all n rows and every bit in them. The
-    blocks are read off by shifts and masks: a source row holds its X row
-    above bit r (no source, no X read), a cycle row Y above bit r + m.
+    One :func:`matrix01._reorder_rows` call moves all n rows, and every
+    bit in them, into the canonical order. The blocks are read off by
+    shifts and masks: a source row holds its X row above bit r (no
+    source, no X read), a cycle row Y above bit r + m.
 
     Returns (blocks, canonical_rows, to_canonical): ``blocks`` is
     (r, cycle_lengths, s, X, Y), the arguments of :func:`_build_rows`,
     and ``to_canonical[v]`` is the canonical position of the original
-    index v. Sources and sinks are the non-core vertices, each listed once,
-    and the orbits cover the core once, so ``to_canonical`` is a bijection
-    and the canonical rows are those of ``permute(A, Permutation(order))``,
-    with ``order`` the original indices listed in canonical order.
+    index v, the inverse of the order. The canonical rows are those of
+    ``permute(A, Permutation(order))``.
     """
-    if analysis is None:
+    if analysis is None or bound % lcm(*analysis[2]):
         return None
-    sources, orbits, sinks = analysis
-    r = len(sources)
-    order = list(sources)
-    lengths = []
-    for orbit in orbits:
-        length = len(orbit)
-        if bound % length:
-            return None
-        lengths.append(length)
-        order += orbit
-    shift = len(order)
-    order += sinks
-    to_canonical = [0] * n
-    for pos, v in enumerate(order):
-        to_canonical[v] = pos
-    canonical_rows = tuple(_relabel_rows(map(rows.__getitem__, order), to_canonical))
+    order, r, lengths = analysis
+    canonical_rows, to_canonical = _reorder_rows(rows, order)
+    shift = r + sum(lengths)
     cycle_mask = (1 << (shift - r)) - 1
     x_rows = tuple([(row >> r) & cycle_mask for row in canonical_rows[:r]]) if r else ()
     y_rows = tuple([row >> shift for row in canonical_rows[r:shift]])
-    return (r, tuple(lengths), n - shift, x_rows, y_rows), canonical_rows, to_canonical
+    return (r, lengths, n - shift, x_rows, y_rows), canonical_rows, to_canonical
 
 
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
@@ -439,16 +430,13 @@ def idempotency_index(a: Matrix01) -> int | None:
     The structure fixes the answer: when the structural certification
     passes, the valid k are exactly those with every cycle length
     dividing k-1, so the minimum is lcm(cycle lengths) + 1 (empty lcm
-    is 1). When it fails, no k works. Only the certification and the
-    orbit walk run; the X and Y blocks are never gathered.
+    is 1), read off the certification's ``cycle_lengths``. When it fails,
+    no k works. Nothing is relabeled and no block is gathered.
     """
-    st = _analyze_rows(a.rows, a.n)
-    if st is None:
+    analysis = _analyze_rows(a.rows, a.n)
+    if analysis is None:
         return None
-    result = 1
-    for orbit in st[1]:
-        result = lcm(result, len(orbit))
-    return result + 1
+    return lcm(*analysis[2]) + 1
 
 
 def _build_rows(

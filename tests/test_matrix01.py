@@ -23,6 +23,7 @@ from kidempotent.matrix01 import (
     _power,
     _read_rows,
     _relabel_rows,
+    _reorder_rows,
     _sat_mul_rows,
     _sat_power_rows,
     _write_rows,
@@ -101,8 +102,18 @@ class TestPermutation:
         assert permute(a, Permutation.identity(2)) == a
 
     def test_permute_order_mismatch(self):
-        with pytest.raises(ValueError):
-            permute(Matrix01.zero(2), Permutation.identity(3))
+        for a, sigma in (Matrix01.zero(2), Permutation.identity(3)), (Matrix01.identity(3), Permutation((1, 0))):
+            with pytest.raises(ValueError) as raised:
+                permute(a, sigma)
+            assert str(raised.value) == "permutation order differs from matrix order"
+
+    @pytest.mark.parametrize("mapping", [(1.0, 0.0), (True, False)], ids=["float", "bool"])
+    def test_rejects_entries_not_of_type_int(self, mapping):
+        # both sort equal to (0, 1), but a decomposition would write its sigma
+        # as "1.0,0.0" or "True,False", which its parser refuses
+        with pytest.raises(ValueError) as raised:
+            Permutation(mapping)
+        assert str(raised.value) == "mapping entries must be of type int"
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -228,6 +239,26 @@ class TestRelabelKernel:
             with kernel_joins() as joins:
                 assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
             assert len(joins) == (2 if dense else 0)  # one transpose, or none
+
+
+class TestReorderRows:
+    """The one relabel entry: rows gathered by an order, bits moved by its inverse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_permute_and_reference(self, data):
+        # widths either side of the kernel's dense threshold, which first transposes a full row at 9
+        n = data.draw(st.sampled_from([0, 1, 8, 9, 64, 400]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        order = list(range(n))
+        rng.shuffle(order)
+        # densities from empty to full, so both branches of the kernel occur
+        rows = tuple(sum(1 << v for v in rng.sample(range(n), rng.randint(0, n) >> rng.randint(0, 3))) for _ in range(n))
+        moved, position = _reorder_rows(rows, order)
+        assert [position[v] for v in order] == list(range(n))
+        assert sorted(position) == list(range(n))
+        assert moved == tuple(relabel_reference(rows[v], position) for v in order)
+        assert moved == permute(Matrix01(n, rows), Permutation(tuple(order))).rows
 
 
 def plain_power(rows, m):

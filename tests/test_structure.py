@@ -250,12 +250,26 @@ def digraph_certification(a):
     return sorted(sources), {frozenset(cycle) for cycle in cycles}, sorted(sinks)
 
 
+def analysis_slices(result):
+    """An accepted ``_analyze_rows`` result, (order, r, cycle_lengths), cut into (sources, orbits, sinks).
+
+    ``order`` is sliced by r and then by each cycle length; the orbits are tuples.
+    """
+    order, r, cycle_lengths = result
+    orbits = []
+    start = r
+    for length in cycle_lengths:
+        orbits.append(tuple(order[start : start + length]))
+        start += length
+    return order[:r], orbits, order[start:]
+
+
 def certification(a):
     """``_analyze_rows`` in the shape of :func:`digraph_certification`."""
     result = _analyze_rows(a.rows, a.n)
     if result is None:
         return None
-    sources, orbits, sinks = result
+    sources, orbits, sinks = analysis_slices(result)
     return sources, {frozenset(orbit) for orbit in orbits}, sinks
 
 
@@ -331,9 +345,9 @@ class TestDigraphReference:
             a = random_decomposition(rng, n, 720721).original_matrix()
             analysis = _analyze_rows(a.rows, n)
             assert certification(a) == digraph_certification(a)
-            sources, orbits, sinks = analysis
-            order = Permutation((*sources, *(v for orbit in orbits for v in orbit), *sinks))
-            assert _relabel_form(a.rows, n, analysis, 720720)[1] == permute(a, order).rows
+            order, r, cycle_lengths = analysis
+            assert _relabel_form(a.rows, n, analysis, 720720)[1] == permute(a, Permutation(order)).rows
+            sources, sinks = order[:r], order[r + sum(cycle_lengths) :]
             if sources and sinks:
                 u, w = rng.choice(sources), rng.choice(sinks)
                 b = Matrix01(n, a.rows[:u] + (a.rows[u] ^ (1 << w),) + a.rows[u + 1 :])
@@ -377,10 +391,10 @@ class TestDigraphReference:
         [
             # source 0 -> loop 1, and 0 -> sink 2 with no Y to carry it
             ([[0, 1, 1], [0, 1, 0], [0, 0, 0]], None),
-            ([[0, 1, 0], [0, 1, 0], [0, 0, 0]], ([0], [(1,)], [2])),
+            ([[0, 1, 0], [0, 1, 0], [0, 0, 0]], ([0, 1, 2], 1, (1,))),
             # source 0 -> 2-cycle 1 <-> 2, and 0 -> sink 3 with Y = 0
             ([[0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], None),
-            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], ([0], [(1, 2)], [3])),
+            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], ([0, 1, 2, 3], 1, (2,))),
             # no core at all: source 0 -> sink 3
             ([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], None),
         ],
@@ -405,7 +419,7 @@ def check_analysis_order(a):
     result = _analyze_rows(a.rows, a.n)
     if result is None:
         return
-    sources, orbits, sinks = result
+    sources, orbits, sinks = analysis_slices(result)
     assert sources == sorted(sources)
     assert sinks == sorted(sinks)
     for orbit in orbits:
@@ -576,16 +590,14 @@ def two_gather_blocks(rows, n):
     Each source row cut to the core, and each cycle row whole, is
     relabeled into canonical order and shifted down to its block.
     """
-    sources, orbits, sinks = _analyze_rows(rows, n)
-    cycle_order = [v for orbit in orbits for v in orbit]
+    order, r, cycle_lengths = _analyze_rows(rows, n)
+    shift = r + sum(cycle_lengths)
     to_canonical = [0] * n
-    for pos, v in enumerate([*sources, *cycle_order, *sinks]):
+    for pos, v in enumerate(order):
         to_canonical[v] = pos
-    core = sum(1 << v for v in cycle_order)
-    r = len(sources)
-    shift = r + len(cycle_order)
-    x_rows = tuple(relabel_bits(rows[u] & core, to_canonical) >> r for u in sources)
-    y_rows = tuple(relabel_bits(rows[v], to_canonical) >> shift for v in cycle_order)
+    core = sum(1 << v for v in order[r:shift])
+    x_rows = tuple(relabel_bits(rows[u] & core, to_canonical) >> r for u in order[:r])
+    y_rows = tuple(relabel_bits(rows[v], to_canonical) >> shift for v in order[r:shift])
     return x_rows, y_rows
 
 
@@ -597,8 +609,9 @@ def check_canonical_form(a, k):
         return
     (r, lengths, s, x_rows, y_rows), canonical_rows, to_canonical = form
     assert sorted(to_canonical) == list(range(a.n))
-    sources, orbits, sinks = _analyze_rows(a.rows, a.n)
-    order = (*sources, *(v for orbit in orbits for v in orbit), *sinks)
+    analysis = _analyze_rows(a.rows, a.n)
+    order = analysis[0]
+    sources, orbits, sinks = analysis_slices(analysis)
     assert [to_canonical[v] for v in order] == list(range(a.n))
     assert canonical_rows == permute(a, Permutation(order)).rows
     assert (r, lengths, s) == (len(sources), tuple(map(len, orbits)), len(sinks))
@@ -884,6 +897,19 @@ class TestSerialization:
             with pytest.raises(ValueError) as raised:
                 build()
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 3.0), ("k", 2.0), ("k", True), ("source_count", True), ("sink_count", True), ("cycle_lengths", (True,))],
+        ids=["n-float", "k-float", "k-bool", "r-bool", "s-bool", "cycle-length-bool"],
+    )
+    def test_serializes_only_int_fields(self, field, value):
+        # each equals the int it stands for, so the sizes still add up, but it would
+        # be written as "3.0" or "True", which parse_decomposition refuses
+        d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
+        with pytest.raises(ValueError) as raised:
+            replace(d, **{field: value})
+        assert str(raised.value) == "n, k, block sizes and cycle lengths must be of type int"
 
 
 class TestParseMessages:
