@@ -5,9 +5,11 @@ Membership (A^k = A) is decided in the saturating semiring {0, 1, 2+},
 whose powers agree with the capped exact integer powers (entry (i, j) of
 A^m counts the walks of length m from i to j). Structure is certified
 independently by ``decompose``: sources, cycles whose lengths divide
-k - 1, sinks and the corner-block identity. The census runs both routes
-over all 2^(n^2) matrices and reports any disagreement, along with the
-density maximum and the strictly-upper-triangular scan.
+k - 1, sinks and the corner-block identity. The census decides all
+2^(n^2) matrices by the power route, certifies and rebuilds each member
+by the structural route, and closes the check by counting the canonical
+forms, reporting any disagreement, along with the density maximum and
+the strictly-upper-triangular scan.
 """
 
 from kidempotent import (

@@ -9,9 +9,10 @@ package computes with those facts and verifies them exhaustively at
 small orders, by two independent routes: the saturating power
 (``matrix01.sat_power``, with ``exact_power`` as its exact integer
 reference) and the structural certification (``structure.decompose``).
-``extremal`` builds the densest members and ``oracle.census`` runs
-both routes over every matrix of an order. The names that live only in
-``extremal``, and the submodule itself, are loaded on first access.
+``extremal`` builds the densest members; ``oracle.census`` decides every
+matrix of an order by power, certifies each member by structure and
+closes the check by a count. The names that live only in ``extremal``,
+and the submodule itself, are loaded on first access.
 """
 
 import importlib

@@ -16,38 +16,36 @@ up to 2**16 consecutive indices, one per bit lane
 whose fixed index bits already force A^k != A.
 That search, :func:`_member_blocks`, yields the member indices in
 ascending order, and both the public stream and the census read them
-from it, once per exponent. :func:`censuses` takes several exponents of
-one order. Up to order 4 they share one k-free structural pass, a
-``map`` of the certification over every index and one relabel of each
-certified matrix, and each k's accepted set is compared with its member
-set. At order 5 the structural route runs on each k's members only, and
-the member count must also equal :func:`structural_count`, the number of
-matrices of the canonical form, so the two sets are equal without
-visiting a non-member. Each member's canonical rows are compared with the
-rows composed from its X and Y blocks, built once per distinct block data.
-The density shape of each argmax member is decided on those blocks; no
-matrix object is built except for the reported argmax and mismatches,
-and no permutation or decomposition object at all. The README's
-performance notes give the timings.
+from it, once per exponent. At every order the census runs the
+structural route on the members only: each is certified and relabeled,
+and its canonical rows are compared with the rows composed from its X
+and Y blocks, built once per distinct block data and shared by the
+exponents of one :func:`censuses` call. Every member then lies in the
+canonical set, and the member count must equal :func:`structural_count`,
+the number of matrices of the canonical form, so the two sets are equal
+without visiting a non-member. The census therefore never asks the
+structural route about a non-member; the test suite does, for every
+matrix of order 0 to 4 at every golden exponent. The density shape of
+each argmax member is decided on its blocks; no matrix object is built
+except for the reported argmax and mismatches, and no permutation or
+decomposition object at all. The README's performance notes give the
+timings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, product, repeat
-from math import comb, factorial, lcm
-from operator import itemgetter
+from itertools import repeat
+from math import comb, factorial
 from typing import Iterator
 
 from .matrix01 import Matrix01, _lane_flags, _sat_power_rows, to_text
 from .structure import (
     ArgumentRangeError,
-    _analyze_rows,
     _build_rows,
     _canonical_form,
     _fits_maximum_form,
-    _relabel_form,
     _require_k,
     gamma,
 )
@@ -63,9 +61,6 @@ __all__ = [
 ]
 
 ORDER_LIMIT = 5
-# Up to this order the census certifies every index by the structural
-# route; above it only the members, and the member count closes the check.
-FULL_WALK_LIMIT = 4
 
 # Leaves of the pruned search hold up to 2**_LANE_BITS lanes, and nodes
 # narrower than a leaf are not tested. Full order-5 sweeps took 0.050 s at
@@ -79,15 +74,15 @@ _LANE_BITS = 16
 
 def _check_args(n: int, k: int) -> None:
     _require_k(k)
-    if not 0 <= n <= ORDER_LIMIT:
+    if not isinstance(n, int) or not 0 <= n <= ORDER_LIMIT:
         raise ArgumentRangeError(f"order must be between 0 and {ORDER_LIMIT}")
 
 
 def matrix_from_index(n: int, index: int) -> Matrix01:
     """Decode an enumeration index; bit j of the index is entry (j div n, j mod n)."""
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise ArgumentRangeError("order must be >= 0")
-    if not 0 <= index < 1 << (n * n):
+    if not isinstance(index, int) or not 0 <= index < 1 << (n * n):
         raise ArgumentRangeError("index out of range")
     return Matrix01(n, _index_rows(n, index))
 
@@ -218,7 +213,7 @@ def enumerate_k_idempotent(
     """
     _check_args(n, k)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
-    if not 0 <= start <= stop <= 1 << (n * n):
+    if not (isinstance(start, int) and isinstance(stop, int) and 0 <= start <= stop <= 1 << (n * n)):
         raise ArgumentRangeError("bad index range")
     yield from map(Matrix01, repeat(n), map(_index_rows, repeat(n), _member_blocks(n, k, start, stop)))
 
@@ -242,7 +237,7 @@ def structural_count(n: int, k: int) -> int:
     third, independent route to the member count.
     """
     _require_k(k)
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise ArgumentRangeError("order must be >= 0")
     lengths = [d for d in range(1, n + 1) if (k - 1) % d == 0]
     perms = [1]
@@ -270,11 +265,11 @@ def structural_count(n: int, k: int) -> int:
 class CensusReport:
     """Aggregate verdicts of one exhaustive census.
 
-    ``mismatches`` holds every matrix on which the two routes disagreed
+    ``mismatches`` holds every member that the structural route rejected
     or whose decomposition failed to reconstruct it; it is empty on
-    success. At order 5, where the structural route runs on the members
-    only, ``characterization_ok`` also requires the member count to equal
-    :func:`structural_count`, so it can be false with no mismatch.
+    success. The structural route runs on the members only, so
+    ``characterization_ok`` also requires the member count to equal
+    :func:`structural_count`, and it can be false with no mismatch.
     """
 
     n: int
@@ -290,49 +285,42 @@ class CensusReport:
     argmax: tuple[Matrix01, ...]
 
 
-def _sweep(n: int, k: int, accepted: dict | None, built: dict) -> CensusReport:
+def _sweep(n: int, k: int, built: dict) -> CensusReport:
     """The census of order n >= 1 at k, from one pass over the member stream of order n.
 
-    The power route decides every index, and one walk pairs each member of
-    :func:`_member_blocks` with its canonical form. Up to order 4
-    ``accepted`` maps each index that the structural route accepts at k
-    to its form (see :func:`censuses`), and each accepted index that the
-    power route does not is a mismatch. At order 5 it is None: the form
-    is computed from the member's index, no member list is kept, and
-    the check is closed by a count. Each member's canonical rows are
+    The power route decides every index, and one walk certifies each
+    member of :func:`_member_blocks` by :func:`_canonical_form` from its
+    index; no member list is kept. Each member's canonical rows are
     compared with the rows :func:`_build_rows` composes from its blocks,
     kept in ``built`` per distinct block data: as the relabel is a
-    bijection, that compares the rebuilt matrix with the member. An index's bits are its matrix's entries, so
-    its count of ones is its bit count. The density shape of each argmax
-    member is decided on the blocks of its form. A nonzero member whose
-    index has no bit on or below the diagonal is strictly upper
-    triangular, and breaks the triangular lemma. Matrices are built only
-    for the final argmax and the mismatches, these in ascending index
-    order.
+    bijection, that compares the rebuilt matrix with the member. A member
+    that is rejected or not rebuilt is a mismatch. Every other member lies
+    in the canonical set, so a member count equal to
+    :func:`structural_count`, the size of that set, shows the two sets
+    equal without visiting a non-member. An index's bits are its
+    matrix's entries, so its count of ones is its bit count. The density
+    shape of each argmax member is decided on the blocks of its form. A
+    nonzero member whose index has no bit on or below the diagonal is
+    strictly upper triangular, and breaks the triangular lemma. Matrices
+    are built only for the final argmax and the mismatches, these in
+    ascending index order.
     """
-    members = _member_blocks(n, k, 0, 1 << (n * n))
-    if accepted is not None:
-        members = list(members)
-        form_of = accepted.get
-        bad = set(accepted).difference(members)
-    else:
-        form_of = lambda x: _canonical_form(_index_rows(n, x), n, k)
-        bad = set()
-    walk = ((x, form_of(x)) for x in members)
     # the index bits of the entries on or below the diagonal
     lower = sum(((2 << i) - 1) << (i * n) for i in range(n))
     upper_triangular_ok = True
     total = 0
     best = -1
     argmax: list[tuple[int, tuple | None]] = []
-    for x, form in walk:
+    bad = []
+    for x in _member_blocks(n, k, 0, 1 << (n * n)):
+        form = _canonical_form(_index_rows(n, x), n, k)
         total += 1
         if x and not x & lower:
             upper_triangular_ok = False
         if form is not None and form[0] not in built:
             built[form[0]] = _build_rows(*form[0])
         if form is None or built[form[0]] != form[1]:
-            bad.add(x)
+            bad.append(x)
         count = x.bit_count()
         if count > best:
             best = count
@@ -349,14 +337,11 @@ def _sweep(n: int, k: int, accepted: dict | None, built: dict) -> CensusReport:
         argmax_count=len(argmax),
         max_density_ok=best == gamma_value
         and all(form is not None and _fits_maximum_form(*form[0]) for _, form in argmax),
-        # The rebuilt members lie in the canonical set. Up to order 4 every
-        # non-member was also rejected; at order 5 none was visited, and a
-        # member count equal to the size of the canonical set shows the sets equal.
-        characterization_ok=not bad and (n <= FULL_WALK_LIMIT or total == structural_count(n, k)),
+        characterization_ok=not bad and total == structural_count(n, k),
         upper_triangular_ok=upper_triangular_ok,
         # Lists first: tuple() of a generator grows the tuple by resizing,
         # which raised the peak RSS of repeated order-3 censuses by 0.6 MB.
-        mismatches=tuple([matrix_from_index(n, x) for x in sorted(bad)]),
+        mismatches=tuple([matrix_from_index(n, x) for x in bad]),
         argmax=tuple([matrix_from_index(n, x) for x, _ in argmax]),
     )
 
@@ -365,35 +350,24 @@ def censuses(n: int, ks) -> list[CensusReport]:
     """Full census of order n under each exponent of ``ks``, one report per k in the order given.
 
     A report covers the member count, the two-route characterization
-    check with reconstruction (closed by :func:`structural_count` at order
-    5), the density maximum against gamma(n) with the shape of every
-    argmax, and the lemma that no nonzero strictly upper triangular matrix
-    is a member. It equals the report of the k alone, bit for bit.
+    check with reconstruction, closed by :func:`structural_count`, the
+    density maximum against gamma(n) with the shape of every argmax, and
+    the lemma that no nonzero strictly upper triangular matrix is a
+    member. It equals the report of the k alone, bit for bit.
 
-    Every argument is checked before any work. Up to order 4 one ``map``
-    of :func:`_analyze_rows` runs over every index in index order, and
-    :func:`_relabel_form` once per certified index against the lcm of
-    k - 1 over ``ks``, keeping the forms it returns. A form is accepted at
-    k when its period, the lcm of its cycle lengths, divides k - 1: at
-    once for every kept form when k - 1 is that lcm, as for one exponent.
+    Every argument is checked before any work. Each k is one
+    :func:`_sweep` over its members; the rows composed from each distinct
+    block data do not depend on k, so the sweeps share them.
     """
     ks = tuple(ks)
-    if not 1 <= n <= ORDER_LIMIT:
+    if not isinstance(n, int) or not 1 <= n <= ORDER_LIMIT:
         raise ArgumentRangeError(f"census order must be between 1 and {ORDER_LIMIT}")
     if not ks:
         raise ArgumentRangeError("census requires at least one exponent")
     for k in ks:
         _require_k(k)
-    if n > FULL_WALK_LIMIT:
-        return [_sweep(n, k, None, {}) for k in ks]
-    candidates = map(itemgetter(slice(None, None, -1)), product(range(1 << n), repeat=n))
-    analyses = list(map(_analyze_rows, candidates, repeat(n)))
-    bound = lcm(*(k - 1 for k in ks))
-    rows = compress(product(range(1 << n), repeat=n), analyses)  # each certified index's rows, reversed
-    forms = {x: f for x, r in zip(compress(count(), analyses), rows) if (f := _relabel_form(r[::-1], n, analyses[x], bound))}
     built: dict = {}  # the rows composed from each distinct block data
-    by_k = (forms if k - 1 == bound else {x: f for x, f in forms.items() if (k - 1) % lcm(*f[0][1]) == 0} for k in ks)
-    return [_sweep(n, k, accepted, built) for k, accepted in zip(ks, by_k)]
+    return [_sweep(n, k, built) for k in ks]
 
 
 def census(n: int, k: int) -> CensusReport:

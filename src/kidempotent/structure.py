@@ -207,7 +207,7 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     ``order`` holds the sources ascending, then the orbits sorted by
     (length, smallest vertex), each starting at its smallest vertex and
     following arcs, then the sinks ascending: the canonical order into
-    which :func:`_relabel_form` relabels an accepted matrix, once.
+    which :func:`_canonical_form` relabels an accepted matrix, once.
     """
     has_in = 0
     has_out = 0
@@ -373,14 +373,8 @@ class CanonicalDecomposition:
 
 
 def _canonical_form(rows: tuple[int, ...], n: int, k: int):
-    """:func:`_relabel_form` of the :func:`_analyze_rows` certification at k; None when rejected."""
-    return _relabel_form(rows, n, _analyze_rows(rows, n), k - 1)
-
-
-def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
-    """Relabel a matrix by its :func:`_analyze_rows` result; None when that is None or its
-    period, the lcm of its cycle lengths, does not divide ``bound`` (k - 1, or a multiple
-    shared by several k).
+    """The matrix relabeled into canonical order by its :func:`_analyze_rows` certification;
+    None when that rejects it or its period, the lcm of its cycle lengths, does not divide k - 1.
 
     One :func:`matrix01._reorder_rows` call moves all n rows, and every
     bit in them, into the canonical order. The blocks are read off by
@@ -393,7 +387,8 @@ def _relabel_form(rows: tuple[int, ...], n: int, analysis, bound: int):
     index v, the inverse of the order. The canonical rows are those of
     ``permute(A, Permutation(order))``.
     """
-    if analysis is None or bound % lcm(*analysis[2]):
+    analysis = _analyze_rows(rows, n)
+    if analysis is None or (k - 1) % lcm(*analysis[2]):
         return None
     order, r, lengths = analysis
     canonical_rows, to_canonical = _reorder_rows(rows, order)
@@ -566,7 +561,7 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
 
 def gamma(n: int) -> int:
     """Largest possible number of ones in a k-idempotent matrix of order n."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise ArgumentRangeError("order must be positive")
     if n % 2:
         return (n + 1) ** 2 // 4
@@ -575,7 +570,7 @@ def gamma(n: int) -> int:
 
 def allowed_boundary_counts(n: int) -> tuple[int, ...]:
     """Source counts (variant A) or sink counts (variant B) attaining gamma(n)."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise ArgumentRangeError("order must be positive")
     if n % 2:
         return ((n - 1) // 2,)

@@ -26,7 +26,8 @@ def get_census():
     """Session-wide census memo; censuses are pure so sharing is safe.
 
     A miss on one of an order's exponents fetches them all in one
-    ``censuses`` call, which shares the structural pass up to order 4.
+    ``censuses`` call, whose sweeps share the rows rebuilt from each
+    distinct block data.
     """
 
     def fetch(n, k):

@@ -381,18 +381,24 @@ ARGMAX_COUNTS = {
 
 
 class TestCandidates:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sweep_decomposes_every_index_in_order(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_census_certifies_exactly_the_members_in_index_order(self, monkeypatch, n):
+        # no structural pass over every index: each k's members are certified as they stream
+        ks = (2, 6) if n == 5 else (3,)
         seen = []
-        analyze_rows = oracle._analyze_rows
+        canonical_form = oracle._canonical_form
 
-        def record(rows, n):
-            seen.append(rows)
-            return analyze_rows(rows, n)
+        def record(rows, n, k):
+            seen.append((k, rows))
+            return canonical_form(rows, n, k)
 
-        monkeypatch.setattr(oracle, "_analyze_rows", record)
-        census(n, 3)
-        assert seen == [oracle._index_rows(n, x) for x in range(1 << (n * n))]
+        monkeypatch.setattr(oracle, "_canonical_form", record)
+        reports = censuses(n, ks)
+        monkeypatch.undo()
+        assert seen == [(k, a.rows) for k in ks for a in enumerate_k_idempotent(n, k)]
+        assert [r.total_k_idempotent for r in reports] == [structural_count(n, k) for k in ks]
+        if n == 5:
+            assert [r.total_k_idempotent for r in reports] == [5682, 5706]
 
     @pytest.mark.parametrize("n,k,total", golden_lines())
     def test_census_text(self, get_census, n, k, total):
@@ -428,45 +434,38 @@ class TestCandidates:
         assert set(calls) == blocks
 
     def test_mismatches_merge_in_index_order(self, monkeypatch):
-        # one non-member the structural route accepts, one member whose
-        # rebuild fails and one argmax member it rejects: each is reported
-        # once, in ascending index order, and the rejected member still
-        # counts toward the density maximum
+        # one member whose rebuild fails and one argmax member the
+        # structural route rejects: each is reported once, in ascending
+        # index order, and the rejected member still counts toward the
+        # density maximum. A non-member the structural route accepts is
+        # not visited by the census; TestIdempotencyIndex in
+        # tests/test_structure.py plants one.
         clean = census(3, 2)
         members = [x for x in range(512) if is_k_idempotent(matrix_from_index(3, x), 2)]
         canonical_form = oracle._canonical_form
         # The census rebuilds each distinct block data once, so the failed
         # rebuild is planted on block data that only the broken member has:
         # planted on shared blocks it would fail every member that has them.
-        # The zero matrix is left out, as the stray borrows its form. The
-        # stray lies between the two members, so neither list can simply be
-        # appended to the other.
         blocks_of = {x: canonical_form(oracle._index_rows(3, x), 3, 2)[0] for x in members}
         shared = Counter(blocks_of.values())
         broken = next(x for x in members if x and x.bit_count() < 4 and shared[blocks_of[x]] == 1)
-        stray = min(set(range(broken, 512)).difference(members))
         rejected = max(x for x in members if x.bit_count() == 4)
-        assert broken < stray < rejected
-        rows_of = {x: oracle._index_rows(3, x) for x in (stray, broken, rejected)}
+        assert broken < rejected
+        rows_of = {x: oracle._index_rows(3, x) for x in (broken, rejected)}
         build_rows = oracle._build_rows
-        analyze_rows = oracle._analyze_rows
-
-        def patched_analysis(rows, n):
-            if rows == rows_of[rejected]:
-                return None
-            if rows == rows_of[stray]:
-                return analyze_rows((0,) * n, n)
-            return analyze_rows(rows, n)
 
         def patched_build(*blocks):
             if blocks == blocks_of[broken]:
                 return ()
             return build_rows(*blocks)
 
-        monkeypatch.setattr(oracle, "_analyze_rows", patched_analysis)
+        def patched_form(rows, n, k):
+            return None if rows == rows_of[rejected] else canonical_form(rows, n, k)
+
+        monkeypatch.setattr(oracle, "_canonical_form", patched_form)
         monkeypatch.setattr(oracle, "_build_rows", patched_build)
         report = census(3, 2)
-        assert report.mismatches == tuple(Matrix01(3, rows_of[x]) for x in (broken, stray, rejected))
+        assert report.mismatches == tuple(Matrix01(3, rows_of[x]) for x in (broken, rejected))
         assert not report.characterization_ok
         assert report.total_k_idempotent == clean.total_k_idempotent
         assert (report.max_nnz, report.argmax) == (clean.max_nnz, clean.argmax)
@@ -500,11 +499,11 @@ class TestEveryBlockCompared:
     @pytest.mark.parametrize("corrupt", [corrupt_corner, corrupt_cycle_row, corrupt_sink_row, corrupt_source_row])
     @pytest.mark.parametrize("k", [2, 3])
     def test_corrupted_block(self, monkeypatch, corrupt, k):
-        relabel_form = oracle._relabel_form
+        canonical_form = oracle._canonical_form
         corrupted = []
 
-        def corrupt_first(rows, n, analysis, bound):
-            form = relabel_form(rows, n, analysis, bound)
+        def corrupt_first(rows, n, k):
+            form = canonical_form(rows, n, k)
             if form is None or corrupted:
                 return form
             blocks, canonical_rows, to_canonical = form
@@ -515,7 +514,7 @@ class TestEveryBlockCompared:
             corrupted.append(Matrix01(n, rows))
             return blocks, bad, to_canonical
 
-        monkeypatch.setattr(oracle, "_relabel_form", corrupt_first)
+        monkeypatch.setattr(oracle, "_canonical_form", corrupt_first)
         report = census(3, k)
         assert len(corrupted) == 1
         assert report.mismatches == tuple(corrupted)
@@ -569,37 +568,18 @@ class TestStructuralCount:
             structural_count(-1, 2)
 
 
-class TestCountClosesOrderFive:
-    """At order 5 only the count proves that no non-member is a canonical form."""
+class TestCountClosesTheCensus:
+    """Only the count proves that no non-member is a canonical form."""
 
     def test_wrong_count_fails(self, monkeypatch, capsys):
         count = oracle.structural_count
         monkeypatch.setattr(oracle, "structural_count", lambda n, k: count(n, k) + 1)
-        report = census(5, 2)
-        assert not report.characterization_ok
-        assert report.mismatches == ()
-        assert cli.main(["census", "--n", "5", "--k", "2"]) == 1
-        assert "characterization_ok=false\n" in capsys.readouterr().out
-
-    def test_order_four_does_not_count(self, monkeypatch):
-        def fail(n, k):
-            raise AssertionError("structural_count called")
-
-        monkeypatch.setattr(oracle, "structural_count", fail)
-        assert census(4, 2).characterization_ok
-
-    def test_order_four_checks_non_members(self, monkeypatch):
-        # order 4 is closed by visiting every non-member instead: one the
-        # structural route accepts is a mismatch
-        full = (15, 15, 15, 15)
-        analyze_rows = oracle._analyze_rows
-        # certified as the zero matrix is: no core, every vertex a sink
-        monkeypatch.setattr(
-            oracle, "_analyze_rows", lambda rows, n: analyze_rows((0,) * n, n) if rows == full else analyze_rows(rows, n)
-        )
-        report = census(4, 2)
-        assert not report.characterization_ok
-        assert report.mismatches == (Matrix01(4, full),)
+        for n in (3, 4, 5):
+            report = census(n, 2)
+            assert not report.characterization_ok, n
+            assert report.mismatches == (), n
+            assert cli.main(["census", "--n", str(n), "--k", "2"]) == 1
+            assert "characterization_ok=false\n" in capsys.readouterr().out, n
 
 
 class TestCharacterization:
@@ -623,8 +603,8 @@ class TestStructuralRejection:
 
     @staticmethod
     def reject(monkeypatch, rejected):
-        analyze = oracle._analyze_rows
-        monkeypatch.setattr(oracle, "_analyze_rows", lambda rows, n: None if rows == rejected else analyze(rows, n))
+        form = oracle._canonical_form
+        monkeypatch.setattr(oracle, "_canonical_form", lambda rows, n, k: None if rows == rejected else form(rows, n, k))
 
     def test_member_is_one_mismatch(self, monkeypatch):
         self.reject(monkeypatch, (0, 0))
@@ -739,21 +719,6 @@ class TestCensuses:
         ]
         assert reports == alone
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_structural_pass_whatever_the_exponents(self, monkeypatch, n):
-        calls = []
-        analyze_rows = oracle._analyze_rows
-        monkeypatch.setattr(oracle, "_analyze_rows", lambda rows, n: calls.append(rows) or analyze_rows(rows, n))
-        for ks in [(2,), (2, 3, 4, 5, 6, 7), (7, 7, 720721)]:
-            calls.clear()
-            assert len(censuses(n, ks)) == len(ks)
-            assert len(calls) == 1 << (n * n)
-
-    def test_order_five_runs_each_exponent_alone(self, monkeypatch):
-        # no structural pass over every index: each k's members are certified as they stream
-        monkeypatch.setattr(oracle, "_analyze_rows", None)
-        assert [r.total_k_idempotent for r in censuses(5, (2, 6))] == [5682, 5706]
-
 
 class TestWalkAgreement:
     def test_seeded_sample(self):
@@ -776,22 +741,29 @@ ARGUMENT_RULES = {
     "enumerate_k_idempotent negative order": lambda: list(enumerate_k_idempotent(-1, 2)),
     "enumerate_k_idempotent order above limit": lambda: list(enumerate_k_idempotent(6, 2)),
     "enumerate_k_idempotent index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(3, 100_000))),
+    "enumerate_k_idempotent non-int index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(0.0, 16))),
     "matrix_from_index index": lambda: matrix_from_index(1, 2),
     "matrix_from_index negative order": lambda: matrix_from_index(-1, 0),
+    "matrix_from_index non-int index": lambda: matrix_from_index(2, 3.0),
     "sat_power power": lambda: sat_power(Matrix01.cycle(3), 0),
     "exact_power power": lambda: exact_power(Matrix01.cycle(3), 0),
     "Matrix01.cycle order 0": lambda: Matrix01.cycle(0),
     "census order 0": lambda: census(0, 2),
     "census k": lambda: census(3, 1),
     "census order above limit": lambda: census(6, 2),
+    "census non-int order": lambda: census(3.0, 2),
     "censuses no exponent": lambda: censuses(3, ()),
     "censuses one bad k among good ones": lambda: censuses(3, (2, 3, 1, 4)),
     "censuses order above limit": lambda: censuses(6, (2, 3)),
     "structural_count negative order": lambda: structural_count(-1, 2),
     "structural_count k": lambda: structural_count(3, 1),
+    "structural_count non-int order": lambda: structural_count(3.0, 2),
     "gamma order 0": lambda: gamma(0),
+    "gamma non-int order": lambda: gamma(3.0),
     "allowed_boundary_counts order 0": lambda: allowed_boundary_counts(0),
+    "allowed_boundary_counts non-int order": lambda: allowed_boundary_counts(3.0),
     "_family_matrices order 0": lambda: _family_matrices(0, 2),
+    "_family_matrices non-int order": lambda: _family_matrices(3.0, 2),
     "_family_matrices k": lambda: _family_matrices(3, 1),
     "construct_extremal order 0": lambda: construct_extremal(0, 2, ExtremalParams("A", 0, 0, (1,), ())),
     "family_line order 0": lambda: family_line(0, 2, ExtremalParams("A", 0, 0, (1,), ())),

@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import count, product
+from functools import lru_cache
+from itertools import count, product, repeat
 from math import lcm
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ORDER_KS,
     block_power,
     corrupted_texts,
     index_certificate_failure,
@@ -27,11 +29,11 @@ from kidempotent.matrix01 import (
     permute,
     unpack_row,
 )
+from kidempotent.oracle import _member_blocks
 from kidempotent.structure import (
     _analyze_rows,
     _canonical_form,
     _check_header,
-    _relabel_form,
     ArgumentRangeError,
     CanonicalDecomposition,
     CycleLengthInvalid,
@@ -346,7 +348,7 @@ class TestDigraphReference:
             analysis = _analyze_rows(a.rows, n)
             assert certification(a) == digraph_certification(a)
             order, r, cycle_lengths = analysis
-            assert _relabel_form(a.rows, n, analysis, 720720)[1] == permute(a, Permutation(order)).rows
+            assert _canonical_form(a.rows, n, 720721)[1] == permute(a, Permutation(order)).rows
             sources, sinks = order[:r], order[r + sum(cycle_lengths) :]
             if sources and sinks:
                 u, w = rng.choice(sources), rng.choice(sinks)
@@ -748,6 +750,24 @@ def minimal_exponent(rows):
         seen[power] = t
 
 
+@lru_cache(maxsize=None)
+def index_rows(n):
+    """The rows of every order-n matrix in index order, row i holding index bits i*n to i*n + n - 1."""
+    return [row[::-1] for row in product(range(1 << n), repeat=n)]
+
+
+def structural_strays(n, k, members):
+    """The order-n indices on which _canonical_form at k disagrees with ``members``, ascending.
+
+    Every order-n matrix is certified, non-members too: the census asks
+    the structural route about its members only, so this is where an
+    acceptance of a non-member shows.
+    """
+    forms = map(_canonical_form, index_rows(n), repeat(n), repeat(k))
+    accepted = {x for x, form in enumerate(forms) if form is not None}
+    return sorted(accepted.symmetric_difference(members))
+
+
 class TestIdempotencyIndex:
     def test_examples(self):
         assert idempotency_index(Matrix01.identity(3)) == 2
@@ -768,14 +788,33 @@ class TestIdempotencyIndex:
                 assert idempotency_index(a) == direct
 
     def test_power_route_minimum_on_every_order_four_matrix(self):
-        # every exponent at once: equal minima give equal sets of valid k
+        # every exponent at once: equal minima give equal sets of valid k. Then,
+        # at each golden k, _canonical_form accepts exactly the power route's
+        # members: with t the least exponent, A^k = A when t - 1 divides k - 1.
         found = Counter()
         for n in (0, 1, 2, 3, 4):
-            for rows in product(range(1 << n), repeat=n):
-                k = minimal_exponent(rows)
-                assert k == idempotency_index(Matrix01(n, rows))
-                found[n, k] += 1
+            minima = []
+            for rows in index_rows(n):
+                minima.append(minimal_exponent(rows))
+                assert minima[-1] == idempotency_index(Matrix01(n, rows))
+                found[n, minima[-1]] += 1
+            for k in ORDER_KS.get(n, range(2, 8)):
+                members = [x for x, t in enumerate(minima) if t and (k - 1) % (t - 1) == 0]
+                assert structural_strays(n, k, members) == [], (n, k)
         assert [found[4, k] for k in (2, 3, 4, 5, None)] == [452, 471, 128, 6, 64_479]
+
+    # a non-member certified as the zero matrix is (no core, every vertex a
+    # sink): at order 3 the loops at 0, 1 and 2 with the arc 0 -> 1, whose
+    # square has a 2, and the all-ones matrix of order 4
+    @pytest.mark.parametrize("n, stray", [(3, 275), (4, (1 << 16) - 1)])
+    def test_accepted_non_member_is_a_stray(self, monkeypatch, n, stray):
+        analyze = structure._analyze_rows
+        planted = index_rows(n)[stray]
+        monkeypatch.setattr(
+            structure, "_analyze_rows", lambda rows, n: analyze((0,) * n, n) if rows == planted else analyze(rows, n)
+        )
+        for k in ORDER_KS[n][:2]:
+            assert structural_strays(n, k, _member_blocks(n, k, 0, 1 << (n * n))) == [stray], k
 
     def test_composite_cycle_lengths(self):
         a = Matrix01.from_lists(
