@@ -17,55 +17,17 @@ and the submodule itself, are loaded on first access.
 
 import importlib
 
-from .matrix01 import (
-    Matrix01,
-    MatrixFormatError,
-    Permutation,
-    exact_power,
-    from_text,
-    nnz,
-    permute,
-    sat_power,
-    to_text,
-)
-from .oracle import (
-    CensusReport,
-    census,
-    censuses,
-    enumerate_k_idempotent,
-    matrix_from_index,
-    serialize_census,
-    structural_count,
-)
-from .structure import (
-    CanonicalDecomposition,
-    ComposeError,
-    CycleLengthInvalid,
-    DecompositionFormatError,
-    ProductNotZeroOne,
-    StructureError,
-    StructureErrorKind,
-    allowed_boundary_counts,
-    compose,
-    decompose,
-    gamma,
-    idempotency_index,
-    is_k_idempotent,
-    matches_maximum_form,
-    parse_decomposition,
-    power_failure,
-    serialize_decomposition,
-)
+from . import matrix01, oracle, structure
+from .matrix01 import *
+from .oracle import *
+from .structure import *
 
 __version__ = "0.1.0"
 
+# Each submodule's __all__ declares its public names. The names that only
+# extremal defines are listed here, since reading extremal.__all__ would load it.
 __all__ = [
-    "extremal", "matrix01", "oracle", "structure", "Matrix01", "MatrixFormatError", "Permutation", "exact_power",
-    "from_text", "nnz", "permute", "sat_power", "to_text", "CensusReport", "census", "censuses",
-    "enumerate_k_idempotent", "matrix_from_index", "serialize_census", "structural_count", "CanonicalDecomposition",
-    "ComposeError", "CycleLengthInvalid", "DecompositionFormatError", "ProductNotZeroOne", "StructureError",
-    "StructureErrorKind", "allowed_boundary_counts", "compose", "decompose", "gamma", "idempotency_index",
-    "is_k_idempotent", "matches_maximum_form", "parse_decomposition", "power_failure", "serialize_decomposition",
+    "extremal", "matrix01", "oracle", "structure", *matrix01.__all__, *oracle.__all__, *structure.__all__,
     "ExtremalParams", "InvalidParams", "ValidationFailed", "construct_extremal", "extremal_families", "family_line",
     "is_extremal",
 ]  # fmt: skip

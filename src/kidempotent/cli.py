@@ -22,10 +22,9 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from .matrix01 import MatrixFormatError, _parse_decimal, from_text, to_text
+from .matrix01 import ArgumentRangeError, MatrixFormatError, _parse_decimal, from_text, to_text
 from .oracle import census, serialize_census
 from .structure import (
-    ArgumentRangeError,
     CycleLengthInvalid,
     DecompositionFormatError,
     ProductNotZeroOne,

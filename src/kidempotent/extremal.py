@@ -2,14 +2,14 @@
 
 The density theorem (gamma, the allowed boundary counts and the test
 for variants A and B) is stated in :mod:`kidempotent.structure`, where
-the census reads it; this module re-exports those names, constructs
-and recognizes the densest matrices and enumerates every family that
-attains the bound. The enumeration builds only allowed (variant,
-boundary count, cycle multiset) groups, composes each candidate once
-and verifies all of them in one bit-sliced power, one lane per matrix;
-:func:`construct_extremal` checks the shape of one given family and
-verifies it directly, on the row route. The package and the command
-line load this module on first use.
+the census reads it; this module constructs and recognizes the densest
+matrices and enumerates every family that attains the bound. The
+enumeration builds only allowed (variant, boundary count, cycle
+multiset) groups, composes each candidate once and verifies all of them
+in one bit-sliced power, one lane per matrix; :func:`construct_extremal`
+checks the shape of one given family and verifies it directly, on the
+row route. The package and the command line load this module on first
+use.
 """
 
 from __future__ import annotations
@@ -22,25 +22,20 @@ from .matrix01 import Matrix01, _lanes_k_idempotent, nnz
 from .structure import (
     _build_rows,
     _decomposition_lines,
-    _fits_maximum_form,
     _require_k,
     allowed_boundary_counts,
     gamma,
     is_k_idempotent,
-    matches_maximum_form,
 )
 
 __all__ = [
     "ExtremalParams",
     "InvalidParams",
     "ValidationFailed",
-    "allowed_boundary_counts",
     "construct_extremal",
     "extremal_families",
     "family_line",
-    "gamma",
     "is_extremal",
-    "matches_maximum_form",
 ]
 
 

@@ -21,18 +21,15 @@ from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 __all__ = [
-    "INT64_MAX",
     "Matrix01",
     "MatrixFormatError",
     "Permutation",
     "exact_power",
     "from_text",
     "nnz",
-    "pack_row",
     "permute",
     "sat_power",
     "to_text",
-    "unpack_row",
 ]
 
 INT64_MAX = 2**63 - 1
@@ -107,7 +104,7 @@ class Matrix01:
     @classmethod
     def cycle(cls, n: int) -> "Matrix01":
         """Adjacency matrix of the directed n-cycle (basic circulant)."""
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ArgumentRangeError("cycle order must be positive")
         return cls(n, tuple(1 << ((i + 1) % n) for i in range(n)))
 

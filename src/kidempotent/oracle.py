@@ -40,9 +40,8 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
-from .matrix01 import Matrix01, _lane_flags, _sat_power_rows, to_text
+from .matrix01 import ArgumentRangeError, Matrix01, _lane_flags, _sat_power_rows, to_text
 from .structure import (
-    ArgumentRangeError,
     _build_rows,
     _canonical_form,
     _fits_maximum_form,
@@ -74,15 +73,15 @@ _LANE_BITS = 16
 
 def _check_args(n: int, k: int) -> None:
     _require_k(k)
-    if not isinstance(n, int) or not 0 <= n <= ORDER_LIMIT:
+    if type(n) is not int or not 0 <= n <= ORDER_LIMIT:
         raise ArgumentRangeError(f"order must be between 0 and {ORDER_LIMIT}")
 
 
 def matrix_from_index(n: int, index: int) -> Matrix01:
     """Decode an enumeration index; bit j of the index is entry (j div n, j mod n)."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ArgumentRangeError("order must be >= 0")
-    if not isinstance(index, int) or not 0 <= index < 1 << (n * n):
+    if type(index) is not int or not 0 <= index < 1 << (n * n):
         raise ArgumentRangeError("index out of range")
     return Matrix01(n, _index_rows(n, index))
 
@@ -213,7 +212,7 @@ def enumerate_k_idempotent(
     """
     _check_args(n, k)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
-    if not (isinstance(start, int) and isinstance(stop, int) and 0 <= start <= stop <= 1 << (n * n)):
+    if not (type(start) is int and type(stop) is int and 0 <= start <= stop <= 1 << (n * n)):
         raise ArgumentRangeError("bad index range")
     yield from map(Matrix01, repeat(n), map(_index_rows, repeat(n), _member_blocks(n, k, start, stop)))
 
@@ -237,7 +236,7 @@ def structural_count(n: int, k: int) -> int:
     third, independent route to the member count.
     """
     _require_k(k)
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ArgumentRangeError("order must be >= 0")
     lengths = [d for d in range(1, n + 1) if (k - 1) % d == 0]
     perms = [1]
@@ -360,7 +359,7 @@ def censuses(n: int, ks) -> list[CensusReport]:
     block data do not depend on k, so the sweeps share them.
     """
     ks = tuple(ks)
-    if not isinstance(n, int) or not 1 <= n <= ORDER_LIMIT:
+    if type(n) is not int or not 1 <= n <= ORDER_LIMIT:
         raise ArgumentRangeError(f"census order must be between 1 and {ORDER_LIMIT}")
     if not ks:
         raise ArgumentRangeError("census requires at least one exponent")

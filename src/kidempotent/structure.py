@@ -309,8 +309,8 @@ class CanonicalDecomposition:
     given as, so equal blocks compare and hash equal. An ill-shaped
     instance is refused when built (``ValueError``): n, k, the sizes and
     the cycle lengths must be of type int, the sizes must add up to n,
-    sigma must have n entries, X must be r x m and Y m x s. The k rules
-    are checked when rows are composed.
+    sigma must be a :class:`Permutation` of n entries, X must be r x m
+    and Y m x s. The k rules are checked when rows are composed.
     """
 
     n: int
@@ -328,6 +328,8 @@ class CanonicalDecomposition:
         object.__setattr__(self, "cycle_to_sink", tuple(self.cycle_to_sink))
         if not {*map(type, (self.n, self.k, self.source_count, self.sink_count, *self.cycle_lengths))} <= {int}:
             raise ValueError("n, k, block sizes and cycle lengths must be of type int")
+        if not isinstance(self.sigma, Permutation):
+            raise ValueError("sigma must be a Permutation")
         r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
         x_rows, y_rows = self.source_to_cycle, self.cycle_to_sink
         _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma), ValueError)
@@ -561,7 +563,7 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
 
 def gamma(n: int) -> int:
     """Largest possible number of ones in a k-idempotent matrix of order n."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ArgumentRangeError("order must be positive")
     if n % 2:
         return (n + 1) ** 2 // 4
@@ -570,7 +572,7 @@ def gamma(n: int) -> int:
 
 def allowed_boundary_counts(n: int) -> tuple[int, ...]:
     """Source counts (variant A) or sink counts (variant B) attaining gamma(n)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ArgumentRangeError("order must be positive")
     if n % 2:
         return ((n - 1) // 2,)

@@ -10,12 +10,14 @@ import random
 from pathlib import Path
 
 from conftest import block_power, random_decomposition
-from kidempotent.extremal import construct_extremal, extremal_families, gamma, is_extremal, matches_maximum_form
+from kidempotent.extremal import construct_extremal, extremal_families, is_extremal
 from kidempotent.matrix01 import Matrix01, exact_power, permute, sat_power
 from kidempotent.oracle import enumerate_k_idempotent
 from kidempotent.structure import (
     CanonicalDecomposition,
     decompose,
+    gamma,
+    matches_maximum_form,
     serialize_decomposition,
 )
 

@@ -13,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kidempotent
-from kidempotent import cli, extremal, structure
+from kidempotent import cli
 from kidempotent.cli import main
-from kidempotent.extremal import _family_matrices, construct_extremal, extremal_families, family_line, gamma
+from kidempotent.extremal import _family_matrices, construct_extremal, extremal_families, family_line
 from kidempotent.matrix01 import Matrix01, from_text, to_text
 from kidempotent.oracle import census
-from kidempotent.structure import ArgumentRangeError, decompose, parse_decomposition, power_failure
+from kidempotent.structure import ArgumentRangeError, decompose, gamma, parse_decomposition, power_failure
 
 C3_TEXT = to_text(Matrix01.cycle(3))
 ONES2_TEXT = to_text(Matrix01.ones(2))
@@ -508,6 +508,8 @@ def test_dispatch_builds_the_whole_parsers_namespace(tmp_path, monkeypatch):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+# The submodules the package exports; ``cli`` is imported only by name.
+SUBMODULES = ("extremal", "matrix01", "oracle", "structure")
 # What ``from kidempotent import *`` binds: the four submodules and the public names of the package.
 STAR_NAMES = [
     "CanonicalDecomposition", "CensusReport", "ComposeError", "CycleLengthInvalid", "DecompositionFormatError",
@@ -572,10 +574,22 @@ class TestFamilyEnumeratorLoadsOnDemand:
         del namespace["__builtins__"]
         assert sorted(namespace) == sorted(getattr(kidempotent, module).__all__)
 
-    def test_moved_names_are_reexported(self):
-        for name in ("gamma", "allowed_boundary_counts", "_fits_maximum_form", "matches_maximum_form"):
-            assert getattr(extremal, name) is getattr(structure, name)
-            assert name.startswith("_") or getattr(kidempotent, name) is getattr(structure, name)
+    def test_each_public_name_is_declared_once(self):
+        # one submodule's __all__ declares each name, and the package lists the modules and their union
+        lists = {module: getattr(kidempotent, module).__all__ for module in (*SUBMODULES, "cli")}
+        names = [name for names in lists.values() for name in names]
+        assert len(names) == len(set(names))
+        exported = [name for module in SUBMODULES for name in lists[module]]
+        assert sorted(kidempotent.__all__) == sorted([*SUBMODULES, *exported])
+
+    def test_lazy_names_are_extremal_all(self):
+        # the names the package does not bind at import are the submodule and its __all__, read once loaded
+        code = (
+            "import kidempotent\n"
+            "lazy = sorted(name for name in kidempotent.__all__ if name not in vars(kidempotent))\n" + LOADED
+            + "print(lazy == sorted(['extremal', *kidempotent.extremal.__all__]))\n"
+        )
+        assert fresh_interpreter(code) == "False\nTrue\n"
 
 
 def test_readme_library_tour():

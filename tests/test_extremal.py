@@ -9,16 +9,12 @@ from kidempotent.extremal import (
     ExtremalParams,
     _family_matrices,
     _family_rows,
-    _fits_maximum_form,
     InvalidParams,
     ValidationFailed,
-    allowed_boundary_counts,
     construct_extremal,
     extremal_families,
     family_line,
-    gamma,
     is_extremal,
-    matches_maximum_form,
 )
 from kidempotent.matrix01 import Matrix01, Permutation, exact_power, nnz, permute
 from kidempotent.oracle import enumerate_k_idempotent
@@ -26,8 +22,12 @@ from kidempotent.structure import (
     CanonicalDecomposition,
     ProductNotZeroOne,
     _canonical_form,
+    _fits_maximum_form,
+    allowed_boundary_counts,
     decompose,
+    gamma,
     is_k_idempotent,
+    matches_maximum_form,
     parse_decomposition,
 )
 

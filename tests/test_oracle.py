@@ -33,16 +33,16 @@ from kidempotent.oracle import (
     structural_count,
 )
 from kidempotent import cli, matrix01, oracle, structure
-from kidempotent.extremal import (
-    ExtremalParams,
-    _family_matrices,
+from kidempotent.extremal import ExtremalParams, _family_matrices, construct_extremal, family_line, is_extremal
+from kidempotent.structure import (
+    ArgumentRangeError,
     allowed_boundary_counts,
-    construct_extremal,
-    family_line,
+    compose,
+    decompose,
     gamma,
-    is_extremal,
+    is_k_idempotent,
+    power_failure,
 )
-from kidempotent.structure import ArgumentRangeError, compose, decompose, is_k_idempotent, power_failure
 
 GOLDEN = Path(__file__).parent / "golden" / "k_idempotent_counts.txt"
 GOLDEN_N5 = Path(__file__).parent / "golden" / "k_idempotent_counts_n5.txt"
@@ -767,6 +767,17 @@ ARGUMENT_RULES = {
     "_family_matrices k": lambda: _family_matrices(3, 1),
     "construct_extremal order 0": lambda: construct_extremal(0, 2, ExtremalParams("A", 0, 0, (1,), ())),
     "family_line order 0": lambda: family_line(0, 2, ExtremalParams("A", 0, 0, (1,), ())),
+    # True == 1 and False == 0, but a bool order or index is refused like any other non-int
+    "census bool order": lambda: census(True, 2),
+    "censuses bool order": lambda: censuses(True, (2, 3)),
+    "enumerate_k_idempotent bool order": lambda: list(enumerate_k_idempotent(True, 2)),
+    "enumerate_k_idempotent bool index range": lambda: list(enumerate_k_idempotent(1, 2, index_range=(False, True))),
+    "matrix_from_index bool order": lambda: matrix_from_index(True, 1),
+    "matrix_from_index bool index": lambda: matrix_from_index(1, True),
+    "structural_count bool order": lambda: structural_count(True, 2),
+    "gamma bool order": lambda: gamma(True),
+    "allowed_boundary_counts bool order": lambda: allowed_boundary_counts(True),
+    "Matrix01.cycle bool order": lambda: Matrix01.cycle(True),
 }
 
 

@@ -937,6 +937,14 @@ class TestSerialization:
                 build()
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("sigma", [(0, 1, 2), [0, 1, 2], (0, 0, 0)], ids=["tuple", "list", "not-bijective"])
+    def test_sigma_must_be_a_permutation(self, sigma):
+        # serialize_decomposition and original_matrix read sigma.mapping
+        d = decompose(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
+        with pytest.raises(ValueError) as raised:
+            replace(d, sigma=sigma)
+        assert str(raised.value) == "sigma must be a Permutation"
+
     @pytest.mark.parametrize(
         "field, value",
         [("n", 3.0), ("k", 2.0), ("k", True), ("source_count", True), ("sink_count", True), ("cycle_lengths", (True,))],
