@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass
 from itertools import product
 from typing import Sequence
 
-from .matrix01 import Matrix01, _lanes_k_idempotent, nnz
+from .matrix01 import Matrix01, _lanes_k_idempotent, _require_int, nnz
 from .structure import (
     _build_rows,
     _decomposition_lines,
@@ -68,8 +68,8 @@ class ExtremalParams:
         object.__setattr__(self, "pattern", tuple(self.pattern))
         if self.variant not in ("A", "B"):
             raise ValueError("variant must be 'A' or 'B'")
-        if self.source_count < 0 or self.sink_count < 0:
-            raise ValueError("block sizes must be non-negative")
+        _require_int(self.source_count, "block sizes must be non-negative", 0)
+        _require_int(self.sink_count, "block sizes must be non-negative", 0)
 
 
 def _family_blocks(variant: str, r: int, s: int, cycle_lengths: tuple[int, ...], pattern: Sequence[int]) -> tuple:

@@ -40,17 +40,23 @@ class MatrixFormatError(ValueError):
 
 
 class ArgumentRangeError(ValueError):
-    """An order or exponent argument outside the range a function accepts.
+    """An integer argument (order, index, exponent, power or block size) not an int in the range a function accepts.
 
     Raised before any work is done. The command line maps it to exit 2.
     """
+
+
+def _require_int(value, message: str, low: int, high: int | None = None) -> None:
+    """Raise ``ArgumentRangeError(message)`` unless ``value`` is of exact type int, not bool, in [low, high]."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        raise ArgumentRangeError(message)
 
 
 def pack_row(values: Iterable[int]) -> int:
     """Pack an iterable of 0/1 entries into a row bitset."""
     acc = 0
     for j, v in enumerate(values):
-        if v not in (0, 1):
+        if not isinstance(v, int) or v not in (0, 1):  # 1.0 == 1, but only an int (or bool) shifts
             raise ValueError(f"entry {v!r} is not 0 or 1")
         acc |= v << j
     return acc
@@ -80,8 +86,7 @@ class Matrix01:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if self.n < 0:
-            raise ValueError("order must be non-negative")
+        _require_int(self.n, "order must be non-negative", 0)
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         limit = 1 << self.n
@@ -104,8 +109,7 @@ class Matrix01:
     @classmethod
     def cycle(cls, n: int) -> "Matrix01":
         """Adjacency matrix of the directed n-cycle (basic circulant)."""
-        if type(n) is not int or n < 1:
-            raise ArgumentRangeError("cycle order must be positive")
+        _require_int(n, "cycle order must be positive", 1)
         return cls(n, tuple(1 << ((i + 1) % n) for i in range(n)))
 
     @classmethod
@@ -459,8 +463,7 @@ def sat_power(a: Matrix01, m: int) -> list[list[int]]:
     may power only the core of A, but that is plain algebra on zero rows
     and columns, so this stays independent of the structural route.
     """
-    if m < 1:
-        raise ArgumentRangeError("power must be at least 1")
+    _require_int(m, "power must be at least 1", 1)
     p1, p2 = _sat_power_rows(a.rows, m)
     return [[2 if y2 >> j & 1 else y1 >> j & 1 for j in range(a.n)] for y1, y2 in zip(p1, p2)]
 
@@ -471,8 +474,7 @@ def exact_power(a: Matrix01, m: int) -> list[list[int]]:
     Serves as the independent reference for :func:`sat_power`. Entries
     beyond the signed 64-bit budget raise ``OverflowError``.
     """
-    if m < 1:
-        raise ArgumentRangeError("power must be at least 1")
+    _require_int(m, "power must be at least 1", 1)
     n = a.n
     cur = a.to_lists()
     for _ in range(m - 1):

@@ -40,7 +40,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
-from .matrix01 import ArgumentRangeError, Matrix01, _lane_flags, _sat_power_rows, to_text
+from .matrix01 import Matrix01, _lane_flags, _require_int, _sat_power_rows, to_text
 from .structure import (
     _build_rows,
     _canonical_form,
@@ -71,18 +71,10 @@ ORDER_LIMIT = 5
 _LANE_BITS = 16
 
 
-def _check_args(n: int, k: int) -> None:
-    _require_k(k)
-    if type(n) is not int or not 0 <= n <= ORDER_LIMIT:
-        raise ArgumentRangeError(f"order must be between 0 and {ORDER_LIMIT}")
-
-
 def matrix_from_index(n: int, index: int) -> Matrix01:
     """Decode an enumeration index; bit j of the index is entry (j div n, j mod n)."""
-    if type(n) is not int or n < 0:
-        raise ArgumentRangeError("order must be >= 0")
-    if type(index) is not int or not 0 <= index < 1 << (n * n):
-        raise ArgumentRangeError("index out of range")
+    _require_int(n, "order must be >= 0", 0)
+    _require_int(index, "index out of range", 0, (1 << (n * n)) - 1)
     return Matrix01(n, _index_rows(n, index))
 
 
@@ -210,10 +202,11 @@ def enumerate_k_idempotent(
     ``allow_order_5`` is ignored: order 5 needs no opt-in. It is kept so
     that callers written for the old opt-in still run.
     """
-    _check_args(n, k)
+    _require_k(k)
+    _require_int(n, f"order must be between 0 and {ORDER_LIMIT}", 0, ORDER_LIMIT)
     start, stop = index_range if index_range is not None else (0, 1 << (n * n))
-    if not (type(start) is int and type(stop) is int and 0 <= start <= stop <= 1 << (n * n)):
-        raise ArgumentRangeError("bad index range")
+    _require_int(start, "bad index range", 0, 1 << (n * n))
+    _require_int(stop, "bad index range", start, 1 << (n * n))
     yield from map(Matrix01, repeat(n), map(_index_rows, repeat(n), _member_blocks(n, k, start, stop)))
 
 
@@ -236,8 +229,7 @@ def structural_count(n: int, k: int) -> int:
     third, independent route to the member count.
     """
     _require_k(k)
-    if type(n) is not int or n < 0:
-        raise ArgumentRangeError("order must be >= 0")
+    _require_int(n, "order must be >= 0", 0)
     lengths = [d for d in range(1, n + 1) if (k - 1) % d == 0]
     perms = [1]
     for m in range(1, n + 1):
@@ -359,10 +351,8 @@ def censuses(n: int, ks) -> list[CensusReport]:
     block data do not depend on k, so the sweeps share them.
     """
     ks = tuple(ks)
-    if type(n) is not int or not 1 <= n <= ORDER_LIMIT:
-        raise ArgumentRangeError(f"census order must be between 1 and {ORDER_LIMIT}")
-    if not ks:
-        raise ArgumentRangeError("census requires at least one exponent")
+    _require_int(n, f"census order must be between 1 and {ORDER_LIMIT}", 1, ORDER_LIMIT)
+    _require_int(len(ks), "census requires at least one exponent", 1)
     for k in ks:
         _require_k(k)
     built: dict = {}  # the rows composed from each distinct block data

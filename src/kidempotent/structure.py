@@ -43,12 +43,12 @@ from operator import or_, xor
 from typing import Mapping, Sequence
 
 from .matrix01 import (
-    ArgumentRangeError,
     Matrix01,
     Permutation,
     _parse_decimal,
     _read_rows,
     _reorder_rows,
+    _require_int,
     _sat_power_rows,
     _write_rows,
     pack_row,
@@ -76,8 +76,7 @@ __all__ = [
 
 
 def _require_k(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ArgumentRangeError("k must be an integer >= 2")
+    _require_int(k, "k must be an integer >= 2", 2)
 
 
 class StructureErrorKind(Enum):
@@ -563,8 +562,7 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
 
 def gamma(n: int) -> int:
     """Largest possible number of ones in a k-idempotent matrix of order n."""
-    if type(n) is not int or n < 1:
-        raise ArgumentRangeError("order must be positive")
+    _require_int(n, "order must be positive", 1)
     if n % 2:
         return (n + 1) ** 2 // 4
     return (n * n + 2 * n) // 4
@@ -572,8 +570,7 @@ def gamma(n: int) -> int:
 
 def allowed_boundary_counts(n: int) -> tuple[int, ...]:
     """Source counts (variant A) or sink counts (variant B) attaining gamma(n)."""
-    if type(n) is not int or n < 1:
-        raise ArgumentRangeError("order must be positive")
+    _require_int(n, "order must be positive", 1)
     if n % 2:
         return ((n - 1) // 2,)
     return (n // 2 - 1, n // 2)

@@ -16,9 +16,9 @@ import kidempotent
 from kidempotent import cli
 from kidempotent.cli import main
 from kidempotent.extremal import _family_matrices, construct_extremal, extremal_families, family_line
-from kidempotent.matrix01 import Matrix01, from_text, to_text
+from kidempotent.matrix01 import ArgumentRangeError, Matrix01, from_text, to_text
 from kidempotent.oracle import census
-from kidempotent.structure import ArgumentRangeError, decompose, gamma, parse_decomposition, power_failure
+from kidempotent.structure import decompose, gamma, parse_decomposition, power_failure
 
 C3_TEXT = to_text(Matrix01.cycle(3))
 ONES2_TEXT = to_text(Matrix01.ones(2))
@@ -581,6 +581,21 @@ class TestFamilyEnumeratorLoadsOnDemand:
         assert len(names) == len(set(names))
         exported = [name for module in SUBMODULES for name in lists[module]]
         assert sorted(kidempotent.__all__) == sorted([*SUBMODULES, *exported])
+
+    def test_the_argument_rule_is_raised_in_one_place(self):
+        # every order, index, exponent, power and block size check calls matrix01._require_int
+        raisers = []
+        for path in sorted((ROOT / "src" / "kidempotent").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                if (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "ArgumentRangeError":
+                    while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                        node = parents[node]
+                    raisers.append((path.stem, getattr(node, "name", None)))
+        assert raisers == [("matrix01", "_require_int")]
 
     def test_lazy_names_are_extremal_all(self):
         # the names the package does not bind at import are the submodule and its __all__, read once loaded

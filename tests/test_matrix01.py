@@ -79,6 +79,13 @@ class TestBasics:
         with pytest.raises(ValueError, match="cycle order must be positive"):
             Matrix01.cycle(0)
 
+    def test_float_entry_is_refused(self):
+        # 1.0 == 1 but cannot be shifted into a row; a bool entry packs to the same bits as its int
+        for call in (lambda: pack_row([0, 1.0]), lambda: Matrix01.from_lists([[1.0]])):
+            with pytest.raises(ValueError, match=r"^entry 1\.0 is not 0 or 1$"):
+                call()
+        assert pack_row([True, False, True]) == pack_row([1, 0, 1]) == 0b101
+
     def test_pack_unpack(self):
         assert unpack_row(pack_row([1, 0, 1, 1]), 4) == [1, 0, 1, 1]
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kidempotent.matrix01 import (
+    ArgumentRangeError,
     Matrix01,
     Permutation,
     _lane_cols,
@@ -35,7 +36,6 @@ from kidempotent.oracle import (
 from kidempotent import cli, matrix01, oracle, structure
 from kidempotent.extremal import ExtremalParams, _family_matrices, construct_extremal, family_line, is_extremal
 from kidempotent.structure import (
-    ArgumentRangeError,
     allowed_boundary_counts,
     compose,
     decompose,
@@ -778,6 +778,14 @@ ARGUMENT_RULES = {
     "gamma bool order": lambda: gamma(True),
     "allowed_boundary_counts bool order": lambda: allowed_boundary_counts(True),
     "Matrix01.cycle bool order": lambda: Matrix01.cycle(True),
+    "sat_power bool power": lambda: sat_power(Matrix01.cycle(3), True),
+    "sat_power float power": lambda: sat_power(Matrix01.cycle(3), 2.0),
+    "exact_power bool power": lambda: exact_power(Matrix01.cycle(3), True),
+    "exact_power float power": lambda: exact_power(Matrix01.cycle(3), 2.0),
+    "Matrix01 bool order": lambda: Matrix01(True, (1,)),
+    "Matrix01 float order": lambda: Matrix01(2.0, (1, 1)),
+    "ExtremalParams bool size": lambda: ExtremalParams("A", True, 1, (1,), (0,)),
+    "ExtremalParams float size": lambda: ExtremalParams("A", 1.0, 1, (1,), (0,)),
 }
 
 

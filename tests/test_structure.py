@@ -20,6 +20,7 @@ from conftest import (
 )
 from kidempotent import structure
 from kidempotent.matrix01 import (
+    ArgumentRangeError,
     Matrix01,
     Permutation,
     _parse_decimal,
@@ -34,7 +35,6 @@ from kidempotent.structure import (
     _analyze_rows,
     _canonical_form,
     _check_header,
-    ArgumentRangeError,
     CanonicalDecomposition,
     CycleLengthInvalid,
     DecompositionFormatError,
@@ -476,6 +476,8 @@ class TestCompose:
             compose(1, [1], 1, [[1, 0]], [[1]], 2)
         with pytest.raises(ValueError, match="cycle block row width mismatch"):
             compose(0, (1,), 1, [], [[1, 0]], 2)
+        with pytest.raises(ValueError, match=r"^entry 1\.0 is not 0 or 1$"):
+            compose(0, (1,), 1, [], [[1.0]], 2)
 
     def test_derived_corner_checks_widths(self):
         # an X row wider than the cycle total is refused when built, not clipped
