@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import lru_cache
 
@@ -41,12 +42,12 @@ __all__ = ["entrypoint", "main"]
 
 
 def _read_input(path: str | None) -> str:
-    """The input text with CRLF and CR line ends read as LF, as a file opened in text mode reads them."""
-    if path is None or path == "-":
-        text = sys.stdin.read()
-        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-    with open(path, "r", encoding="ascii") as handle:
-        return handle.read()
+    """The text of a file or of stdin, read alike: ASCII only, with CRLF and CR line ends read as LF."""
+    with nullcontext(sys.stdin) if path is None or path == "-" else open(path, encoding="ascii", newline="") as handle:
+        text = handle.read()
+    if not text.isascii():  # stdin text: each character before the first non-ASCII one was one byte
+        text.encode("ascii")  # UnicodeEncodeError at that character, so its offset is the byte offset
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def cmd_check(args) -> int:
@@ -180,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
     except (MatrixFormatError, DecompositionFormatError) as exc:
         message = f"format error: {exc}"
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:  # a file or a stdin read, or the ASCII test of stdin text
         message = f"format error: non-ASCII byte at offset {exc.start}"
     except OSError as exc:
         message = f"cannot read input: {exc}"

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass
 from itertools import product
 from typing import Sequence
 
-from .matrix01 import Matrix01, _lanes_k_idempotent, _require_int, nnz
+from .matrix01 import Matrix01, _lanes_k_idempotent, _require_int, _require_ints, nnz
 from .structure import (
     _build_rows,
     _decomposition_lines,
@@ -53,8 +53,8 @@ class ExtremalParams:
 
     For variant A the pattern assigns each sink column of Y the single
     cycle row holding its 1; for variant B it assigns each source row of
-    X the single cycle column holding its 1. Cycle lengths are kept in
-    canonical (ascending) order.
+    X the single cycle column holding its 1. Cycle lengths, in canonical
+    (ascending) order, and pattern entries are of type int.
     """
 
     variant: str
@@ -70,6 +70,7 @@ class ExtremalParams:
             raise ValueError("variant must be 'A' or 'B'")
         _require_int(self.source_count, "block sizes must be non-negative", 0)
         _require_int(self.sink_count, "block sizes must be non-negative", 0)
+        _require_ints((*self.cycle_lengths, *self.pattern), "cycle lengths and pattern entries must be of type int")
 
 
 def _family_blocks(variant: str, r: int, s: int, cycle_lengths: tuple[int, ...], pattern: Sequence[int]) -> tuple:

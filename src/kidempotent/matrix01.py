@@ -52,6 +52,12 @@ def _require_int(value, message: str, low: int, high: int | None = None) -> None
         raise ArgumentRangeError(message)
 
 
+def _require_ints(values: Sequence, message: str, width: int | None = None) -> None:
+    """Raise ``ValueError(message)`` unless every value is of exact type int, not bool, and in [0, 2^width) given a width."""
+    if not {*map(type, values)} <= {int} or width is not None and (min(values, default=0) < 0 or max(values, default=0) >> width):
+        raise ValueError(message)
+
+
 def pack_row(values: Iterable[int]) -> int:
     """Pack an iterable of 0/1 entries into a row bitset."""
     acc = 0
@@ -60,6 +66,13 @@ def pack_row(values: Iterable[int]) -> int:
             raise ValueError(f"entry {v!r} is not 0 or 1")
         acc |= v << j
     return acc
+
+
+def _pack_rows(entries: Sequence[Sequence[int]], width: int, message: str) -> list[int]:
+    """Nested 0/1 rows packed by :func:`pack_row`; ``ValueError(message)`` unless every row is ``width`` long."""
+    if any(len(row) != width for row in entries):
+        raise ValueError(message)
+    return [*map(pack_row, entries)]
 
 
 def unpack_row(row: int, width: int) -> list[int]:
@@ -114,11 +127,7 @@ class Matrix01:
 
     @classmethod
     def from_lists(cls, entries: Sequence[Sequence[int]]) -> "Matrix01":
-        n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        return cls(n, tuple(pack_row(row) for row in entries))
+        return cls(len(entries), _pack_rows(entries, len(entries), "matrix must be square"))
 
     def to_lists(self) -> list[list[int]]:
         return [unpack_row(row, self.n) for row in self.rows]
@@ -132,8 +141,7 @@ class Permutation:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
-        if not {*map(type, self.mapping)} <= {int}:  # 1.0 and True would sort equal to 1
-            raise ValueError("mapping entries must be of type int")
+        _require_ints(self.mapping, "mapping entries must be of type int")  # 1.0 and True would sort equal to 1
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError("mapping is not a bijection on 0..n-1")
 
@@ -161,6 +169,8 @@ def permute(a: Matrix01, sigma: Permutation) -> Matrix01:
     encodes ``sigma``. Preserves the nonzero count and the row-sum
     multiset.
     """
+    if not isinstance(sigma, Permutation):
+        raise ValueError("sigma must be a Permutation")
     if len(sigma) != a.n:
         raise ValueError("permutation order differs from matrix order")
     return Matrix01(a.n, _reorder_rows(a.rows, sigma.mapping)[0])

@@ -204,7 +204,10 @@ def enumerate_k_idempotent(
     """
     _require_k(k)
     _require_int(n, f"order must be between 0 and {ORDER_LIMIT}", 0, ORDER_LIMIT)
-    start, stop = index_range if index_range is not None else (0, 1 << (n * n))
+    try:
+        start, stop = index_range if index_range is not None else (0, 1 << (n * n))
+    except (TypeError, ValueError):  # not a pair: refused by the rule below
+        start = None
     _require_int(start, "bad index range", 0, 1 << (n * n))
     _require_int(stop, "bad index range", start, 1 << (n * n))
     yield from map(Matrix01, repeat(n), map(_index_rows, repeat(n), _member_blocks(n, k, start, stop)))

@@ -45,13 +45,14 @@ from typing import Mapping, Sequence
 from .matrix01 import (
     Matrix01,
     Permutation,
+    _pack_rows,
     _parse_decimal,
     _read_rows,
     _reorder_rows,
     _require_int,
+    _require_ints,
     _sat_power_rows,
     _write_rows,
-    pack_row,
 )
 
 __all__ = [
@@ -322,22 +323,18 @@ class CanonicalDecomposition:
     sigma: Permutation
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cycle_lengths", tuple(self.cycle_lengths))
-        object.__setattr__(self, "source_to_cycle", tuple(self.source_to_cycle))
-        object.__setattr__(self, "cycle_to_sink", tuple(self.cycle_to_sink))
-        if not {*map(type, (self.n, self.k, self.source_count, self.sink_count, *self.cycle_lengths))} <= {int}:
-            raise ValueError("n, k, block sizes and cycle lengths must be of type int")
+        for name in ("cycle_lengths", "source_to_cycle", "cycle_to_sink"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        sizes = (self.n, self.k, self.source_count, self.sink_count, *self.cycle_lengths)
+        _require_ints(sizes, "n, k, block sizes and cycle lengths must be of type int")
         if not isinstance(self.sigma, Permutation):
             raise ValueError("sigma must be a Permutation")
         r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
-        x_rows, y_rows = self.source_to_cycle, self.cycle_to_sink
         _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma), ValueError)
-        if (len(x_rows), len(y_rows)) != (r, m):
+        if (len(self.source_to_cycle), len(self.cycle_to_sink)) != (r, m):
             raise ValueError("X and Y row counts must equal r and the cycle total")
-        if min(x_rows, default=0) < 0 or max(x_rows, default=0) >> m:
-            raise ValueError("source block row exceeds cycle width")
-        if min(y_rows, default=0) < 0 or max(y_rows, default=0) >> s:
-            raise ValueError("cycle block row exceeds sink width")
+        _require_ints(self.source_to_cycle, "source block row exceeds cycle width", m)
+        _require_ints(self.cycle_to_sink, "cycle block row exceeds sink width", s)
 
     @property
     def cycle_total(self) -> int:
@@ -485,16 +482,8 @@ def compose(
     """
     _require_k(k)
     m = sum(cycle_lengths)
-    x_rows = []
-    for row in source_to_cycle:
-        if len(row) != m:
-            raise ValueError("source block row width mismatch")
-        x_rows.append(pack_row(row))
-    y_rows = []
-    for row in cycle_to_sink:
-        if len(row) != sink_count:
-            raise ValueError("cycle block row width mismatch")
-        y_rows.append(pack_row(row))
+    x_rows = _pack_rows(source_to_cycle, m, "source block row width mismatch")
+    y_rows = _pack_rows(cycle_to_sink, sink_count, "cycle block row width mismatch")
     n = source_count + m + sink_count
     blocks = (source_count, cycle_lengths, sink_count, x_rows, y_rows)
     return CanonicalDecomposition(n, k, *blocks, Permutation.identity(n)).canonical_matrix()

@@ -307,6 +307,11 @@ def input_bytes(draw):
     return bytes(data)
 
 
+# The same bytes by stdin and as a file: a valid UTF-8 character that is not ASCII, CRLF line ends.
+CHANNEL_INPUTS = [b"2\n1\xc3\xa9\n00\n", *(text.replace("\n", "\r\n").encode() for text in (C3_TEXT, WORKED_DECOMPOSITION))]
+CHANNEL_IDS = ["non-ascii", "crlf-matrix", "crlf-decomposition"]
+
+
 def assert_contract(code, out, err, data, reads_input=True):
     assert "Traceback" not in err
     assert code in (0, 1, 2)
@@ -384,11 +389,42 @@ class TestArbitraryBytes:
         assert_contract(code, out, err, data)
         path = tmp_path_factory.mktemp("input") / "in.txt"
         path.write_bytes(data)
-        # Valid UTF-8 that is not ASCII decodes from stdin and fails in the
-        # parser instead, so only the exit code and stdout must agree.
         file_code, file_out, file_err = run_cli_bytes([*command, str(path)], b"")
         assert (file_code, file_out) == (code, out)
         assert_contract(file_code, file_out, file_err, data)
+        if data.isascii():
+            assert file_err == err
+            return
+        # Both name the first non-ASCII byte, except that a strict UTF-8 stdin
+        # decoder stops at its first bad sequence, which may lie after it.
+        first = next(i for i, byte in enumerate(data) if byte > 127)
+        try:
+            data.decode("utf-8")
+            stop = first
+        except UnicodeDecodeError as exc:
+            stop = exc.start
+        assert file_err == f"format error: non-ASCII byte at offset {first}\n"
+        assert err == f"format error: non-ASCII byte at offset {stop}\n"
+
+    @pytest.mark.parametrize("data", CHANNEL_INPUTS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("command", READERS, ids=[argv[0] for argv in READERS])
+    def test_stdin_and_file_give_the_same_answer(self, tmp_path, command, data):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        assert run_cli_bytes(command, data) == run_cli_bytes([*command, str(path)], b"")
+
+    def test_stdin_and_file_give_the_same_answer_in_a_fresh_process(self, tmp_path):
+        # strict UTF-8 stdin, as under a UTF-8 locale
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        path = tmp_path / "in.txt"
+        for data in CHANNEL_INPUTS:
+            path.write_bytes(data)
+            for command in READERS:
+                answers = []
+                for argv, stdin in ([*command, "-"], data), ([*command, str(path)], b""):
+                    proc = subprocess.run([sys.executable, "-m", "kidempotent", *argv], input=stdin, capture_output=True, env=env)
+                    answers.append((proc.returncode, proc.stdout, proc.stderr))
+                assert answers[0] == answers[1], (data, command)
 
     @settings(max_examples=20, deadline=None)
     @given(input_bytes(), st.sampled_from(NON_READERS))
@@ -584,18 +620,20 @@ class TestFamilyEnumeratorLoadsOnDemand:
 
     def test_the_argument_rule_is_raised_in_one_place(self):
         # every order, index, exponent, power and block size check calls matrix01._require_int
-        raisers = []
-        for path in sorted((ROOT / "src" / "kidempotent").glob("*.py")):
-            tree = ast.parse(path.read_text())
-            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-            for node in ast.walk(tree):
-                exc = node.exc if isinstance(node, ast.Raise) else None
-                exc = exc.func if isinstance(exc, ast.Call) else exc
-                if (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "ArgumentRangeError":
-                    while not isinstance(node, (ast.FunctionDef, ast.Module)):
-                        node = parents[node]
-                    raisers.append((path.stem, getattr(node, "name", None)))
-        assert raisers == [("matrix01", "_require_int")]
+        def raises_argument_range_error(node):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            return (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "ArgumentRangeError"
+
+        assert src_sites(raises_argument_range_error) == [("matrix01", "_require_int")]
+
+    def test_the_int_sequence_and_row_packing_rules_are_written_once(self):
+        # every exact-int sequence check calls matrix01._require_ints, and nested 0/1 rows go through matrix01._pack_rows
+        def type_set(node):
+            return isinstance(node, ast.Set) and any(ast.unparse(e).startswith("*map(type, ") for e in node.elts)
+
+        assert src_sites(type_set) == [("matrix01", "_require_ints")]
+        assert src_sites(lambda node: isinstance(node, ast.Name) and node.id == "pack_row") == [("matrix01", "_pack_rows")]
 
     def test_lazy_names_are_extremal_all(self):
         # the names the package does not bind at import are the submodule and its __all__, read once loaded
@@ -605,6 +643,19 @@ class TestFamilyEnumeratorLoadsOnDemand:
             + "print(lazy == sorted(['extremal', *kidempotent.extremal.__all__]))\n"
         )
         assert fresh_interpreter(code) == "False\nTrue\n"
+
+
+def src_sites(match):
+    """(module, enclosing function) of every node of src/kidempotent that ``match`` accepts; None outside a function."""
+    sites = []
+    for path in sorted((ROOT / "src" / "kidempotent").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in filter(match, ast.walk(tree)):
+            while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                node = parents[node]
+            sites.append((path.stem, getattr(node, "name", None)))
+    return sites
 
 
 def test_readme_library_tour():

@@ -79,6 +79,17 @@ class TestConstruct:
         with pytest.raises(ValueError, match="block sizes must be non-negative"):
             ExtremalParams("A", -1, 1, (1,), (0,))
 
+    @pytest.mark.parametrize(
+        "cycle_lengths, pattern",
+        [((True,), (0,)), ((1.0,), (0,)), ((1,), (False,)), ((1,), (0.0,))],
+        ids=["cycle-length-bool", "cycle-length-float", "pattern-bool", "pattern-float"],
+    )
+    def test_rejects_cycle_lengths_and_pattern_not_of_type_int(self, cycle_lengths, pattern):
+        # each equals the int it stands for, but family_line would write True, and a float index fails the build
+        with pytest.raises(ValueError) as raised:
+            ExtremalParams("A", 1, 1, cycle_lengths, pattern)
+        assert str(raised.value) == "cycle lengths and pattern entries must be of type int"
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError, match="variant must be 'A' or 'B'"):
             ExtremalParams("C", 1, 1, (1,), (0,))

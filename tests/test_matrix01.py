@@ -114,6 +114,12 @@ class TestPermutation:
                 permute(a, sigma)
             assert str(raised.value) == "permutation order differs from matrix order"
 
+    @pytest.mark.parametrize("sigma", [(1, 0), [1, 0], None], ids=["tuple", "list", "none"])
+    def test_permute_refuses_a_sigma_that_is_not_a_permutation(self, sigma):
+        with pytest.raises(ValueError) as raised:
+            permute(Matrix01.identity(2), sigma)
+        assert str(raised.value) == "sigma must be a Permutation"
+
     @pytest.mark.parametrize("mapping", [(1.0, 0.0), (True, False)], ids=["float", "bool"])
     def test_rejects_entries_not_of_type_int(self, mapping):
         # both sort equal to (0, 1), but a decomposition would write its sigma

@@ -742,6 +742,9 @@ ARGUMENT_RULES = {
     "enumerate_k_idempotent order above limit": lambda: list(enumerate_k_idempotent(6, 2)),
     "enumerate_k_idempotent index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(3, 100_000))),
     "enumerate_k_idempotent non-int index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=(0.0, 16))),
+    "enumerate_k_idempotent index range of three": lambda: list(enumerate_k_idempotent(2, 2, index_range=(0, 1, 2))),
+    "enumerate_k_idempotent index range of one": lambda: list(enumerate_k_idempotent(2, 2, index_range=(0,))),
+    "enumerate_k_idempotent int index range": lambda: list(enumerate_k_idempotent(2, 2, index_range=5)),
     "matrix_from_index index": lambda: matrix_from_index(1, 2),
     "matrix_from_index negative order": lambda: matrix_from_index(-1, 0),
     "matrix_from_index non-int index": lambda: matrix_from_index(2, 3.0),

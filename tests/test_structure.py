@@ -933,6 +933,11 @@ class TestSerialization:
              "source block row exceeds cycle width"),
             (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (1,), (0b10,), Permutation((0, 1, 2))),
              "cycle block row exceeds sink width"),
+            # a float row is no bitset: refused by the same rule, not left to raise a TypeError
+            (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (1.0,), (1,), Permutation((0, 1, 2))),
+             "source block row exceeds cycle width"),
+            (lambda: CanonicalDecomposition(3, 2, 1, (1,), 1, (1,), (1.0,), Permutation((0, 1, 2))),
+             "cycle block row exceeds sink width"),
         ]
         for build, message in broken:
             with pytest.raises(ValueError) as raised:
