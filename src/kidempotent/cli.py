@@ -182,7 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MatrixFormatError, DecompositionFormatError) as exc:
         message = f"format error: {exc}"
     except UnicodeError as exc:  # a file or a stdin read, or the ASCII test of stdin text
-        message = f"format error: non-ASCII byte at offset {exc.start}"
+        # a strict UTF-8 stdin may stop after the first non-ASCII byte, whose U+FFFD in ASCII with replacement is at its offset
+        start = exc.object.decode("ascii", "replace").find("\ufffd") if isinstance(exc.object, bytes) else exc.start
+        message = f"format error: non-ASCII byte at offset {start}"
     except OSError as exc:
         message = f"cannot read input: {exc}"
     print(message, file=sys.stderr)

@@ -18,9 +18,9 @@ That search, :func:`_member_blocks`, yields the member indices in
 ascending order, and both the public stream and the census read them
 from it, once per exponent. At every order the census runs the
 structural route on the members only: each is certified and relabeled,
-and its canonical rows are compared with the rows composed from its X
-and Y blocks, built once per distinct block data and shared by the
-exponents of one :func:`censuses` call. Every member then lies in the
+and its canonical rows are compared with the rows composed from the X
+and Y blocks read off them, once per distinct canonical form for all
+the exponents of one :func:`censuses` call. Every member then lies in the
 canonical set, and the member count must equal :func:`structural_count`,
 the number of matrices of the canonical form, so the two sets are equal
 without visiting a non-member. The census therefore never asks the
@@ -42,6 +42,7 @@ from typing import Iterator
 
 from .matrix01 import Matrix01, _lane_flags, _require_int, _sat_power_rows, to_text
 from .structure import (
+    _blocks,
     _build_rows,
     _canonical_form,
     _fits_maximum_form,
@@ -80,7 +81,7 @@ def matrix_from_index(n: int, index: int) -> Matrix01:
 
 def _index_rows(n: int, index: int) -> tuple[int, ...]:
     mask = (1 << n) - 1
-    return tuple((index >> (i * n)) & mask for i in range(n))
+    return tuple([(index >> (i * n)) & mask for i in range(n)])
 
 
 def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
@@ -282,45 +283,47 @@ class CensusReport:
 def _sweep(n: int, k: int, built: dict) -> CensusReport:
     """The census of order n >= 1 at k, from one pass over the member stream of order n.
 
-    The power route decides every index, and one walk certifies each
-    member of :func:`_member_blocks` by :func:`_canonical_form` from its
-    index; no member list is kept. Each member's canonical rows are
-    compared with the rows :func:`_build_rows` composes from its blocks,
-    kept in ``built`` per distinct block data: as the relabel is a
-    bijection, that compares the rebuilt matrix with the member. A member
-    that is rejected or not rebuilt is a mismatch. Every other member lies
-    in the canonical set, so a member count equal to
-    :func:`structural_count`, the size of that set, shows the two sets
-    equal without visiting a non-member. An index's bits are its
-    matrix's entries, so its count of ones is its bit count. The density
-    shape of each argmax member is decided on the blocks of its form. A
-    nonzero member whose index has no bit on or below the diagonal is
-    strictly upper triangular, and breaks the triangular lemma. Matrices
-    are built only for the final argmax and the mismatches, these in
-    ascending index order.
+    The power route decides every index, and one walk certifies each member
+    of :func:`_member_blocks` by :func:`_canonical_form` from its index; no
+    member list is kept. The blocks :func:`_blocks` reads off a member's
+    canonical rows, and whether :func:`_build_rows` rebuilds those rows from
+    them, depend on its key alone, so ``built`` keeps both per key: as the
+    relabel is a bijection, that compares the rebuilt matrix with the
+    member. A member that is rejected or not rebuilt is a mismatch. Every
+    other member lies in the canonical set, so a member count equal to
+    :func:`structural_count`, the size of that set, shows the two sets equal
+    without visiting a non-member. An index's bits are its matrix's entries,
+    so its count of ones is its bit count. The density shape of each argmax
+    member is decided on the blocks of its form. A nonzero member whose
+    index has no bit on or below the diagonal is strictly upper triangular,
+    and breaks the triangular lemma. Matrices are built only for the final
+    argmax and the mismatches, these in ascending index order.
     """
     # the index bits of the entries on or below the diagonal
     lower = sum(((2 << i) - 1) << (i * n) for i in range(n))
     upper_triangular_ok = True
     total = 0
     best = -1
-    argmax: list[tuple[int, tuple | None]] = []
+    argmax: list[tuple[tuple[int, ...], tuple | None]] = []
     bad = []
     for x in _member_blocks(n, k, 0, 1 << (n * n)):
-        form = _canonical_form(_index_rows(n, x), n, k)
+        rows = _index_rows(n, x)
+        form = _canonical_form(rows, n, k)
         total += 1
         if x and not x & lower:
             upper_triangular_ok = False
-        if form is not None and form[0] not in built:
-            built[form[0]] = _build_rows(*form[0])
-        if form is None or built[form[0]] != form[1]:
-            bad.append(x)
+        entry = None if form is None else built.get(form[0])
+        if entry is None and form is not None:
+            blocks = _blocks(*form[0])
+            entry = built[form[0]] = blocks, _build_rows(*blocks) == form[0][2]
+        if entry is None or not entry[1]:
+            bad.append(rows)
         count = x.bit_count()
         if count > best:
             best = count
-            argmax = [(x, form)]
+            argmax = [(rows, entry)]
         elif count == best:
-            argmax.append((x, form))
+            argmax.append((rows, entry))
     gamma_value = gamma(n)
     return CensusReport(
         n=n,
@@ -330,13 +333,13 @@ def _sweep(n: int, k: int, built: dict) -> CensusReport:
         max_nnz=best,
         argmax_count=len(argmax),
         max_density_ok=best == gamma_value
-        and all(form is not None and _fits_maximum_form(*form[0]) for _, form in argmax),
+        and all(entry is not None and _fits_maximum_form(*entry[0]) for _, entry in argmax),
         characterization_ok=not bad and total == structural_count(n, k),
         upper_triangular_ok=upper_triangular_ok,
         # Lists first: tuple() of a generator grows the tuple by resizing,
         # which raised the peak RSS of repeated order-3 censuses by 0.6 MB.
-        mismatches=tuple([matrix_from_index(n, x) for x in bad]),
-        argmax=tuple([matrix_from_index(n, x) for x, _ in argmax]),
+        mismatches=tuple([Matrix01(n, rows) for rows in bad]),
+        argmax=tuple([Matrix01(n, rows) for rows, _ in argmax]),
     )
 
 
@@ -350,15 +353,15 @@ def censuses(n: int, ks) -> list[CensusReport]:
     member. It equals the report of the k alone, bit for bit.
 
     Every argument is checked before any work. Each k is one
-    :func:`_sweep` over its members; the rows composed from each distinct
-    block data do not depend on k, so the sweeps share them.
+    :func:`_sweep` over its members; the blocks and rebuild verdict of each
+    distinct canonical form do not depend on k, so the sweeps share them.
     """
     ks = tuple(ks)
     _require_int(n, f"census order must be between 1 and {ORDER_LIMIT}", 1, ORDER_LIMIT)
     _require_int(len(ks), "census requires at least one exponent", 1)
     for k in ks:
         _require_k(k)
-    built: dict = {}  # the rows composed from each distinct block data
+    built: dict = {}  # the blocks and rebuild verdict of each distinct canonical form
     return [_sweep(n, k, built) for k in ks]
 
 

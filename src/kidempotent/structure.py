@@ -375,26 +375,31 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
     None when that rejects it or its period, the lcm of its cycle lengths, does not divide k - 1.
 
     One :func:`matrix01._reorder_rows` call moves all n rows, and every
-    bit in them, into the canonical order. The blocks are read off by
-    shifts and masks: a source row holds its X row above bit r (no
-    source, no X read), a cycle row Y above bit r + m.
+    bit in them, into the canonical order; no block is read.
 
-    Returns (blocks, canonical_rows, to_canonical): ``blocks`` is
-    (r, cycle_lengths, s, X, Y), the arguments of :func:`_build_rows`,
-    and ``to_canonical[v]`` is the canonical position of the original
-    index v, the inverse of the order. The canonical rows are those of
-    ``permute(A, Permutation(order))``.
+    Returns (key, to_canonical): ``key`` is (r, cycle_lengths,
+    canonical_rows), which does not depend on k and fixes the blocks that
+    :func:`_blocks` reads, and ``to_canonical[v]`` is the canonical
+    position of the original index v, the inverse of the order. The
+    canonical rows are those of ``permute(A, Permutation(order))``.
     """
     analysis = _analyze_rows(rows, n)
     if analysis is None or (k - 1) % lcm(*analysis[2]):
         return None
     order, r, lengths = analysis
     canonical_rows, to_canonical = _reorder_rows(rows, order)
-    shift = r + sum(lengths)
+    return (r, lengths, canonical_rows), to_canonical
+
+
+def _blocks(r: int, cycle_lengths: tuple[int, ...], canonical_rows: tuple[int, ...]) -> tuple:
+    """(r, cycle_lengths, s, X, Y), the arguments of :func:`_build_rows`, read off canonical rows
+    by shifts and masks: a source row holds its X row above bit r (no source, no X read), a cycle
+    row Y above bit r + m."""
+    shift = r + sum(cycle_lengths)
     cycle_mask = (1 << (shift - r)) - 1
     x_rows = tuple([(row >> r) & cycle_mask for row in canonical_rows[:r]]) if r else ()
     y_rows = tuple([row >> shift for row in canonical_rows[r:shift]])
-    return (r, lengths, n - shift, x_rows, y_rows), canonical_rows, to_canonical
+    return r, cycle_lengths, len(canonical_rows) - shift, x_rows, y_rows
 
 
 def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
@@ -409,8 +414,8 @@ def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     _require_k(k)
     form = _canonical_form(a.rows, a.n, k)
     if form is not None:
-        blocks, _, to_canonical = form
-        return CanonicalDecomposition(a.n, k, *blocks, Permutation(tuple(to_canonical)))
+        key, to_canonical = form
+        return CanonicalDecomposition(a.n, k, *_blocks(*key), Permutation(tuple(to_canonical)))
     failure = power_failure(a, k)
     if failure is None:
         raise RuntimeError("structural rejection of a matrix whose power matches")
@@ -439,7 +444,7 @@ def _build_rows(
     :class:`CanonicalDecomposition` checks when it is built.
 
     Every composed matrix and derived corner is built here. The blocks of
-    :func:`_canonical_form` have that shape by construction; only the
+    :func:`_blocks` have that shape by construction; only the
     corner is checked, by :func:`_corner_rows` on the rows of P^T Y. Only
     the core points whose predecessor has a nonzero Y row add to X P^T Y,
     so X is masked to them.

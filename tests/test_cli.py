@@ -308,8 +308,14 @@ def input_bytes(draw):
 
 
 # The same bytes by stdin and as a file: a valid UTF-8 character that is not ASCII, CRLF line ends.
-CHANNEL_INPUTS = [b"2\n1\xc3\xa9\n00\n", *(text.replace("\n", "\r\n").encode() for text in (C3_TEXT, WORKED_DECOMPOSITION))]
-CHANNEL_IDS = ["non-ascii", "crlf-matrix", "crlf-decomposition"]
+# The last input is a valid UTF-8 character, then an invalid byte: a strict UTF-8 stdin decoder stops at
+# offset 2, after the first non-ASCII byte.
+CHANNEL_INPUTS = [
+    b"2\n1\xc3\xa9\n00\n",
+    *(text.replace("\n", "\r\n").encode() for text in (C3_TEXT, WORKED_DECOMPOSITION)),
+    b"\xc3\xa9\xff\n",
+]
+CHANNEL_IDS = ["non-ascii", "crlf-matrix", "crlf-decomposition", "utf8-then-invalid"]
 
 
 def assert_contract(code, out, err, data, reads_input=True):
@@ -379,6 +385,7 @@ class TestArbitraryBytes:
     @settings(max_examples=150, deadline=None)
     @given(input_bytes(), st.sampled_from(READERS))
     @example(b"2\n0\xc3\xa9\n00\n", ["check", "--k", "2"])
+    @example(b"\xc3\xa9\xff\n", ["index"])
     # Longer than CPython's default 4,300-digit int() limit, and malformed without it.
     @example(LONG_ORDER_LINE, ["check", "--k", "2"])
     @example(LONG_ORDER_LINE, ["decompose", "--k", "3"])
@@ -390,21 +397,12 @@ class TestArbitraryBytes:
         path = tmp_path_factory.mktemp("input") / "in.txt"
         path.write_bytes(data)
         file_code, file_out, file_err = run_cli_bytes([*command, str(path)], b"")
-        assert (file_code, file_out) == (code, out)
+        assert (file_code, file_out, file_err) == (code, out, err)
         assert_contract(file_code, file_out, file_err, data)
-        if data.isascii():
-            assert file_err == err
-            return
-        # Both name the first non-ASCII byte, except that a strict UTF-8 stdin
-        # decoder stops at its first bad sequence, which may lie after it.
-        first = next(i for i, byte in enumerate(data) if byte > 127)
-        try:
-            data.decode("utf-8")
-            stop = first
-        except UnicodeDecodeError as exc:
-            stop = exc.start
-        assert file_err == f"format error: non-ASCII byte at offset {first}\n"
-        assert err == f"format error: non-ASCII byte at offset {stop}\n"
+        if not data.isascii():
+            # both name the first non-ASCII byte, also where a strict UTF-8 stdin decoder stops later
+            first = next(i for i, byte in enumerate(data) if byte > 127)
+            assert err == f"format error: non-ASCII byte at offset {first}\n"
 
     @pytest.mark.parametrize("data", CHANNEL_INPUTS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("command", READERS, ids=[argv[0] for argv in READERS])

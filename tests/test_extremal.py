@@ -21,6 +21,7 @@ from kidempotent.oracle import enumerate_k_idempotent
 from kidempotent.structure import (
     CanonicalDecomposition,
     ProductNotZeroOne,
+    _blocks,
     _canonical_form,
     _fits_maximum_form,
     allowed_boundary_counts,
@@ -349,7 +350,7 @@ def reference_max_form(d):
 
 def census_rule(a, k):
     """The density shape as a census decides it: on the blocks of the canonical form."""
-    return _fits_maximum_form(*_canonical_form(a.rows, a.n, k)[0])
+    return _fits_maximum_form(*_blocks(*_canonical_form(a.rows, a.n, k)[0]))
 
 
 class TestBlockRule:

@@ -429,7 +429,7 @@ class TestCandidates:
         monkeypatch.setattr(oracle, "_build_rows", record)
         report = census(n, k)
         assert (report.total_k_idempotent, report.mismatches) == (total, ())
-        blocks = {oracle._canonical_form(a.rows, n, k)[0] for a in enumerate_k_idempotent(n, k)}
+        blocks = {structure._blocks(*oracle._canonical_form(a.rows, n, k)[0]) for a in enumerate_k_idempotent(n, k)}
         assert len(calls) == len(set(calls)) == len(blocks) == distinct
         assert set(calls) == blocks
 
@@ -446,7 +446,7 @@ class TestCandidates:
         # The census rebuilds each distinct block data once, so the failed
         # rebuild is planted on block data that only the broken member has:
         # planted on shared blocks it would fail every member that has them.
-        blocks_of = {x: canonical_form(oracle._index_rows(3, x), 3, 2)[0] for x in members}
+        blocks_of = {x: structure._blocks(*canonical_form(oracle._index_rows(3, x), 3, 2)[0]) for x in members}
         shared = Counter(blocks_of.values())
         broken = next(x for x in members if x and x.bit_count() < 4 and shared[blocks_of[x]] == 1)
         rejected = max(x for x in members if x.bit_count() == 4)
@@ -494,29 +494,54 @@ def corrupt_source_row(r, m, s, rows):
 
 
 class TestEveryBlockCompared:
-    """A member whose canonical rows differ from its composed blocks anywhere is a mismatch."""
+    """A member whose canonical rows differ from its composed blocks anywhere is a mismatch.
+
+    The census keeps one rebuild verdict per canonical form, so a corrupted
+    member is caught also when members before it have its block sizes.
+    """
+
+    @staticmethod
+    def corrupted_census(monkeypatch, corrupt, k, later):
+        """census(3, k) with the canonical rows of one member corrupted: the
+        first member ``corrupt`` applies to, or with ``later`` the first such
+        member whose (r, cycle_lengths) an earlier member already had.
+        Returns the report, the corrupted members and the sizes met before it."""
+        canonical_form = oracle._canonical_form
+        corrupted = []
+        sizes = []
+
+        def corrupt_one(rows, n, k):
+            form = canonical_form(rows, n, k)
+            if form is None or corrupted:
+                return form
+            (r, lengths, canonical_rows), to_canonical = form
+            seen = (r, lengths) in sizes
+            sizes.append((r, lengths))
+            bad = corrupt(r, sum(lengths), n - r - sum(lengths), canonical_rows)
+            if bad is None or (later and not seen):
+                return form
+            corrupted.append(Matrix01(n, rows))
+            return (r, lengths, bad), to_canonical
+
+        monkeypatch.setattr(oracle, "_canonical_form", corrupt_one)
+        return census(3, k), corrupted, sizes[:-1]
 
     @pytest.mark.parametrize("corrupt", [corrupt_corner, corrupt_cycle_row, corrupt_sink_row, corrupt_source_row])
     @pytest.mark.parametrize("k", [2, 3])
     def test_corrupted_block(self, monkeypatch, corrupt, k):
-        canonical_form = oracle._canonical_form
-        corrupted = []
-
-        def corrupt_first(rows, n, k):
-            form = canonical_form(rows, n, k)
-            if form is None or corrupted:
-                return form
-            blocks, canonical_rows, to_canonical = form
-            r, lengths, s = blocks[:3]
-            bad = corrupt(r, sum(lengths), s, canonical_rows)
-            if bad is None:
-                return form
-            corrupted.append(Matrix01(n, rows))
-            return blocks, bad, to_canonical
-
-        monkeypatch.setattr(oracle, "_canonical_form", corrupt_first)
-        report = census(3, k)
+        report, corrupted, _ = self.corrupted_census(monkeypatch, corrupt, k, later=False)
         assert len(corrupted) == 1
+        assert report.mismatches == tuple(corrupted)
+        assert not report.characterization_ok
+
+    @pytest.mark.parametrize("corrupt", [corrupt_corner, corrupt_cycle_row, corrupt_sink_row, corrupt_source_row])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_corrupted_member_after_its_block_sizes(self, monkeypatch, corrupt, k):
+        report, corrupted, before = self.corrupted_census(monkeypatch, corrupt, k, later=True)
+        assert len(corrupted) == 1
+        monkeypatch.undo()
+        key = oracle._canonical_form(corrupted[0].rows, 3, k)[0]
+        assert key[:2] in before
         assert report.mismatches == tuple(corrupted)
         assert not report.characterization_ok
 
@@ -537,7 +562,7 @@ class TestArgmaxObjects:
         assert built == []
         monkeypatch.undo()
         forms = [structure._canonical_form(a.rows, n, k) for a in report.argmax]
-        assert shapes == [blocks for blocks, _, _ in forms]
+        assert shapes == [structure._blocks(*key) for key, _ in forms]
         assert [decompose(a, k).original_matrix() for a in report.argmax] == list(report.argmax)
 
 

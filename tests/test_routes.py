@@ -37,7 +37,7 @@ POWER_ROOTS = (oracle._member_blocks, structure.power_failure, matrix01.sat_powe
 STRUCTURAL_ROOTS = (structure._canonical_form, structure.idempotency_index)
 # What the power route must never reach: the structural certification and its users.
 STRUCTURAL = {
-    "_analyze_rows", "_canonical_form", "_build_rows", "_corner_rows", "decompose", "idempotency_index"
+    "_analyze_rows", "_canonical_form", "_blocks", "_build_rows", "_corner_rows", "decompose", "idempotency_index"
 }
 # The helpers both routes call, each named with the reason it decides nothing about
 # membership. The routes share none today; the set of shared helpers must equal this.

@@ -33,6 +33,7 @@ from kidempotent.matrix01 import (
 from kidempotent.oracle import _member_blocks
 from kidempotent.structure import (
     _analyze_rows,
+    _blocks,
     _canonical_form,
     _check_header,
     CanonicalDecomposition,
@@ -348,7 +349,7 @@ class TestDigraphReference:
             analysis = _analyze_rows(a.rows, n)
             assert certification(a) == digraph_certification(a)
             order, r, cycle_lengths = analysis
-            assert _canonical_form(a.rows, n, 720721)[1] == permute(a, Permutation(order)).rows
+            assert _canonical_form(a.rows, n, 720721)[0][2] == permute(a, Permutation(order)).rows
             sources, sinks = order[:r], order[r + sum(cycle_lengths) :]
             if sources and sinks:
                 u, w = rng.choice(sources), rng.choice(sinks)
@@ -611,7 +612,9 @@ def check_canonical_form(a, k):
     assert (form is not None) == is_k_idempotent(a, k)
     if form is None:
         return
-    (r, lengths, s, x_rows, y_rows), canonical_rows, to_canonical = form
+    key, to_canonical = form
+    r, lengths, s, x_rows, y_rows = _blocks(*key)
+    canonical_rows = key[2]
     assert sorted(to_canonical) == list(range(a.n))
     analysis = _analyze_rows(a.rows, a.n)
     order = analysis[0]
