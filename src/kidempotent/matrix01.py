@@ -54,8 +54,10 @@ def _require_int(value, message: str, low: int, high: int | None = None) -> None
 
 def _require_ints(values: Sequence, message: str, width: int | None = None) -> None:
     """Raise ``ValueError(message)`` unless every value is of exact type int, not bool, and in [0, 2^width) given a width."""
-    if not {*map(type, values)} <= {int} or width is not None and (min(values, default=0) < 0 or max(values, default=0) >> width):
-        raise ValueError(message)
+    limit = None if width is None else 1 << width
+    for value in values:
+        if type(value) is not int or limit is not None and not 0 <= value < limit:
+            raise ValueError(message)
 
 
 def pack_row(values: Iterable[int]) -> int:
@@ -102,10 +104,7 @@ class Matrix01:
         _require_int(self.n, "order must be non-negative", 0)
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        limit = 1 << self.n
-        for row in self.rows:
-            if not 0 <= row < limit:
-                raise ValueError("row has bits outside the matrix order")
+        _require_ints(self.rows, "rows must be of type int with no bits outside the matrix order", self.n)
 
     @classmethod
     def zero(cls, n: int) -> "Matrix01":

@@ -25,11 +25,11 @@ canonical set, and the member count must equal :func:`structural_count`,
 the number of matrices of the canonical form, so the two sets are equal
 without visiting a non-member. The census therefore never asks the
 structural route about a non-member; the test suite does, for every
-matrix of order 0 to 4 at every golden exponent. The density shape of
-each argmax member is decided on its blocks; no matrix object is built
-except for the reported argmax and mismatches, and no permutation or
-decomposition object at all. The README's performance notes give the
-timings.
+matrix of order 0 to 4 at every golden exponent. The density shape is
+decided once per distinct argmax form, on its blocks. No matrix object
+is built except for the reported argmax and mismatches, and no
+permutation or decomposition object at all. The README's performance
+notes give the timings.
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ def _member_blocks(n: int, k: int, start: int, stop: int) -> Iterator[int]:
     while nodes:
         base, d = nodes.pop()
         size = 1 << d
-        # B = 0 never prunes (0^k = 0), so it passes untested.
-        if base >= stop or base + size <= start or (base and d >= _LANE_BITS and _excluded(n, k, base, d)):
+        if base >= stop or base + size <= start or (d >= _LANE_BITS and _excluded(n, k, base, d)):
             continue
         if d > width:
             nodes += [(base + size // 2, d - 1), (base, d - 1)]
@@ -174,10 +173,10 @@ def _sat_member_lanes(n: int, k: int, base: int, width: int) -> int:
     built first and 684 chained.
 
     A leaf of 2**_LANE_BITS indices is the one block the node test of
-    :func:`_member_blocks` vets (B = 0 trivially): its fixed rows passed
-    the test, so a chain seldom ends it, and it chains none. Chained, full
-    order-5 sweeps took 0.27 s instead of 0.24 s at k = 7 and 0.38 s
-    instead of 0.30 s at k = 13.
+    :func:`_member_blocks` vets: its fixed rows passed the test, so a chain
+    seldom ends it, and it chains none. Chained, full order-5 sweeps took
+    0.27 s instead of 0.24 s at k = 7 and 0.38 s instead of 0.30 s at
+    k = 13.
     """
     full = (1 << (1 << width)) - 1
     patterns = _lane_patterns(width)
@@ -285,16 +284,16 @@ def _sweep(n: int, k: int, built: dict) -> CensusReport:
 
     The power route decides every index, and one walk certifies each member
     of :func:`_member_blocks` by :func:`_canonical_form` from its index; no
-    member list is kept. The blocks :func:`_blocks` reads off a member's
-    canonical rows, and whether :func:`_build_rows` rebuilds those rows from
-    them, depend on its key alone, so ``built`` keeps both per key: as the
-    relabel is a bijection, that compares the rebuilt matrix with the
-    member. A member that is rejected or not rebuilt is a mismatch. Every
+    member list is kept. Whether :func:`_build_rows` rebuilds a member's
+    canonical rows from the blocks :func:`_blocks` reads off them depends on
+    its key alone, so ``built`` keeps that one bool per key: as the relabel
+    is a bijection, it compares the rebuilt matrix with the member. A
+    member that is rejected or not rebuilt is a mismatch. Every
     other member lies in the canonical set, so a member count equal to
     :func:`structural_count`, the size of that set, shows the two sets equal
     without visiting a non-member. An index's bits are its matrix's entries,
-    so its count of ones is its bit count. The density shape of each argmax
-    member is decided on the blocks of its form. A nonzero member whose
+    so its count of ones is its bit count. The density shape is decided once
+    per distinct argmax key, on the blocks of its form. A nonzero member whose
     index has no bit on or below the diagonal is strictly upper triangular,
     and breaks the triangular lemma. Matrices are built only for the final
     argmax and the mismatches, these in ascending index order.
@@ -312,18 +311,17 @@ def _sweep(n: int, k: int, built: dict) -> CensusReport:
         total += 1
         if x and not x & lower:
             upper_triangular_ok = False
-        entry = None if form is None else built.get(form[0])
-        if entry is None and form is not None:
-            blocks = _blocks(*form[0])
-            entry = built[form[0]] = blocks, _build_rows(*blocks) == form[0][2]
-        if entry is None or not entry[1]:
+        key = None if form is None else form[0]
+        if key is not None and key not in built:
+            built[key] = _build_rows(*_blocks(*key)) == key[2]
+        if key is None or not built[key]:
             bad.append(rows)
         count = x.bit_count()
         if count > best:
             best = count
-            argmax = [(rows, entry)]
+            argmax = [(rows, key)]
         elif count == best:
-            argmax.append((rows, entry))
+            argmax.append((rows, key))
     gamma_value = gamma(n)
     return CensusReport(
         n=n,
@@ -333,7 +331,9 @@ def _sweep(n: int, k: int, built: dict) -> CensusReport:
         max_nnz=best,
         argmax_count=len(argmax),
         max_density_ok=best == gamma_value
-        and all(entry is not None and _fits_maximum_form(*entry[0]) for _, entry in argmax),
+        and all(
+            key is not None and _fits_maximum_form(*_blocks(*key)) for key in dict.fromkeys(key for _, key in argmax)
+        ),
         characterization_ok=not bad and total == structural_count(n, k),
         upper_triangular_ok=upper_triangular_ok,
         # Lists first: tuple() of a generator grows the tuple by resizing,
@@ -353,15 +353,15 @@ def censuses(n: int, ks) -> list[CensusReport]:
     member. It equals the report of the k alone, bit for bit.
 
     Every argument is checked before any work. Each k is one
-    :func:`_sweep` over its members; the blocks and rebuild verdict of each
-    distinct canonical form do not depend on k, so the sweeps share them.
+    :func:`_sweep` over its members; the rebuild verdict of each distinct
+    canonical form does not depend on k, so the sweeps share it.
     """
     ks = tuple(ks)
     _require_int(n, f"census order must be between 1 and {ORDER_LIMIT}", 1, ORDER_LIMIT)
     _require_int(len(ks), "census requires at least one exponent", 1)
     for k in ks:
         _require_k(k)
-    built: dict = {}  # the blocks and rebuild verdict of each distinct canonical form
+    built: dict = {}  # the rebuild verdict of each distinct canonical form
     return [_sweep(n, k, built) for k in ks]
 
 

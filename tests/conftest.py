@@ -1,13 +1,14 @@
-"""Shared test helpers: census memoization, random decomposition data, the
-strongly connected components of a digraph, from the definition, seeded
-text corruptions and the power-route certificate of an idempotency index."""
+"""Shared test helpers: census memoization, every matrix of an order, the
+one-bit-at-a-time relabel, random decomposition data, the strongly
+connected components of a digraph, from the definition, seeded text
+corruptions and the power-route certificate of an idempotency index."""
 
 import random
 from pathlib import Path
 
 import pytest
 
-from kidempotent.matrix01 import Permutation
+from kidempotent.matrix01 import Matrix01, Permutation
 from kidempotent.oracle import censuses
 from kidempotent.structure import CanonicalDecomposition, power_failure
 
@@ -38,6 +39,18 @@ def get_census():
         return _census_memo[(n, k)]
 
     return fetch
+
+
+def all_matrices(n):
+    """Every matrix of order n, in enumeration index order."""
+    mask = (1 << n) - 1
+    for index in range(1 << (n * n)):
+        yield Matrix01(n, tuple((index >> (i * n)) & mask for i in range(n)))
+
+
+def relabel_reference(bits, position):
+    """Bit v of ``bits`` moved to bit position[v], one bit at a time."""
+    return sum(((bits >> v) & 1) << p for v, p in enumerate(position))
 
 
 def random_decomposition(rng: random.Random, n: int, k: int) -> CanonicalDecomposition:

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -626,11 +627,13 @@ class TestFamilyEnumeratorLoadsOnDemand:
         assert src_sites(raises_argument_range_error) == [("matrix01", "_require_int")]
 
     def test_the_int_sequence_and_row_packing_rules_are_written_once(self):
-        # every exact-int sequence check calls matrix01._require_ints, and nested 0/1 rows go through matrix01._pack_rows
-        def type_set(node):
-            return isinstance(node, ast.Set) and any(ast.unparse(e).startswith("*map(type, ") for e in node.elts)
+        # the exact-int test is written only in matrix01._require_int and _require_ints, which every
+        # int argument and int sequence (Matrix01 rows too) calls; nested 0/1 rows go through matrix01._pack_rows
+        def exact_int_test(node):
+            return isinstance(node, ast.Compare) and re.fullmatch(r"type\(.*\) is not int", ast.unparse(node)) is not None
 
-        assert src_sites(type_set) == [("matrix01", "_require_ints")]
+        assert src_sites(exact_int_test) == [("matrix01", "_require_int"), ("matrix01", "_require_ints")]
+        assert ("matrix01", "__post_init__") not in src_sites(lambda node: isinstance(node, (ast.For, ast.comprehension)))
         assert src_sites(lambda node: isinstance(node, ast.Name) and node.id == "pack_row") == [("matrix01", "_pack_rows")]
 
     def test_lazy_names_are_extremal_all(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupted_texts, outcome, random_decomposition
+from conftest import all_matrices, corrupted_texts, outcome, random_decomposition, relabel_reference
 from kidempotent import matrix01
 from kidempotent.structure import is_k_idempotent
 from kidempotent.matrix01 import (
@@ -33,12 +33,6 @@ from kidempotent.matrix01 import (
     to_text,
     unpack_row,
 )
-
-
-def all_matrices(n):
-    mask = (1 << n) - 1
-    for index in range(1 << (n * n)):
-        yield Matrix01(n, tuple((index >> (i * n)) & mask for i in range(n)))
 
 
 def min2(rows):
@@ -85,6 +79,13 @@ class TestBasics:
             with pytest.raises(ValueError, match=r"^entry 1\.0 is not 0 or 1$"):
                 call()
         assert pack_row([True, False, True]) == pack_row([1, 0, 1]) == 0b101
+
+    @pytest.mark.parametrize("row", [1.0, True, "1", None, -1, 2])
+    def test_rows_not_int_in_range_are_refused(self, row):
+        # 1.0 compares equal to 1 but breaks to_text and the power route; a bool is refused as in every int rule
+        with pytest.raises(ValueError) as raised:
+            Matrix01(1, (row,))
+        assert str(raised.value) == "rows must be of type int with no bits outside the matrix order"
 
     def test_pack_unpack(self):
         assert unpack_row(pack_row([1, 0, 1, 1]), 4) == [1, 0, 1, 1]
@@ -155,11 +156,6 @@ class TestPermutation:
         for i in range(n):
             for j in range(n):
                 assert moved[i][j] == entries[sigma(i)][sigma(j)]
-
-
-def relabel_reference(bits, position):
-    """Bit v of ``bits`` moved to bit position[v], one bit at a time."""
-    return sum(((bits >> v) & 1) << p for v, p in enumerate(position))
 
 
 # Widths either side of 9, the narrowest at which a full row is transposed.

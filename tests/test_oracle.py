@@ -549,8 +549,9 @@ class TestEveryBlockCompared:
 class TestArgmaxObjects:
     @pytest.mark.parametrize("n,k", [(3, 2), (3, 7), (4, 3)])
     def test_permutations_only_for_argmax(self, monkeypatch, n, k):
-        # a census builds no Permutation; the argmax forms it keeps build
-        # decompositions that reproduce the argmax matrices
+        # a census builds no Permutation and decides the shape once per distinct
+        # argmax form, on its blocks; the argmax forms build decompositions that
+        # reproduce the argmax matrices
         built = []
         post_init = Permutation.__post_init__
         monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p) or post_init(p))
@@ -561,9 +562,23 @@ class TestArgmaxObjects:
         assert report.max_density_ok
         assert built == []
         monkeypatch.undo()
-        forms = [structure._canonical_form(a.rows, n, k) for a in report.argmax]
-        assert shapes == [structure._blocks(*key) for key, _ in forms]
+        keys = dict.fromkeys(structure._canonical_form(a.rows, n, k)[0] for a in report.argmax)
+        assert len(keys) < len(report.argmax)
+        assert shapes == [structure._blocks(*key) for key in keys]
         assert [decompose(a, k).original_matrix() for a in report.argmax] == list(report.argmax)
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_one_argmax_form_out_of_shape_fails_density(self, monkeypatch, k):
+        # every member is certified and rebuilt, but the blocks of one argmax form,
+        # not the first met, fit neither variant: the density check fails
+        keys = list(dict.fromkeys(structure._canonical_form(a.rows, 3, k)[0] for a in census(3, k).argmax))
+        assert len(keys) > 1
+        refused = structure._blocks(*keys[-1])
+        fits = oracle._fits_maximum_form
+        monkeypatch.setattr(oracle, "_fits_maximum_form", lambda *blocks: blocks != refused and fits(*blocks))
+        report = census(3, k)
+        assert report.characterization_ok
+        assert not report.max_density_ok
 
 
 # n = 6, 7 at k = 2..7 from the formula; at n = 6 the pruned power route

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     ORDER_KS,
+    all_matrices,
     block_power,
     corrupted_texts,
     index_certificate_failure,
     outcome,
     random_decomposition,
+    relabel_reference,
     strong_components,
 )
 from kidempotent import structure
@@ -50,12 +52,6 @@ from kidempotent.structure import (
     power_failure,
     serialize_decomposition,
 )
-
-
-def all_matrices(n):
-    mask = (1 << n) - 1
-    for index in range(1 << (n * n)):
-        yield Matrix01(n, tuple((index >> (i * n)) & mask for i in range(n)))
 
 
 class TestIsKIdempotent:
@@ -580,15 +576,6 @@ class TestCompose:
         assert exact_power(h, 4) == h.to_lists()
 
 
-def relabel_bits(bits, position):
-    """Every set bit v of ``bits`` moved to bit position[v], one bit at a time."""
-    out = 0
-    for v, p in enumerate(position):
-        if (bits >> v) & 1:
-            out |= 1 << p
-    return out
-
-
 def two_gather_blocks(rows, n):
     """X and Y as two separate gathers read them, before the one relabel.
 
@@ -601,8 +588,8 @@ def two_gather_blocks(rows, n):
     for pos, v in enumerate(order):
         to_canonical[v] = pos
     core = sum(1 << v for v in order[r:shift])
-    x_rows = tuple(relabel_bits(rows[u] & core, to_canonical) >> r for u in order[:r])
-    y_rows = tuple(relabel_bits(rows[v], to_canonical) >> shift for v in order[r:shift])
+    x_rows = tuple(relabel_reference(rows[u] & core, to_canonical) >> r for u in order[:r])
+    y_rows = tuple(relabel_reference(rows[v], to_canonical) >> shift for v in order[r:shift])
     return x_rows, y_rows
 
 
