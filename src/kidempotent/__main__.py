@@ -1,3 +1,3 @@
-from .cli import entrypoint
+from .cli import main
 
-entrypoint()
+raise SystemExit(main())

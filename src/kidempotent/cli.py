@@ -38,7 +38,7 @@ from .structure import (
     serialize_decomposition,
 )
 
-__all__ = ["entrypoint", "main"]
+__all__ = ["main"]
 
 
 def _read_input(path: str | None) -> str:
@@ -189,7 +189,3 @@ def main(argv: list[str] | None = None) -> int:
         message = f"cannot read input: {exc}"
     print(message, file=sys.stderr)
     return 2
-
-
-def entrypoint() -> None:
-    sys.exit(main())

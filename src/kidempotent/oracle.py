@@ -199,8 +199,8 @@ def enumerate_k_idempotent(
 
     Each member index of :func:`_member_blocks` is decoded into its rows.
 
-    ``allow_order_5`` is ignored: order 5 needs no opt-in. It is kept so
-    that callers written for the old opt-in still run.
+    ``allow_order_5`` is ignored: order 5 needs no opt-in. It stays while
+    its one caller, the order-5 sweep of ``perfbench/workloads.py``, passes it.
     """
     _require_k(k)
     _require_int(n, f"order must be between 0 and {ORDER_LIMIT}", 0, ORDER_LIMIT)
@@ -288,7 +288,8 @@ def _sweep(n: int, k: int, built: dict) -> CensusReport:
     canonical rows from the blocks :func:`_blocks` reads off them depends on
     its key alone, so ``built`` keeps that one bool per key: as the relabel
     is a bijection, it compares the rebuilt matrix with the member. A
-    member that is rejected or not rebuilt is a mismatch. Every
+    rejected member has the key None, whose verdict in ``built`` is False,
+    so a member that is rejected or not rebuilt is a mismatch. Every
     other member lies in the canonical set, so a member count equal to
     :func:`structural_count`, the size of that set, shows the two sets equal
     without visiting a non-member. An index's bits are its matrix's entries,
@@ -307,14 +308,14 @@ def _sweep(n: int, k: int, built: dict) -> CensusReport:
     bad = []
     for x in _member_blocks(n, k, 0, 1 << (n * n)):
         rows = _index_rows(n, x)
-        form = _canonical_form(rows, n, k)
+        form = _canonical_form(rows, k)
         total += 1
         if x and not x & lower:
             upper_triangular_ok = False
         key = None if form is None else form[0]
-        if key is not None and key not in built:
+        if key not in built:
             built[key] = _build_rows(*_blocks(*key)) == key[2]
-        if key is None or not built[key]:
+        if not built[key]:
             bad.append(rows)
         count = x.bit_count()
         if count > best:
@@ -361,7 +362,7 @@ def censuses(n: int, ks) -> list[CensusReport]:
     _require_int(len(ks), "census requires at least one exponent", 1)
     for k in ks:
         _require_k(k)
-    built: dict = {}  # the rebuild verdict of each distinct canonical form
+    built: dict = {None: False}  # the rebuild verdict of each distinct canonical form; None for a rejected member
     return [_sweep(n, k, built) for k in ks]
 
 

@@ -151,14 +151,15 @@ def power_failure(a: Matrix01, k: int) -> StructureError | None:
     return StructureError(kind, (i, (diff & -diff).bit_length() - 1))
 
 
-def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[int], m: int) -> list[int]:
+def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[int], m: int = 0) -> list[int]:
     """Rows of the corner block X P^T Y, which must be 0-1.
 
     ``through[c]`` is row c of P^T Y: the Y row of the vertex whose cycle
     successor is c. Bit c of an X row meets that row. Raises
     :class:`ProductNotZeroOne` at the first entry of 2 or more, at
     column ``len(x_rows) + m + j`` for corner column j: with m the core
-    size that is the witness in coordinates of the composed matrix.
+    size that is the witness in coordinates of the composed matrix, and a
+    caller that reports no witness leaves m at 0.
     """
     corner = []
     for i, bits in enumerate(x_rows):
@@ -177,7 +178,7 @@ def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[in
     return corner
 
 
-def _analyze_rows(rows: tuple[int, ...], n: int):
+def _analyze_rows(rows: tuple[int, ...]):
     """k-independent structural certification, in the original labels.
 
     Returns (order, r, cycle_lengths), or None when the matrix cannot be
@@ -245,8 +246,7 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
         order.append(low.bit_length() - 1)
     if order:
         try:
-            # the witness is not reported, so its column offset is moot
-            corner = _corner_rows([rows[u] & live for u in order], through, 0) if live else repeat(0)
+            corner = _corner_rows([rows[u] & live for u in order], through) if live else repeat(0)
         except ProductNotZeroOne:
             return None
         for u, row in zip(order, corner):
@@ -270,7 +270,7 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     orbits.sort(key=len)  # stable: the orbits were found by smallest vertex
     for orbit in orbits:
         order += orbit
-    bits = ~has_out & ((1 << n) - 1)  # the zero rows, the sinks
+    bits = ~has_out & ((1 << len(rows)) - 1)  # the zero rows, the sinks
     while bits:
         low = bits & -bits
         bits ^= low
@@ -278,20 +278,20 @@ def _analyze_rows(rows: tuple[int, ...], n: int):
     return order, r, tuple(map(len, orbits))
 
 
-def _check_header(n: int, r: int, cycle_lengths: Sequence[int], s: int, sigma_length: int, error: type) -> None:
-    """The size rules of a decomposition, raised as ``error``.
+def _check_header(n: int, r: int, cycle_lengths: Sequence[int], s: int, sigma_length: int) -> None:
+    """The size rules of a decomposition, raised as ``ValueError``.
 
     r and s must be non-negative, every cycle length positive, r + m + s
     equal to n with m the cycle total, and sigma of n entries.
     """
     if r < 0 or s < 0:
-        raise error("block sizes must be non-negative")
+        raise ValueError("block sizes must be non-negative")
     if min(cycle_lengths, default=1) < 1:
-        raise error("cycle lengths must be positive")
+        raise ValueError("cycle lengths must be positive")
     if r + sum(cycle_lengths) + s != n:
-        raise error("r + cycle total + s must equal n")
+        raise ValueError("r + cycle total + s must equal n")
     if sigma_length != n:
-        raise error("sigma length differs from n")
+        raise ValueError("sigma length differs from n")
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,7 @@ class CanonicalDecomposition:
         if not isinstance(self.sigma, Permutation):
             raise ValueError("sigma must be a Permutation")
         r, m, s = self.source_count, sum(self.cycle_lengths), self.sink_count
-        _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma), ValueError)
+        _check_header(self.n, r, self.cycle_lengths, s, len(self.sigma))
         if (len(self.source_to_cycle), len(self.cycle_to_sink)) != (r, m):
             raise ValueError("X and Y row counts must equal r and the cycle total")
         _require_ints(self.source_to_cycle, "source block row exceeds cycle width", m)
@@ -370,7 +370,7 @@ class CanonicalDecomposition:
         return Matrix01(len(rows), rows)
 
 
-def _canonical_form(rows: tuple[int, ...], n: int, k: int):
+def _canonical_form(rows: tuple[int, ...], k: int):
     """The matrix relabeled into canonical order by its :func:`_analyze_rows` certification;
     None when that rejects it or its period, the lcm of its cycle lengths, does not divide k - 1.
 
@@ -383,7 +383,7 @@ def _canonical_form(rows: tuple[int, ...], n: int, k: int):
     position of the original index v, the inverse of the order. The
     canonical rows are those of ``permute(A, Permutation(order))``.
     """
-    analysis = _analyze_rows(rows, n)
+    analysis = _analyze_rows(rows)
     if analysis is None or (k - 1) % lcm(*analysis[2]):
         return None
     order, r, lengths = analysis
@@ -412,10 +412,10 @@ def decompose(a: Matrix01, k: int) -> CanonicalDecomposition | StructureError:
     returned :class:`StructureError` with an honest witness.
     """
     _require_k(k)
-    form = _canonical_form(a.rows, a.n, k)
+    form = _canonical_form(a.rows, k)
     if form is not None:
         key, to_canonical = form
-        return CanonicalDecomposition(a.n, k, *_blocks(*key), Permutation(tuple(to_canonical)))
+        return CanonicalDecomposition(a.n, k, *_blocks(*key), Permutation(to_canonical))
     failure = power_failure(a, k)
     if failure is None:
         raise RuntimeError("structural rejection of a matrix whose power matches")
@@ -431,7 +431,7 @@ def idempotency_index(a: Matrix01) -> int | None:
     is 1), read off the certification's ``cycle_lengths``. When it fails,
     no k works. Nothing is relabeled and no block is gathered.
     """
-    analysis = _analyze_rows(a.rows, a.n)
+    analysis = _analyze_rows(a.rows)
     if analysis is None:
         return None
     return lcm(*analysis[2]) + 1
@@ -536,12 +536,12 @@ def parse_decomposition(text: str) -> CanonicalDecomposition:
     s = _parse_decimal(take(3, "s"), "s value", DecompositionFormatError)
     cycle_lengths = _parse_int_list(take(4, "cycle_lengths"), "cycle length value")
     mapping = _parse_int_list(take(5, "sigma"), "sigma entry value")
-    _check_header(n, r, cycle_lengths, s, len(mapping), DecompositionFormatError)
-    m = sum(cycle_lengths)
     try:
+        _check_header(n, r, cycle_lengths, s, len(mapping))
         sigma = Permutation(mapping)
     except ValueError as exc:
         raise DecompositionFormatError(str(exc)) from None
+    m = sum(cycle_lengths)
     rest, split = lines[6], r * (m + 3)
     x_rows, y_rows = _read_rows(rest[:split], r, m, "X="), _read_rows(rest[split:], m, s, "Y=")
     if x_rows is None or y_rows is None:

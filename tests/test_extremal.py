@@ -350,7 +350,7 @@ def reference_max_form(d):
 
 def census_rule(a, k):
     """The density shape as a census decides it: on the blocks of the canonical form."""
-    return _fits_maximum_form(*_blocks(*_canonical_form(a.rows, a.n, k)[0]))
+    return _fits_maximum_form(*_blocks(*_canonical_form(a.rows, k)[0]))
 
 
 class TestBlockRule:

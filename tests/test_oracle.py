@@ -388,9 +388,9 @@ class TestCandidates:
         seen = []
         canonical_form = oracle._canonical_form
 
-        def record(rows, n, k):
+        def record(rows, k):
             seen.append((k, rows))
-            return canonical_form(rows, n, k)
+            return canonical_form(rows, k)
 
         monkeypatch.setattr(oracle, "_canonical_form", record)
         reports = censuses(n, ks)
@@ -429,7 +429,7 @@ class TestCandidates:
         monkeypatch.setattr(oracle, "_build_rows", record)
         report = census(n, k)
         assert (report.total_k_idempotent, report.mismatches) == (total, ())
-        blocks = {structure._blocks(*oracle._canonical_form(a.rows, n, k)[0]) for a in enumerate_k_idempotent(n, k)}
+        blocks = {structure._blocks(*oracle._canonical_form(a.rows, k)[0]) for a in enumerate_k_idempotent(n, k)}
         assert len(calls) == len(set(calls)) == len(blocks) == distinct
         assert set(calls) == blocks
 
@@ -446,7 +446,7 @@ class TestCandidates:
         # The census rebuilds each distinct block data once, so the failed
         # rebuild is planted on block data that only the broken member has:
         # planted on shared blocks it would fail every member that has them.
-        blocks_of = {x: structure._blocks(*canonical_form(oracle._index_rows(3, x), 3, 2)[0]) for x in members}
+        blocks_of = {x: structure._blocks(*canonical_form(oracle._index_rows(3, x), 2)[0]) for x in members}
         shared = Counter(blocks_of.values())
         broken = next(x for x in members if x and x.bit_count() < 4 and shared[blocks_of[x]] == 1)
         rejected = max(x for x in members if x.bit_count() == 4)
@@ -459,8 +459,8 @@ class TestCandidates:
                 return ()
             return build_rows(*blocks)
 
-        def patched_form(rows, n, k):
-            return None if rows == rows_of[rejected] else canonical_form(rows, n, k)
+        def patched_form(rows, k):
+            return None if rows == rows_of[rejected] else canonical_form(rows, k)
 
         monkeypatch.setattr(oracle, "_canonical_form", patched_form)
         monkeypatch.setattr(oracle, "_build_rows", patched_build)
@@ -510,17 +510,17 @@ class TestEveryBlockCompared:
         corrupted = []
         sizes = []
 
-        def corrupt_one(rows, n, k):
-            form = canonical_form(rows, n, k)
+        def corrupt_one(rows, k):
+            form = canonical_form(rows, k)
             if form is None or corrupted:
                 return form
             (r, lengths, canonical_rows), to_canonical = form
             seen = (r, lengths) in sizes
             sizes.append((r, lengths))
-            bad = corrupt(r, sum(lengths), n - r - sum(lengths), canonical_rows)
+            bad = corrupt(r, sum(lengths), 3 - r - sum(lengths), canonical_rows)
             if bad is None or (later and not seen):
                 return form
-            corrupted.append(Matrix01(n, rows))
+            corrupted.append(Matrix01(3, rows))
             return (r, lengths, bad), to_canonical
 
         monkeypatch.setattr(oracle, "_canonical_form", corrupt_one)
@@ -540,7 +540,7 @@ class TestEveryBlockCompared:
         report, corrupted, before = self.corrupted_census(monkeypatch, corrupt, k, later=True)
         assert len(corrupted) == 1
         monkeypatch.undo()
-        key = oracle._canonical_form(corrupted[0].rows, 3, k)[0]
+        key = oracle._canonical_form(corrupted[0].rows, k)[0]
         assert key[:2] in before
         assert report.mismatches == tuple(corrupted)
         assert not report.characterization_ok
@@ -562,7 +562,7 @@ class TestArgmaxObjects:
         assert report.max_density_ok
         assert built == []
         monkeypatch.undo()
-        keys = dict.fromkeys(structure._canonical_form(a.rows, n, k)[0] for a in report.argmax)
+        keys = dict.fromkeys(structure._canonical_form(a.rows, k)[0] for a in report.argmax)
         assert len(keys) < len(report.argmax)
         assert shapes == [structure._blocks(*key) for key in keys]
         assert [decompose(a, k).original_matrix() for a in report.argmax] == list(report.argmax)
@@ -571,7 +571,7 @@ class TestArgmaxObjects:
     def test_one_argmax_form_out_of_shape_fails_density(self, monkeypatch, k):
         # every member is certified and rebuilt, but the blocks of one argmax form,
         # not the first met, fit neither variant: the density check fails
-        keys = list(dict.fromkeys(structure._canonical_form(a.rows, 3, k)[0] for a in census(3, k).argmax))
+        keys = list(dict.fromkeys(structure._canonical_form(a.rows, k)[0] for a in census(3, k).argmax))
         assert len(keys) > 1
         refused = structure._blocks(*keys[-1])
         fits = oracle._fits_maximum_form
@@ -644,7 +644,7 @@ class TestStructuralRejection:
     @staticmethod
     def reject(monkeypatch, rejected):
         form = oracle._canonical_form
-        monkeypatch.setattr(oracle, "_canonical_form", lambda rows, n, k: None if rows == rejected else form(rows, n, k))
+        monkeypatch.setattr(oracle, "_canonical_form", lambda rows, k: None if rows == rejected else form(rows, k))
 
     def test_member_is_one_mismatch(self, monkeypatch):
         self.reject(monkeypatch, (0, 0))

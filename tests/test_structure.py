@@ -265,7 +265,7 @@ def analysis_slices(result):
 
 def certification(a):
     """``_analyze_rows`` in the shape of :func:`digraph_certification`."""
-    result = _analyze_rows(a.rows, a.n)
+    result = _analyze_rows(a.rows)
     if result is None:
         return None
     sources, orbits, sinks = analysis_slices(result)
@@ -342,10 +342,10 @@ class TestDigraphReference:
         rng = random.Random(n)
         while flips:
             a = random_decomposition(rng, n, 720721).original_matrix()
-            analysis = _analyze_rows(a.rows, n)
+            analysis = _analyze_rows(a.rows)
             assert certification(a) == digraph_certification(a)
             order, r, cycle_lengths = analysis
-            assert _canonical_form(a.rows, n, 720721)[0][2] == permute(a, Permutation(order)).rows
+            assert _canonical_form(a.rows, 720721)[0][2] == permute(a, Permutation(order)).rows
             sources, sinks = order[:r], order[r + sum(cycle_lengths) :]
             if sources and sinks:
                 u, w = rng.choice(sources), rng.choice(sinks)
@@ -371,7 +371,7 @@ class TestDigraphReference:
     )
     def test_rejection_paths(self, lists):
         a = Matrix01.from_lists(lists)
-        assert _analyze_rows(a.rows, a.n) is None
+        assert _analyze_rows(a.rows) is None
         assert digraph_certification(a) is None
         assert not any(is_k_idempotent(a, k) for k in range(2, 8))
 
@@ -403,7 +403,7 @@ class TestDigraphReference:
         # no core point's predecessor has a sink bit, so X P^T Y = 0 and a
         # source row may reach no sink
         a = Matrix01.from_lists(lists)
-        assert _analyze_rows(a.rows, a.n) == expected
+        assert _analyze_rows(a.rows) == expected
         assert (digraph_certification(a) is None) == (expected is None)
         assert is_k_idempotent(a, 3) == (expected is not None)
 
@@ -415,7 +415,7 @@ def check_analysis_order(a):
     vertex and follows arcs, and the orbits are sorted by (length,
     smallest vertex).
     """
-    result = _analyze_rows(a.rows, a.n)
+    result = _analyze_rows(a.rows)
     if result is None:
         return
     sources, orbits, sinks = analysis_slices(result)
@@ -582,7 +582,7 @@ def two_gather_blocks(rows, n):
     Each source row cut to the core, and each cycle row whole, is
     relabeled into canonical order and shifted down to its block.
     """
-    order, r, cycle_lengths = _analyze_rows(rows, n)
+    order, r, cycle_lengths = _analyze_rows(rows)
     shift = r + sum(cycle_lengths)
     to_canonical = [0] * n
     for pos, v in enumerate(order):
@@ -595,7 +595,7 @@ def two_gather_blocks(rows, n):
 
 def check_canonical_form(a, k):
     """_canonical_form against the power route, permute and the two-gather blocks."""
-    form = _canonical_form(a.rows, a.n, k)
+    form = _canonical_form(a.rows, k)
     assert (form is not None) == is_k_idempotent(a, k)
     if form is None:
         return
@@ -603,7 +603,7 @@ def check_canonical_form(a, k):
     r, lengths, s, x_rows, y_rows = _blocks(*key)
     canonical_rows = key[2]
     assert sorted(to_canonical) == list(range(a.n))
-    analysis = _analyze_rows(a.rows, a.n)
+    analysis = _analyze_rows(a.rows)
     order = analysis[0]
     sources, orbits, sinks = analysis_slices(analysis)
     assert [to_canonical[v] for v in order] == list(range(a.n))
@@ -755,7 +755,7 @@ def structural_strays(n, k, members):
     the structural route about its members only, so this is where an
     acceptance of a non-member shows.
     """
-    forms = map(_canonical_form, index_rows(n), repeat(n), repeat(k))
+    forms = map(_canonical_form, index_rows(n), repeat(k))
     accepted = {x for x, form in enumerate(forms) if form is not None}
     return sorted(accepted.symmetric_difference(members))
 
@@ -803,7 +803,7 @@ class TestIdempotencyIndex:
         analyze = structure._analyze_rows
         planted = index_rows(n)[stray]
         monkeypatch.setattr(
-            structure, "_analyze_rows", lambda rows, n: analyze((0,) * n, n) if rows == planted else analyze(rows, n)
+            structure, "_analyze_rows", lambda rows: analyze((0,) * len(rows)) if rows == planted else analyze(rows)
         )
         for k in ORDER_KS[n][:2]:
             assert structural_strays(n, k, _member_blocks(n, k, 0, 1 << (n * n))) == [stray], k
@@ -1071,12 +1071,12 @@ def line_walk_parse(text):
     s = _parse_decimal(take(3, "s"), "s value", error)
     cycle_lengths = int_list(take(4, "cycle_lengths"), "cycle length value")
     mapping = int_list(take(5, "sigma"), "sigma entry value")
-    _check_header(n, r, cycle_lengths, s, len(mapping), error)
-    m = sum(cycle_lengths)
     try:
+        _check_header(n, r, cycle_lengths, s, len(mapping))
         sigma = Permutation(mapping)
     except ValueError as exc:
         raise error(str(exc)) from None
+    m = sum(cycle_lengths)
     x_rows, y_rows = take_rows(6, r, "X", m), take_rows(6 + r, m, "Y", s)
     if 6 + r + m != len(lines):
         raise error("unexpected trailing content")
@@ -1105,6 +1105,18 @@ class TestBlockCodec:
             text = serialize_decomposition(random_decomposition(rng, n, rng.choice([2, 3, 7, 13])))
             for bad in corrupted_texts(rng, text, 40):
                 assert outcome(parse_decomposition, bad) == outcome(line_walk_parse, bad), repr(bad)
+
+    def test_header_sizes_then_sigma_then_rows(self):
+        # one text with three faults: sizes that add up to 4, not n = 3, a sigma that repeats 0 and a bad X row;
+        # each fault is named only once the ones before it are mended
+        text = "n=3\nk=2\nr=2\ns=1\ncycle_lengths=1\nsigma=0,0,2\nX=2\nY=1\n"
+        mended_sizes = text.replace("r=2", "r=1")
+        for bad, message in [
+            (text, "r + cycle total + s must equal n"),
+            (mended_sizes, "mapping is not a bijection on 0..n-1"),
+            (mended_sizes.replace("sigma=0,0,2", "sigma=0,1,2"), "bad X row on line 7"),
+        ]:
+            assert outcome(parse_decomposition, bad) == outcome(line_walk_parse, bad) == (DecompositionFormatError, message)
 
     @pytest.mark.parametrize("field", BAD_DECIMAL_FIELDS)
     @pytest.mark.parametrize("key", ["cycle_lengths", "sigma"])
