@@ -175,18 +175,6 @@ def permute(a: Matrix01, sigma: Permutation) -> Matrix01:
     return Matrix01(a.n, _reorder_rows(a.rows, sigma.mapping)[0])
 
 
-def _reorder_rows(rows: tuple[int, ...], order: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-    """The rows of ``permute`` by ``Permutation(order)``, with ``position``, the inverse of ``order``.
-
-    Row i is row ``order[i]`` with each set bit v moved to bit ``position[v]``. The one relabel
-    entry: :func:`permute` and both relabels of the structural route call it.
-    """
-    position = [0] * len(order)
-    for i, v in enumerate(order):
-        position[v] = i
-    return tuple(_relabel_rows(map(rows.__getitem__, order), position)), position
-
-
 # A row with more than 8 + n // 12 set bits is dense. The dense rows of
 # a call are moved together by one transpose, any other row by walking
 # its set bits, at 0.1-0.2 us a bit. Once a call transposes, each further
@@ -200,23 +188,25 @@ _WALK_BITS = 8
 _WALK_COLUMNS_PER_BIT = 12
 
 
-def _relabel_rows(rows: Iterable[int], position: Sequence[int]) -> list[int]:
-    """Each row with every set bit v moved to bit ``position[v]``.
+def _reorder_rows(rows: tuple[int, ...], order: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The rows of ``permute`` by ``Permutation(order)``, with ``position``, the inverse of ``order``.
 
-    The one relabel kernel. A sparse row is walked bit by bit, in time
-    linear in its set bits. The dense rows of a call are moved together,
-    at C speed: each is written out as its (n + 1)-character binary
-    string, where character n - v is bit v and the leading "0" saves
-    width 0 from empty numerals. In the joined text, the strided slice
-    from c on is column c of every dense row; joined in their new order,
-    the columns hold each output row as a strided slice, parsed back by
-    ``int(..., 2)``.
+    Row i is row ``order[i]`` with each set bit v moved to bit ``position[v]``. The one relabel:
+    :func:`permute` and both relabels of the structural route call it. A sparse row is walked bit
+    by bit, in time linear in its set bits. The dense rows are moved together, at C speed: each is
+    written out as its (n + 1)-character binary string, where character n - v is bit v and the
+    leading "0" saves width 0 from empty numerals. In the joined text, the strided slice from c on
+    is column c of every dense row; joined in their new order, the columns hold each output row as
+    a strided slice, parsed back by ``int(..., 2)``.
     """
-    n = len(position)
+    n = len(order)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
     dense = _WALK_BITS + n // _WALK_COLUMNS_PER_BIT
     gather = None  # indices in out of the dense rows, which wait there unmoved
     out = []
-    for bits in rows:
+    for bits in map(rows.__getitem__, order):
         if bits.bit_count() > dense:
             if gather is None:
                 gather = []
@@ -240,7 +230,7 @@ def _relabel_rows(rows: Iterable[int], position: Sequence[int]) -> list[int]:
         count = len(gather)
         for i, at in enumerate(gather):
             out[at] = int(moved[i::count], 2)
-    return out
+    return tuple(out), position
 
 
 def _sat_mul_rows(

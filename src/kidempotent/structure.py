@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import repeat
 from math import lcm
 from operator import or_, xor
 from typing import Mapping, Sequence
@@ -151,18 +150,24 @@ def power_failure(a: Matrix01, k: int) -> StructureError | None:
     return StructureError(kind, (i, (diff & -diff).bit_length() - 1))
 
 
-def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int] | Sequence[int], m: int = 0) -> list[int]:
+def _corner_rows(x_rows: Sequence[int], through: Mapping[int, int], m: int = 0) -> list[int]:
     """Rows of the corner block X P^T Y, which must be 0-1.
 
-    ``through[c]`` is row c of P^T Y: the Y row of the vertex whose cycle
-    successor is c. Bit c of an X row meets that row. Raises
-    :class:`ProductNotZeroOne` at the first entry of 2 or more, at
-    column ``len(x_rows) + m + j`` for corner column j: with m the core
-    size that is the witness in coordinates of the composed matrix, and a
-    caller that reports no witness leaves m at 0.
+    ``through`` files row c of P^T Y, the Y row of the vertex whose cycle
+    successor is c, under the core points c where that row is nonzero,
+    and only there. Bit c of an X row meets that row; the kernel masks
+    the X rows to the filed points itself, so any other bit of them adds
+    nothing. Raises :class:`ProductNotZeroOne` at the first entry of 2 or
+    more, at column ``len(x_rows) + m + j`` for corner column j: with m
+    the core size that is the witness in coordinates of the composed
+    matrix, and a caller that reports no witness leaves m at 0.
     """
+    live = 0
+    for c in through:
+        live |= 1 << c
     corner = []
     for i, bits in enumerate(x_rows):
+        bits &= live
         acc1 = 0
         acc2 = 0
         while bits:
@@ -196,14 +201,13 @@ def _analyze_rows(rows: tuple[int, ...]):
       c's cycle predecessor over its core bits c, with no sink hit twice.
 
     Both rules are checked in the original labels. The first pass builds
-    only the in-arc and out-arc masks, so a core that is no permutation is
-    rejected before any list or dict is built: a walk along the core bits
+    only the in-arc and out-arc masks; a walk along the core bits then
     checks that each core row is one cycle successor plus sink bits
     (nothing points into a source) and files the sink bits under the
     successor, as the rows of P^T Y. Only the core points whose predecessor
-    has sink bits are filed, and :func:`_corner_rows` reads the X rows (the
-    sources are the bits of ``has_out ^ core``) masked to them; with none
-    filed the corner is zero and is not built. Orbits and sinks are listed on acceptance.
+    has sink bits are filed. When there are sources (the bits of
+    ``has_out ^ core``), :func:`_corner_rows` forms the corner from their
+    rows. Orbits and sinks are listed on acceptance.
 
     ``order`` holds the sources ascending, then the orbits sorted by
     (length, smallest vertex), each starting at its smallest vertex and
@@ -220,7 +224,7 @@ def _analyze_rows(rows: tuple[int, ...]):
         bit <<= 1
     core = has_in & has_out
     image = 0
-    live = 0  # the filed core points, whose predecessor has sink bits; through exists once it is nonzero
+    through = {}  # the rows of P^T Y, filed only at the core points whose predecessor has sink bits
     bits = core
     while bits:
         v = bits.bit_length() - 1
@@ -231,10 +235,7 @@ def _analyze_rows(rows: tuple[int, ...]):
             return None
         image |= succ
         if row != succ:
-            if not live:
-                through = {}
             through[succ.bit_length() - 1] = row ^ succ
-            live |= succ
     if image != core:
         return None
     outside = ~core
@@ -246,7 +247,7 @@ def _analyze_rows(rows: tuple[int, ...]):
         order.append(low.bit_length() - 1)
     if order:
         try:
-            corner = _corner_rows([rows[u] & live for u in order], through) if live else repeat(0)
+            corner = _corner_rows([rows[u] for u in order], through)
         except ProductNotZeroOne:
             return None
         for u, row in zip(order, corner):
@@ -445,24 +446,20 @@ def _build_rows(
 
     Every composed matrix and derived corner is built here. The blocks of
     :func:`_blocks` have that shape by construction; only the
-    corner is checked, by :func:`_corner_rows` on the rows of P^T Y. Only
-    the core points whose predecessor has a nonzero Y row add to X P^T Y,
-    so X is masked to them.
+    corner is checked, by :func:`_corner_rows` on the nonzero rows of P^T Y.
     """
     m = sum(cycle_lengths)
     cycle_rows = []
-    through = [0] * m
-    live = 0
+    through = {}
     offset = 0
     for length in cycle_lengths:
         for t in range(length):
             succ = offset + (t + 1) % length
-            through[succ] = y_rows[offset + t]
             if y_rows[offset + t]:
-                live |= 1 << succ
+                through[succ] = y_rows[offset + t]
             cycle_rows.append((1 << (source_count + succ)) | (y_rows[offset + t] << (source_count + m)))
         offset += length
-    z_rows = _corner_rows([row & live for row in x_rows], through, m)
+    z_rows = _corner_rows(x_rows, through, m)
     rows = [(x << source_count) | (z << (source_count + m)) for x, z in zip(x_rows, z_rows)]
     return (*rows, *cycle_rows) + (0,) * sink_count
 

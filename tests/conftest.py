@@ -49,8 +49,8 @@ def all_matrices(n):
 
 
 def relabel_reference(bits, position):
-    """Bit v of ``bits`` moved to bit position[v], one bit at a time."""
-    return sum(((bits >> v) & 1) << p for v, p in enumerate(position))
+    """Bit v of ``bits`` moved to bit position[v], one bit at a time, read off its binary numeral."""
+    return sum(1 << position[v] for v, bit in enumerate(f"{bits:b}"[::-1]) if bit == "1")
 
 
 def random_decomposition(rng: random.Random, n: int, k: int) -> CanonicalDecomposition:

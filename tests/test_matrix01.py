@@ -22,7 +22,6 @@ from kidempotent.matrix01 import (
     _lanes_k_idempotent,
     _power,
     _read_rows,
-    _relabel_rows,
     _reorder_rows,
     _sat_mul_rows,
     _sat_power_rows,
@@ -162,15 +161,23 @@ class TestPermutation:
 RELABEL_WIDTHS = [0, 1, 2, 8, 9, 10, 64, 400, 1000]
 
 
+def reorder_reference(rows, order):
+    """Row i is row order[i] with bit v moved to the position of v in order, one bit at a time."""
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    return tuple(relabel_reference(rows[v], position) for v in order)
+
+
 @contextlib.contextmanager
 def kernel_joins():
-    """A list whose length, read on exit, is the number of ``str.join`` calls made by ``_relabel_rows``.
+    """A list whose length, read on exit, is the number of ``str.join`` calls made by ``_reorder_rows``.
 
     One transpose joins twice, the text of the dense rows and then its
     reordered columns; the walk joins nothing.
     """
     joins = []
-    code = _relabel_rows.__code__
+    code = _reorder_rows.__code__
 
     def hook(frame, event, arg):
         if event == "c_call" and frame.f_code is code and arg.__name__ == "join":
@@ -185,68 +192,73 @@ def kernel_joins():
 
 
 class TestRelabelKernel:
-    """Both branches of the relabel kernel, forced and as chosen, against the reference."""
+    """Both branches of the relabel in ``_reorder_rows``, forced and as chosen, on n rows against the reference."""
 
     @staticmethod
     def draw_rows(data, n):
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        position = list(range(n))
-        rng.shuffle(position)
-        # densities from empty to full, so both sides of the switch occur
-        rows = [sum(1 << v for v in rng.sample(range(n), rng.randint(0, n) >> shift)) for shift in range(4)]
-        rows += [0, (1 << n) - 1, rng.getrandbits(n) if n else 0]
-        return rows, position
+        order = list(range(n))
+        rng.shuffle(order)
+
+        def row(kind):
+            if kind < 4:
+                return sum(1 << v for v in rng.sample(range(n), rng.randint(0, n) >> kind))
+            return (0, (1 << n) - 1, rng.getrandbits(n))[kind - 4]
+
+        # densities from empty to full, so both sides of the switch occur at every width of 7 or more
+        return tuple(row(i % 7) for i in range(n)), order
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_branches_match_reference(self, data):
         n = data.draw(st.sampled_from(RELABEL_WIDTHS))
-        rows, position = self.draw_rows(data, n)
-        expected = [relabel_reference(row, position) for row in rows]
-        assert _relabel_rows(rows, position) == expected
+        rows, order = self.draw_rows(data, n)
+        expected = reorder_reference(rows, order)
+        assert _reorder_rows(rows, order)[0] == expected
         with pytest.MonkeyPatch.context() as mp, kernel_joins() as joins:
             mp.setattr(matrix01, "_WALK_BITS", -1)  # every row transposed
             mp.setattr(matrix01, "_WALK_COLUMNS_PER_BIT", 1 << 20)
-            assert _relabel_rows(rows, position) == expected
-        assert len(joins) == 2
+            assert _reorder_rows(rows, order)[0] == expected
+        assert len(joins) == (2 if n else 0)  # no rows at width 0, so nothing to transpose
         with pytest.MonkeyPatch.context() as mp, kernel_joins() as joins:
             mp.setattr(matrix01, "_WALK_BITS", n)  # every row walked
-            assert _relabel_rows(rows, position) == expected
+            assert _reorder_rows(rows, order)[0] == expected
         assert not joins
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_dense_row_counts_match_reference(self, data):
-        """1, 2 or all rows dense, among row counts that differ from the width."""
+        """1, 2 or all of the n rows dense."""
         n = data.draw(st.sampled_from([w for w in RELABEL_WIDTHS if w > 8]))
-        count = data.draw(st.sampled_from([1, 2, 3, 17, n + 3]))
-        dense = data.draw(st.sampled_from([d for d in (1, 2, count) if d <= count]))
+        dense = data.draw(st.sampled_from([1, 2, n]))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        position = list(range(n))
-        rng.shuffle(position)
+        order = list(range(n))
+        rng.shuffle(order)
         limit = matrix01._WALK_BITS + n // matrix01._WALK_COLUMNS_PER_BIT  # most ones a walked row has
-        rows = [rng.randint(limit + 1, n) for _ in range(dense)] + [rng.randint(0, limit) for _ in range(count - dense)]
-        rows = [sum(1 << v for v in rng.sample(range(n), ones)) for ones in rows]
+        ones = [rng.randint(limit + 1, n) for _ in range(dense)] + [rng.randint(0, limit) for _ in range(n - dense)]
+        rows = [sum(1 << v for v in rng.sample(range(n), count)) for count in ones]
         rng.shuffle(rows)
+        rows = tuple(rows)
         with kernel_joins() as joins:
-            assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+            assert _reorder_rows(rows, order)[0] == reorder_reference(rows, order)
         assert len(joins) == 2
 
     @pytest.mark.parametrize("n", range(9))
     def test_narrow_rows_are_walked(self, n):
         # a census relabels rows of width 8 or less, always by the walk
-        position = list(range(n))[::-1]
-        rows = [(1 << n) - 1, (1 << n) >> 1, 0]
+        order = list(range(n))[::-1]
+        rows = (((1 << n) - 1, (1 << n) >> 1, 0) * n)[:n]
         with kernel_joins() as joins:
-            assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+            assert _reorder_rows(rows, order)[0] == reorder_reference(rows, order)
         assert not joins
 
     def test_one_transpose_per_call(self):
-        position = list(range(400))[::-1]
+        order = list(range(400))[::-1]
         for dense in (0, 1, 2, 4):
             rows = [(1 << 400) - 1 - i for i in range(dense)] + [1 << 7, 0, (1 << 41) - 1]
+            rows = tuple(rows + [1 << i for i in range(400 - len(rows))])
             with kernel_joins() as joins:
-                assert _relabel_rows(rows, position) == [relabel_reference(row, position) for row in rows]
+                assert _reorder_rows(rows, order)[0] == reorder_reference(rows, order)
             assert len(joins) == (2 if dense else 0)  # one transpose, or none
 
 

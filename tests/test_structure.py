@@ -38,6 +38,7 @@ from kidempotent.structure import (
     _blocks,
     _canonical_form,
     _check_header,
+    _corner_rows,
     CanonicalDecomposition,
     CycleLengthInvalid,
     DecompositionFormatError,
@@ -574,6 +575,45 @@ class TestCompose:
         assert is_k_idempotent(h, 4)
         assert max(max(row) for row in exact_power(h, 2)) == 2
         assert exact_power(h, 4) == h.to_lists()
+
+
+class TestCornerKernel:
+    """``_corner_rows`` on a ``through`` dict of the filed core points only: it masks the X rows itself."""
+
+    @staticmethod
+    def reference(x_rows, through, width):
+        """Each corner entry as a count over the filed points c: bit c of the X row and bit j of through[c]."""
+        return [[sum((x >> c) & (y >> j) & 1 for c, y in through.items()) for j in range(width)] for x in x_rows]
+
+    def test_unfiled_bits_add_nothing_and_the_witness_column(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(400):
+            m, s = rng.randint(0, 8), rng.randint(1, 4)
+            through = {c: rng.randint(1, (1 << s) - 1) for c in rng.sample(range(m), rng.randint(0, m))}
+            # bits above m stand for the sink bits of a source row, which _analyze_rows passes whole
+            x_rows = [rng.getrandbits(m + s + 2) for _ in range(rng.randint(0, 4))]
+            counts = self.reference(x_rows, through, s)
+            twos = [(i, j) for i, row in enumerate(counts) for j, c in enumerate(row) if c >= 2]
+            if twos:
+                i, j = twos[0]
+                with pytest.raises(ProductNotZeroOne) as raised:
+                    _corner_rows(x_rows, through, m)
+                assert raised.value.witness == (i, len(x_rows) + m + j)
+                seen.add("witness")
+            else:
+                assert _corner_rows(x_rows, through, m) == [sum(c << j for j, c in enumerate(row)) for row in counts]
+                seen.add("masked" if any(x & ~sum(1 << c for c in through) for x in x_rows) else "unmasked")
+        assert seen == {"witness", "masked", "unmasked"}
+
+    def test_example(self):
+        # points 0 and 2 filed, point 1 and bit 5 not; row 1 meets sink column 1 twice
+        through = {0: 0b10, 2: 0b11}
+        assert _corner_rows([0b100010, 0b000011], through, 3) == [0, 0b10]
+        with pytest.raises(ProductNotZeroOne) as raised:
+            _corner_rows([0b100010, 0b100111], through, 3)
+        assert raised.value.witness == (1, 2 + 3 + 1)
+        assert _corner_rows([0b111010], {}, 3) == [0]
 
 
 def two_gather_blocks(rows, n):
