@@ -1,11 +1,13 @@
 """Exhaustive brute-force verification at desk scale.
 
-Every 0-1 matrix of a small order is enumerated and tested two
-independent ways: the saturating power route decides A^k = A directly,
-and the structural route decides whether the canonical block
-certification accepts. The census records both verdicts, the density
-maximum with all matrices attaining it, and whether a nonzero strictly
-upper triangular matrix is a member, read off the same member walk.
+Every 0-1 matrix of a small order is enumerated, and the saturating
+power route decides A^k = A for each. The structural route sees the
+members only: each must pass the canonical block certification and be
+rebuilt from its blocks, and the member count must equal
+:func:`structural_count`, a count that uses neither route. The census
+records that verdict, the density maximum with all matrices attaining
+it, and whether a nonzero strictly upper triangular matrix is a member,
+read off the same member walk.
 Orders 0 to 5 are accepted. Enumeration is indexed so that bit j of the
 index is entry (j div n, j mod n); any index sub-range can be swept on
 its own and the merged result equals the serial stream.

@@ -27,73 +27,91 @@ WORKED_TEXT = to_text(Matrix01.from_lists([[0, 1, 1], [0, 1, 1], [0, 0, 0]]))
 WORKED_DECOMPOSITION = "n=3\nk=2\nr=1\ns=1\ncycle_lengths=1\nsigma=0,1,2\nX=1\nY=1\n"
 
 
-def run_cli(args, stdin="", tmp_path=None):
-    """Invoke main() in-process, capturing stdout."""
-    import io
-    from contextlib import redirect_stdout
+ROOT = Path(__file__).resolve().parents[1]
 
+
+def run_cli(args, stdin="", run=main):
+    """Exit code (a SystemExit's code too), stdout and stderr of one in-process call of ``run``.
+
+    A str stdin is read as text. Bytes are the raw bytes of stdin, read through a wrapper that
+    keeps CR, as on a POSIX stdin.
+    """
     old_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    out = io.StringIO()
+    if isinstance(stdin, bytes):
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", newline="\n")
+    else:
+        sys.stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(out):
-            code = main(args)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(args)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         sys.stdin = old_stdin
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(args, stdin=b"", **env):
+    """Exit code, stdout and stderr, as bytes, of a new interpreter run with ``args`` on the source tree."""
+    proc = subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCheck:
     def test_accepts_cycle(self, tmp_path):
         path = tmp_path / "c3.txt"
         path.write_text(C3_TEXT)
-        code, out = run_cli(["check", "--k", "4", str(path)])
+        code, out, _ = run_cli(["check", "--k", "4", str(path)])
         assert code == 0
         assert out == "k-idempotent\n"
 
     def test_rejects_all_ones(self, tmp_path):
         path = tmp_path / "j2.txt"
         path.write_text(ONES2_TEXT)
-        code, out = run_cli(["check", "--k", "2", str(path)])
+        code, out, _ = run_cli(["check", "--k", "2", str(path)])
         assert code == 1
         assert out == "not k-idempotent: witness (0,0)\n"
 
     def test_k_below_two_is_usage_error(self):
-        code, _ = run_cli(["check", "--k", "1"], stdin=C3_TEXT)
+        code, _, _ = run_cli(["check", "--k", "1"], stdin=C3_TEXT)
         assert code == 2
 
     def test_malformed_matrix_is_usage_error(self):
-        code, _ = run_cli(["check", "--k", "2"], stdin="2\n01\n0x\n")
+        code, _, _ = run_cli(["check", "--k", "2"], stdin="2\n01\n0x\n")
         assert code == 2
 
     def test_missing_file_is_usage_error(self):
-        code, _ = run_cli(["check", "--k", "2", "/nonexistent/matrix.txt"])
+        code, _, _ = run_cli(["check", "--k", "2", "/nonexistent/matrix.txt"])
         assert code == 2
 
     def test_reads_stdin(self):
-        code, out = run_cli(["check", "--k", "2"], stdin=WORKED_TEXT)
+        code, out, _ = run_cli(["check", "--k", "2"], stdin=WORKED_TEXT)
         assert code == 0
 
 
 class TestDecomposeCompose:
     def test_decompose_worked_example(self):
-        code, out = run_cli(["decompose", "--k", "2"], stdin=WORKED_TEXT)
+        code, out, _ = run_cli(["decompose", "--k", "2"], stdin=WORKED_TEXT)
         assert code == 0
         assert out == WORKED_DECOMPOSITION
 
     def test_decompose_rejection_report(self):
-        code, out = run_cli(["decompose", "--k", "2"], stdin=ONES2_TEXT)
+        code, out, _ = run_cli(["decompose", "--k", "2"], stdin=ONES2_TEXT)
         assert code == 1
         assert out == "error=NotZeroOne\nwitness=0,0\n"
 
     def test_compose_rebuilds_matrix(self):
-        code, out = run_cli(["compose"], stdin=WORKED_DECOMPOSITION)
+        code, out, _ = run_cli(["compose"], stdin=WORKED_DECOMPOSITION)
         assert code == 0
         assert out == WORKED_TEXT
 
     def test_compose_cycle_length_invalid(self):
         bad = "n=2\nk=4\nr=0\ns=0\ncycle_lengths=2\nsigma=0,1\nY=\nY=\n"
-        code, out = run_cli(["compose", "--k", "4"], stdin=bad)
+        code, out, _ = run_cli(["compose", "--k", "4"], stdin=bad)
         assert code == 1
         assert out.startswith("error=CycleLengthInvalid\n")
 
@@ -101,10 +119,10 @@ class TestDecomposeCompose:
         # X P^T Y is 2 at corner (0, 0): the witness is that cell of the canonical layout, row 0 and
         # column r + m + 0 = 3, though the reversed sigma would put it at (3, 0) of the original labels
         bad = "n=4\nk=2\nr=1\ns=1\ncycle_lengths=1,1\nsigma=3,2,1,0\nX=11\nY=1\nY=1\n"
-        assert run_cli(["compose"], stdin=bad) == (1, "error=ProductNotZeroOne\nwitness=0,3\n")
+        assert run_cli(["compose"], stdin=bad) == (1, "error=ProductNotZeroOne\nwitness=0,3\n", "")
 
     def test_compose_rejects_malformed(self):
-        code, _ = run_cli(["compose"], stdin="nonsense\n")
+        code, _, _ = run_cli(["compose"], stdin="nonsense\n")
         assert code == 2
 
     def test_round_trip_fixed_point(self):
@@ -117,12 +135,12 @@ class TestDecomposeCompose:
         ]
         for a in matrices:
             k = "3" if a is matrices[0] else "2"
-            code, first = run_cli(["decompose", "--k", k], stdin=to_text(a))
+            code, first, _ = run_cli(["decompose", "--k", k], stdin=to_text(a))
             assert code == 0
-            code, rebuilt = run_cli(["compose"], stdin=first)
+            code, rebuilt, _ = run_cli(["compose"], stdin=first)
             assert code == 0
             assert from_text(rebuilt) == a
-            code, second = run_cli(["decompose", "--k", k], stdin=rebuilt)
+            code, second, _ = run_cli(["decompose", "--k", k], stdin=rebuilt)
             assert code == 0
             assert second == first
 
@@ -130,9 +148,9 @@ class TestDecomposeCompose:
         # a non-canonical matrix must come back in its original labeling
         a = Matrix01.from_lists([[0, 0, 0], [1, 1, 0], [1, 1, 0]])
         scrambled = to_text(a)
-        code, serial = run_cli(["decompose", "--k", "2"], stdin=scrambled)
+        code, serial, _ = run_cli(["decompose", "--k", "2"], stdin=scrambled)
         assert code == 0
-        code, rebuilt = run_cli(["compose"], stdin=serial)
+        code, rebuilt, _ = run_cli(["compose"], stdin=serial)
         assert code == 0
         assert rebuilt == scrambled
 
@@ -141,47 +159,47 @@ class TestDecomposeCompose:
         # error must not carry over into a later call.
         path = tmp_path / "c3.dec"
         path.write_text("n=3\nk=4\nr=0\ns=0\ncycle_lengths=3\nsigma=0,1,2\nY=\nY=\nY=\n")
-        code, out = run_cli(["compose", "--k", "5", str(path)])
+        code, out, _ = run_cli(["compose", "--k", "5", str(path)])
         assert code == 1
         assert out.startswith("error=CycleLengthInvalid\n")
         err = io.StringIO()
         with redirect_stderr(err), pytest.raises(SystemExit) as info:
             main(["compose", "--k", "x", str(path)])
         assert info.value.code == 2
-        code, out = run_cli(["compose", str(path)])
+        code, out, _ = run_cli(["compose", str(path)])
         assert code == 0
         assert out == C3_TEXT
-        code, out = run_cli(["compose", "--k", "7", str(path)])
+        code, out, _ = run_cli(["compose", "--k", "7", str(path)])
         assert code == 0
         assert out == C3_TEXT
 
 
 class TestScalarCommands:
     def test_gamma(self):
-        code, out = run_cli(["gamma", "--n", "4"])
+        code, out, _ = run_cli(["gamma", "--n", "4"])
         assert code == 0
         assert out == "6\n"
 
     def test_gamma_rejects_zero(self):
-        code, _ = run_cli(["gamma", "--n", "0"])
+        code, _, _ = run_cli(["gamma", "--n", "0"])
         assert code == 2
 
     def test_index_cycle(self, tmp_path):
         path = tmp_path / "c2.txt"
         path.write_text(to_text(Matrix01.cycle(2)))
-        code, out = run_cli(["index", str(path)])
+        code, out, _ = run_cli(["index", str(path)])
         assert code == 0
         assert out == "3\n"
 
     def test_index_none(self):
-        code, out = run_cli(["index"], stdin="2\n01\n00\n")
+        code, out, _ = run_cli(["index"], stdin="2\n01\n00\n")
         assert code == 1
         assert out == "none\n"
 
 
 class TestExtremalCommand:
     def test_lists_families_with_matrices(self):
-        code, out = run_cli(["extremal", "--n", "3", "--k", "2"])
+        code, out, _ = run_cli(["extremal", "--n", "3", "--k", "2"])
         assert code == 0
         blocks = out.split("\n\n")
         assert len(blocks) == 3
@@ -204,7 +222,7 @@ class TestExtremalCommand:
         ],
     )
     def test_output_pinned(self, n, k, digest):
-        code, out = run_cli(["extremal", "--n", str(n), "--k", str(k)])
+        code, out, _ = run_cli(["extremal", "--n", str(n), "--k", str(k)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -224,12 +242,12 @@ class TestExtremalCommand:
         # each block as family_line and to_text render a family built and checked by construct_extremal
         for k in (2, 3, 7):
             blocks = [family_line(n, k, p) + "\n" + to_text(construct_extremal(n, k, p)) for p in extremal_families(n, k)]
-            assert run_cli(["extremal", "--n", str(n), "--k", str(k)]) == (0, "\n".join(blocks))
+            assert run_cli(["extremal", "--n", str(n), "--k", str(k)]) == (0, "\n".join(blocks), "")
 
 
 class TestCensusCommand:
     def test_small_census(self):
-        code, out = run_cli(["census", "--n", "3", "--k", "2"])
+        code, out, _ = run_cli(["census", "--n", "3", "--k", "2"])
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert lines["total_k_idempotent"] == "50"
@@ -237,48 +255,27 @@ class TestCensusCommand:
         assert lines["characterization_ok"] == "true"
 
     def test_order_five_needs_no_flag(self):
-        code, out = run_cli(["census", "--n", "5", "--k", "2"])
+        code, out, _ = run_cli(["census", "--n", "5", "--k", "2"])
         assert code == 0
         assert "total_k_idempotent=5682\n" in out
 
     @pytest.mark.parametrize("order", ["0", "6"])
     def test_order_out_of_range_names_the_census_range(self, order):
         # one check and one message below and above: orders 1 to 5
-        code, out, err = run_cli_bytes(["census", "--n", order, "--k", "2"], b"")
+        code, out, err = run_cli(["census", "--n", order, "--k", "2"], b"")
         assert (code, out) == (2, "")
         assert "1 and 5" in err
 
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kidempotent", "gamma", "--n", "5"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == "9\n"
+        code, out, _ = run_fresh(["-m", "kidempotent", "gamma", "--n", "5"])
+        assert code == 0
+        assert out == b"9\n"
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kidempotent", "nonsense"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-
-
-def run_cli_bytes(args, data):
-    """Invoke main() in-process with ``data`` as the raw bytes of stdin; CR is kept, as on a POSIX stdin."""
-    old_stdin = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(args)
-    finally:
-        sys.stdin = old_stdin
-    return code, out.getvalue(), err.getvalue()
+        code, _, _ = run_fresh(["-m", "kidempotent", "nonsense"])
+        assert code == 2
 
 
 # Subcommands that read a matrix or a decomposition, and those that read nothing.
@@ -349,7 +346,7 @@ ARGUMENT_ERRORS = [
 def test_argument_errors_exit_two_with_the_library_message(argv, stdin, call):
     with pytest.raises(ArgumentRangeError) as info:
         call()
-    code, out, err = run_cli_bytes(argv, stdin.encode())
+    code, out, err = run_cli(argv, stdin.encode())
     assert (code, out) == (2, "")
     assert err == f"{info.value}\n"
 
@@ -361,7 +358,7 @@ NON_DECIMAL_OPTIONS = ["1_0", " +5", "\u0665", "010"]
 @pytest.mark.parametrize("value", NON_DECIMAL_OPTIONS)
 @pytest.mark.parametrize("argv", [["gamma", "--n"], ["census", "--n", "3", "--k"], ["compose", "--k"]])
 def test_integer_options_follow_the_decimal_rule(argv, value):
-    code, out, err = captured(main, [*argv, value], WORKED_DECOMPOSITION)
+    code, out, err = run_cli([*argv, value], WORKED_DECOMPOSITION)
     assert (code, out) == (2, "")
     assert err.endswith(f"bad integer {value!r} (length {len(value)})\n")
 
@@ -377,7 +374,7 @@ LONG_FIELDS = [
 
 @pytest.mark.parametrize("argv, stdin", LONG_FIELDS, ids=["order", "order_control", "k", "n_control"])
 def test_long_malformed_field_gives_a_short_message(argv, stdin):
-    code, out, err = run_cli_bytes(argv, stdin.encode())
+    code, out, err = run_cli(argv, stdin.encode())
     assert (code, out) == (2, "")
     assert err.startswith("format error: bad ") and len(err.encode()) < 200
 
@@ -393,11 +390,11 @@ class TestArbitraryBytes:
     @example(LONG_ORDER_LINE, ["index"])
     @example(b"n=" + LONG_ORDER_LINE, ["compose"])
     def test_readers_by_stdin_and_file(self, tmp_path_factory, data, command):
-        code, out, err = run_cli_bytes(command, data)
+        code, out, err = run_cli(command, data)
         assert_contract(code, out, err, data)
         path = tmp_path_factory.mktemp("input") / "in.txt"
         path.write_bytes(data)
-        file_code, file_out, file_err = run_cli_bytes([*command, str(path)], b"")
+        file_code, file_out, file_err = run_cli([*command, str(path)], b"")
         assert (file_code, file_out, file_err) == (code, out, err)
         assert_contract(file_code, file_out, file_err, data)
         if not data.isascii():
@@ -410,32 +407,31 @@ class TestArbitraryBytes:
     def test_stdin_and_file_give_the_same_answer(self, tmp_path, command, data):
         path = tmp_path / "in.txt"
         path.write_bytes(data)
-        assert run_cli_bytes(command, data) == run_cli_bytes([*command, str(path)], b"")
+        assert run_cli(command, data) == run_cli([*command, str(path)], b"")
 
     def test_stdin_and_file_give_the_same_answer_in_a_fresh_process(self, tmp_path):
         # strict UTF-8 stdin, as under a UTF-8 locale
-        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
         path = tmp_path / "in.txt"
         for data in CHANNEL_INPUTS:
             path.write_bytes(data)
             for command in READERS:
-                answers = []
-                for argv, stdin in ([*command, "-"], data), ([*command, str(path)], b""):
-                    proc = subprocess.run([sys.executable, "-m", "kidempotent", *argv], input=stdin, capture_output=True, env=env)
-                    answers.append((proc.returncode, proc.stdout, proc.stderr))
+                answers = [
+                    run_fresh(["-m", "kidempotent", *argv], stdin, PYTHONIOENCODING="utf-8")
+                    for argv, stdin in (([*command, "-"], data), ([*command, str(path)], b""))
+                ]
                 assert answers[0] == answers[1], (data, command)
 
     @settings(max_examples=20, deadline=None)
     @given(input_bytes(), st.sampled_from(NON_READERS))
     def test_non_readers_ignore_stdin(self, data, command):
-        code, out, err = run_cli_bytes(command, data)
+        code, out, err = run_cli(command, data)
         assert_contract(code, out, err, data, reads_input=False)
         assert code == 0
 
     def test_non_ascii_file_is_format_error(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"2\n0\xe9\n00\n")
-        code, out, err = run_cli_bytes(["check", "--k", "2", str(path)], b"")
+        code, out, err = run_cli(["check", "--k", "2", str(path)], b"")
         assert (code, out) == (2, "")
         assert err == "format error: non-ASCII byte at offset 3\n"
 
@@ -446,9 +442,9 @@ class TestArbitraryBytes:
         ):
             path = tmp_path / "crlf.txt"
             path.write_bytes(text.replace("\n", "\r\n").encode())
-            code, out, err = run_cli_bytes([*command, str(path)], b"")
+            code, out, err = run_cli([*command, str(path)], b"")
             assert (code, err) == (expected, "")
-            assert out == run_cli_bytes(command, text.encode())[1]
+            assert out == run_cli(command, text.encode())[1]
 
     def test_crlf_and_cr_stdin_in_a_fresh_process(self):
         # a real stdin keeps CR; the reader turns CRLF and CR into LF as for a file
@@ -457,26 +453,16 @@ class TestArbitraryBytes:
             (["compose"], WORKED_DECOMPOSITION, WORKED_TEXT.encode()),
         ):
             for end in (b"\r\n", b"\r"):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "kidempotent", *command, "-"],
-                    input=text.encode().replace(b"\n", end),
-                    capture_output=True,
-                )
-                assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+                answer = run_fresh(["-m", "kidempotent", *command, "-"], text.encode().replace(b"\n", end))
+                assert answer == (0, expected, b"")
 
     def test_non_ascii_stdin_in_a_fresh_process(self):
         # strict UTF-8 stdin, as under a UTF-8 locale, where a text read raises
-        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
         for data in (b"2\n0\xe9\n00\n", b"\xff\xfe"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "kidempotent", "check", "--k", "2"],
-                input=data,
-                capture_output=True,
-                env=env,
-            )
-            assert proc.returncode == 2
-            assert proc.stdout == b""
-            assert b"Traceback" not in proc.stderr
+            code, out, err = run_fresh(["-m", "kidempotent", "check", "--k", "2"], data, PYTHONIOENCODING="utf-8")
+            assert code == 2
+            assert out == b""
+            assert b"Traceback" not in err
 
 
 def parse_args_route(argv):
@@ -485,21 +471,6 @@ def parse_args_route(argv):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "build_parser", lambda: (parser, {}))
         return main(argv)
-
-
-def captured(run, argv, stdin):
-    """Exit code (a SystemExit's code too), stdout and stderr of one in-process call."""
-    old_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    finally:
-        sys.stdin = old_stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 def dispatch_table(matrix, decomposition):
@@ -525,8 +496,8 @@ def test_dispatch_matches_the_whole_parser(tmp_path):
     matrix.write_text(WORKED_TEXT)
     decomposition.write_text(WORKED_DECOMPOSITION)
     for argv in dispatch_table(str(matrix), str(decomposition)):
-        direct = captured(main, list(argv), WORKED_DECOMPOSITION)
-        assert direct == captured(parse_args_route, list(argv), WORKED_DECOMPOSITION), argv
+        direct = run_cli(list(argv), WORKED_DECOMPOSITION)
+        assert direct == run_cli(list(argv), WORKED_DECOMPOSITION, parse_args_route), argv
         assert direct[0] != 0 or direct[1], argv
 
 
@@ -536,13 +507,12 @@ def test_dispatch_builds_the_whole_parsers_namespace(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cmd_" + name, lambda args: seen.append(vars(args)) or 0)
     for argv in dispatch_table(str(tmp_path / "m.txt"), str(tmp_path / "d.txt")):
         seen.clear()
-        direct, whole = captured(main, list(argv), ""), captured(parse_args_route, list(argv), "")
+        direct, whole = run_cli(list(argv), ""), run_cli(list(argv), "", parse_args_route)
         assert direct == whole, argv
         assert len(seen) == (2 if direct[0] == 0 and not direct[1] else 0), argv
         assert seen[:1] == seen[1:], argv
 
 
-ROOT = Path(__file__).resolve().parents[1]
 # The submodules the package exports; ``cli`` is imported only by name.
 SUBMODULES = ("extremal", "matrix01", "oracle", "structure")
 # What ``from kidempotent import *`` binds: the four submodules and the public names of the package.
@@ -560,12 +530,9 @@ STAR_NAMES = [
 
 def fresh_interpreter(code, *args):
     """stdout of ``code`` run by a new interpreter on the source tree, after ``import sys``."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    returncode, out, err = run_fresh(["-c", "import sys\n" + code, *args])
+    assert returncode == 0, err.decode()
+    return out.decode()
 
 
 LOADED = "print('kidempotent.extremal' in sys.modules)\n"

@@ -2,7 +2,6 @@ import contextlib
 import functools
 import operator
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -169,26 +168,35 @@ def reorder_reference(rows, order):
     return tuple(relabel_reference(rows[v], position) for v in order)
 
 
+def rotated_run(rng, n, count):
+    """A row of width n with exactly ``count`` ones: a run of them, rotated to a random start."""
+    run = (1 << count) - 1
+    shift = rng.randrange(max(n, 1))
+    return (run << shift | run >> (n - shift)) & ((1 << n) - 1)
+
+
+def dense_bound(n):
+    """Most ones a row of width n has and is still walked by ``_reorder_rows``."""
+    return matrix01._WALK_BITS + n // matrix01._WALK_COLUMNS_PER_BIT
+
+
 @contextlib.contextmanager
-def kernel_joins():
-    """A list whose length, read on exit, is the number of ``str.join`` calls made by ``_reorder_rows``.
+def kernel_transposes():
+    """A list whose length, read on exit, is the number of transposes made by ``_reorder_rows``.
 
-    One transpose joins twice, the text of the dense rows and then its
-    reordered columns; the walk joins nothing.
+    A stand-in for ``map`` in ``matrix01`` counts the calls that format rows as binary text: a
+    transpose makes one, to write out the dense rows; the walk and the row gather make none.
     """
-    joins = []
-    code = _reorder_rows.__code__
+    transposes = []
 
-    def hook(frame, event, arg):
-        if event == "c_call" and frame.f_code is code and arg.__name__ == "join":
-            joins.append(arg)
+    def counting(function, *iterables):
+        if getattr(function, "__name__", None) == "format":
+            transposes.append(function)
+        return map(function, *iterables)
 
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        yield joins
-    finally:
-        sys.setprofile(previous)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix01, "map", counting, raising=False)
+        yield transposes
 
 
 class TestRelabelKernel:
@@ -202,10 +210,9 @@ class TestRelabelKernel:
 
         def row(kind):
             if kind < 4:
-                return sum(1 << v for v in rng.sample(range(n), rng.randint(0, n) >> kind))
+                return rotated_run(rng, n, rng.randint(0, n) >> kind)
             return (0, (1 << n) - 1, rng.getrandbits(n))[kind - 4]
 
-        # densities from empty to full, so both sides of the switch occur at every width of 7 or more
         return tuple(row(i % 7) for i in range(n)), order
 
     @settings(max_examples=60, deadline=None)
@@ -213,17 +220,20 @@ class TestRelabelKernel:
     def test_branches_match_reference(self, data):
         n = data.draw(st.sampled_from(RELABEL_WIDTHS))
         rows, order = self.draw_rows(data, n)
+        if n >= 9:
+            # densities from empty to full, so both sides of the threshold occur
+            assert {bits.bit_count() > dense_bound(n) for bits in rows} == {False, True}
         expected = reorder_reference(rows, order)
         assert _reorder_rows(rows, order)[0] == expected
-        with pytest.MonkeyPatch.context() as mp, kernel_joins() as joins:
+        with pytest.MonkeyPatch.context() as mp, kernel_transposes() as transposes:
             mp.setattr(matrix01, "_WALK_BITS", -1)  # every row transposed
             mp.setattr(matrix01, "_WALK_COLUMNS_PER_BIT", 1 << 20)
             assert _reorder_rows(rows, order)[0] == expected
-        assert len(joins) == (2 if n else 0)  # no rows at width 0, so nothing to transpose
-        with pytest.MonkeyPatch.context() as mp, kernel_joins() as joins:
+        assert len(transposes) == (1 if n else 0)  # no rows at width 0, so nothing to transpose
+        with pytest.MonkeyPatch.context() as mp, kernel_transposes() as transposes:
             mp.setattr(matrix01, "_WALK_BITS", n)  # every row walked
             assert _reorder_rows(rows, order)[0] == expected
-        assert not joins
+        assert not transposes
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -234,32 +244,33 @@ class TestRelabelKernel:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         order = list(range(n))
         rng.shuffle(order)
-        limit = matrix01._WALK_BITS + n // matrix01._WALK_COLUMNS_PER_BIT  # most ones a walked row has
+        limit = dense_bound(n)
         ones = [rng.randint(limit + 1, n) for _ in range(dense)] + [rng.randint(0, limit) for _ in range(n - dense)]
-        rows = [sum(1 << v for v in rng.sample(range(n), count)) for count in ones]
+        rows = [rotated_run(rng, n, count) for count in ones]
         rng.shuffle(rows)
         rows = tuple(rows)
-        with kernel_joins() as joins:
+        assert sum(bits.bit_count() > limit for bits in rows) == dense
+        with kernel_transposes() as transposes:
             assert _reorder_rows(rows, order)[0] == reorder_reference(rows, order)
-        assert len(joins) == 2
+        assert len(transposes) == 1
 
     @pytest.mark.parametrize("n", range(9))
     def test_narrow_rows_are_walked(self, n):
         # a census relabels rows of width 8 or less, always by the walk
         order = list(range(n))[::-1]
         rows = (((1 << n) - 1, (1 << n) >> 1, 0) * n)[:n]
-        with kernel_joins() as joins:
+        with kernel_transposes() as transposes:
             assert _reorder_rows(rows, order)[0] == reorder_reference(rows, order)
-        assert not joins
+        assert not transposes
 
     def test_one_transpose_per_call(self):
         order = list(range(400))[::-1]
         for dense in (0, 1, 2, 4):
             rows = [(1 << 400) - 1 - i for i in range(dense)] + [1 << 7, 0, (1 << 41) - 1]
             rows = tuple(rows + [1 << i for i in range(400 - len(rows))])
-            with kernel_joins() as joins:
+            with kernel_transposes() as transposes:
                 assert _reorder_rows(rows, order)[0] == reorder_reference(rows, order)
-            assert len(joins) == (2 if dense else 0)  # one transpose, or none
+            assert len(transposes) == (1 if dense else 0)  # one transpose, or none
 
 
 class TestReorderRows:

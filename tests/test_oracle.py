@@ -3,7 +3,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 from operator import or_
 from pathlib import Path
 
@@ -359,8 +359,8 @@ class TestPrunedSearch:
 class TestOrderFive:
     def test_golden_counts(self):
         # One line through the public stream; it builds a Matrix01 per
-        # member, 123,084 over all eight lines. test_census_text[5-*] pins
-        # all eight counts through census, on the same power route.
+        # member, 189,528 over all twelve lines. test_census_text[5-*] pins
+        # all twelve counts through census, on the same power route.
         line = GOLDEN_N5.read_text().splitlines()[0]
         n, k, expected = (int(v) for v in line.split())
         assert (n, k) == (5, 2)
@@ -376,8 +376,49 @@ def golden_lines():
 ARGMAX_COUNTS = {
     3: {2: 12, 3: 18, 4: 12, 5: 18, 6: 12, 7: 18},
     4: {2: 92, 3: 176, 4: 108, 5: 176, 6: 92, 7: 192, 13: 192, 61: 192, 721: 192, 720721: 192},
-    5: {2: 170, 3: 350, 4: 210, 5: 350, 6: 170, 7: 390, 13: 390, 61: 390},
+    5: {2: 170, 3: 350, 4: 210, 5: 350, 6: 170, 7: 390, 11: 350, 13: 390, 16: 210, 21: 350, 31: 390, 61: 390},
 }
+
+# Labeled argmax counts beyond the census orders, at k = 2, 3 and 7 (ROADMAP item 33's table)
+ARGMAX_TABLE = {
+    6: {2: 1_510, 3: 3_940, 7: 4_980},
+    7: {2: 2_730, 3: 7_560, 7: 9_800},
+    8: {2: 27_132, 3: 98_952, 7: 145_992},
+    9: {2: 48_762, 3: 188_622, 7: 284_382},
+    10: {2: 540_204},
+}
+
+
+def argmax_closed_form(n, k):
+    """Order-n matrices of gamma(n) ones with A^k = A, counted from the two families, by neither route.
+
+    Variant A has c sources in ``allowed_boundary_counts(n)``, each with an arc to all m core
+    points, and one arc into each of the s = n - c - m sinks: n!/(c! m! s!) pi_k(m) m^s matrices,
+    where pi_k(m) counts the core permutations whose cycle lengths divide k - 1. Variant B, the
+    transpose, has as many. A matrix in both has m = 1 and an allowed c and s, so the count is
+    2|A| - |A & B|. At orders 1 and 2 an allowed count can be 0, and the families overlap in more
+    ways (the form gives 6 where the count is 5 at n = 2, k = 2), so they are left out.
+    """
+    lengths = [d for d in range(1, n + 1) if (k - 1) % d == 0]
+    perms = [1]
+    for m in range(1, n + 1):
+        perms.append(sum(comb(m - 1, d - 1) * factorial(d - 1) * perms[m - d] for d in lengths if d <= m))
+    allowed = allowed_boundary_counts(n)
+
+    def placements(c, m):
+        return factorial(n) // (factorial(c) * factorial(m) * factorial(n - c - m))
+
+    one = sum(placements(c, m) * perms[m] * m ** (n - c - m) for c in allowed for m in range(1, n - c + 1))
+    both = sum(placements(c, 1) for c in allowed if n - c - 1 in allowed)
+    return 2 * one - both
+
+
+@pytest.mark.parametrize(
+    "n, k, expected",
+    [(n, k, count) for table in (ARGMAX_COUNTS, ARGMAX_TABLE) for n in table for k, count in table[n].items()],
+)
+def test_argmax_closed_form(n, k, expected):
+    assert argmax_closed_form(n, k) == expected
 
 
 class TestCandidates:
